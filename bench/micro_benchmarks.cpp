@@ -409,10 +409,9 @@ void write_conv_json(const char* path) {
 
 /// Float-vs-int8 A/B (BENCH_int8.json): the quantized GEMM kernel against
 /// the float one on the attacked classifier's forward shapes (the im2row
-/// products and the fc head — the shapes ExecMode::Int8 serving actually
-/// runs), plus a whole-model quantized-vs-float forward. Records which
-/// int8 kernel the build dispatched to and whether it accumulates exactly
-/// (AVX2 maddubs saturates; VNNI and scalar do not). tools/ci.sh gates
+/// products and the fc head — the shapes a quantized classifier runs),
+/// plus a whole-model quantized-vs-float forward. Records which int8
+/// kernel the build dispatched to. tools/ci.sh gates
 /// min_clf_gemm_speedup >= 2.
 void write_int8_json(const char* path) {
   struct Case {
@@ -440,9 +439,8 @@ void write_int8_json(const char* path) {
   }
   std::fprintf(f,
                "{\n  \"unit\": \"GFLOP/s\",\n  \"threads\": %zu,\n"
-               "  \"kernel\": \"%s\",\n  \"exact\": %d,\n",
-               ThreadPool::global().thread_count(), gemm_int8_kernel_name(),
-               gemm_int8_exact() ? 1 : 0);
+               "  \"kernel\": \"%s\",\n",
+               ThreadPool::global().thread_count(), gemm_int8_kernel_name());
 
   double min_speedup = 1e30;
   std::string rows;

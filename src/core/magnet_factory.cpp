@@ -85,13 +85,6 @@ std::shared_ptr<magnet::MagNetPipeline> build_magnet(
   }
 
   pipeline->calibrate(zoo.dataset(id).val.images, cfg.detector_fpr);
-  // Build the int8 execution bank alongside the calibrated float defense
-  // so ExecMode::Int8 is always servable. Activation scales calibrate on
-  // a bounded slice of the validation set — max-abs saturates quickly and
-  // the sweep is a handful of forward passes, not a training run.
-  const Tensor& val = zoo.dataset(id).val.images;
-  const std::size_t calib_rows = std::min<std::size_t>(val.dim(0), 256);
-  pipeline->prepare_quantized(val.slice_rows(0, calib_rows));
   return pipeline;
 }
 

@@ -137,14 +137,20 @@ const ModelZoo::Splits& ModelZoo::dataset(DatasetId id) {
     oc.pixel_noise_std = 0.06f;
     all = data::make_syn_objects(oc);
   }
+  // Each split is gathered straight from the shuffled order: shuffling a
+  // copy and then splitting it would hold up to three copies of the
+  // dataset at once, and that transient sets the peak memory of every
+  // cold start.
   Rng rng(cfg_.seed + 17);
-  all.shuffle(rng);
+  const std::vector<std::size_t> order = data::shuffled_indices(total, rng);
+  const auto part = [&](std::size_t begin, std::size_t end) {
+    return all.filter({order.begin() + static_cast<std::ptrdiff_t>(begin),
+                       order.begin() + static_cast<std::ptrdiff_t>(end)});
+  };
   Splits s;
-  auto [train, rest] = data::split(all, cfg_.train_count);
-  auto [val, test] = data::split(rest, cfg_.val_count);
-  s.train = std::move(train);
-  s.val = std::move(val);
-  s.test = std::move(test);
+  s.train = part(0, cfg_.train_count);
+  s.val = part(cfg_.train_count, cfg_.train_count + cfg_.val_count);
+  s.test = part(cfg_.train_count + cfg_.val_count, total);
   return datasets_.emplace(id, std::move(s)).first->second;
 }
 

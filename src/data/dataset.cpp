@@ -18,14 +18,17 @@ Dataset Dataset::slice(std::size_t begin, std::size_t end) const {
   return out;
 }
 
-void Dataset::shuffle(Rng& rng) {
-  const std::size_t n = size();
+std::vector<std::size_t> shuffled_indices(std::size_t n, Rng& rng) {
   std::vector<std::size_t> idx(n);
   std::iota(idx.begin(), idx.end(), std::size_t{0});
   for (std::size_t i = n; i > 1; --i) {
     std::swap(idx[i - 1], idx[rng.uniform_index(i)]);
   }
-  *this = filter(idx);
+  return idx;
+}
+
+void Dataset::shuffle(Rng& rng) {
+  *this = filter(shuffled_indices(size(), rng));
 }
 
 Dataset Dataset::filter(const std::vector<std::size_t>& indices) const {
@@ -43,11 +46,6 @@ Dataset Dataset::filter(const std::vector<std::size_t>& indices) const {
     out.labels[i] = labels[src];
   }
   return out;
-}
-
-std::pair<Dataset, Dataset> split(const Dataset& d, std::size_t n) {
-  if (n > d.size()) throw std::out_of_range("split: n > dataset size");
-  return {d.slice(0, n), d.slice(n, d.size())};
 }
 
 }  // namespace adv::data

@@ -1,5 +1,5 @@
 // Labeled image dataset: an NCHW tensor plus integer labels, with
-// deterministic shuffling and splitting.
+// deterministic shuffling and row selection.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,7 @@ struct Dataset {
   Dataset filter(const std::vector<std::size_t>& indices) const;
 };
 
-/// Splits into {first `n`, rest}. Throws if n > size.
-std::pair<Dataset, Dataset> split(const Dataset& d, std::size_t n);
+/// The index order Dataset::shuffle applies to an `n`-row dataset.
+std::vector<std::size_t> shuffled_indices(std::size_t n, Rng& rng);
 
 }  // namespace adv::data

@@ -1,11 +1,9 @@
 #include "magnet/pipeline.hpp"
 
-#include <map>
 #include <stdexcept>
 
 #include "nn/trainer.hpp"
 #include "obs/metrics.hpp"
-#include "quant/quantize.hpp"
 
 namespace adv::magnet {
 
@@ -15,14 +13,6 @@ const char* to_string(DefenseScheme s) {
     case DefenseScheme::DetectorOnly: return "detector";
     case DefenseScheme::ReformerOnly: return "reformer";
     case DefenseScheme::Full: return "detector & reformer";
-  }
-  return "?";
-}
-
-const char* to_string(ExecMode m) {
-  switch (m) {
-    case ExecMode::Float: return "float";
-    case ExecMode::Int8: return "int8";
   }
   return "?";
 }
@@ -77,61 +67,10 @@ void MagNetPipeline::set_reformer(std::shared_ptr<Reformer> reformer) {
 
 void MagNetPipeline::calibrate(const Tensor& clean_validation, float fpr) {
   for (auto& d : detectors_) d->calibrate(clean_validation, fpr);
-  // The int8 bank never calibrates itself: its decision rule is always
-  // the float thresholds (DESIGN.md §17).
-  for (std::size_t i = 0; i < q_detectors_.size(); ++i) {
-    q_detectors_[i]->set_threshold(detectors_[i]->threshold());
-  }
-}
-
-void MagNetPipeline::prepare_quantized(const Tensor& calib) {
-  // One int8 clone per distinct float model: the reformer AE is usually
-  // also a detector AE, and the classifier feeds every JSD detector —
-  // sharing keeps the int8 bank's memory at par with the float one.
-  std::map<const nn::Sequential*, std::shared_ptr<nn::Sequential>> memo;
-  const auto clone = [&](const std::shared_ptr<nn::Sequential>& src) {
-    auto it = memo.find(src.get());
-    if (it != memo.end()) return it->second;
-    auto q = std::make_shared<nn::Sequential>(quant::quantize(*src, calib));
-    memo.emplace(src.get(), q);
-    return q;
-  };
-  q_classifier_ = clone(classifier_);
-  q_detectors_.clear();
-  q_detectors_.reserve(detectors_.size());
-  for (const auto& d : detectors_) {
-    std::shared_ptr<Detector> q;
-    if (const auto* rd = dynamic_cast<const ReconstructionDetector*>(d.get())) {
-      q = std::make_shared<ReconstructionDetector>(clone(rd->autoencoder()),
-                                                   rd->p());
-    } else if (const auto* jd = dynamic_cast<const JsdDetector*>(d.get())) {
-      q = std::make_shared<JsdDetector>(clone(jd->autoencoder()),
-                                        clone(jd->classifier()),
-                                        jd->temperature());
-    } else {
-      throw std::runtime_error("prepare_quantized: unsupported detector " +
-                               d->name());
-    }
-    if (d->calibrated()) q->set_threshold(d->threshold());
-    q_detectors_.push_back(std::move(q));
-  }
-  q_reformer_ = reformer_
-                    ? std::make_shared<Reformer>(clone(reformer_->autoencoder()))
-                    : nullptr;
 }
 
 DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
-                                        DefenseScheme scheme,
-                                        ExecMode mode) const {
-  const bool int8 = mode == ExecMode::Int8;
-  if (int8 && !quantized_ready()) {
-    throw std::runtime_error(
-        "classify: ExecMode::Int8 requires prepare_quantized()");
-  }
-  const auto& detectors = int8 ? q_detectors_ : detectors_;
-  const auto& reformer = int8 ? q_reformer_ : reformer_;
-  const auto& classifier = int8 ? q_classifier_ : classifier_;
-
+                                        DefenseScheme scheme) const {
   const std::size_t n = batch.dim(0);
   DefenseOutcome out;
   out.rejected.assign(n, false);
@@ -140,18 +79,13 @@ DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
                              scheme == DefenseScheme::Full;
   const bool use_reformer = (scheme == DefenseScheme::ReformerOnly ||
                              scheme == DefenseScheme::Full) &&
-                            reformer != nullptr;
+                            reformer_ != nullptr;
 
-  if (obs::enabled() && int8) {
-    static auto& rows =
-        obs::MetricsRegistry::global().counter("quant/classify_rows");
-    rows.add(n);
-  }
   if (use_detectors) {
     // Per-stage serving latency (adv::obs; no-op unless enabled).
     obs::ScopedTimer t("magnet/stage/detectors");
-    out.readings.reserve(detectors.size());
-    for (const auto& d : detectors) {
+    out.readings.reserve(detectors_.size());
+    for (const auto& d : detectors_) {
       DetectorReading reading;
       reading.name = d->name();
       reading.threshold = d->threshold();  // throws if not calibrated
@@ -166,24 +100,23 @@ DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
   Tensor reformed;
   if (use_reformer) {
     obs::ScopedTimer t("magnet/stage/reformer");
-    reformed = reformer->reform(batch);
+    reformed = reformer_->reform(batch);
   }
   {
     obs::ScopedTimer t("magnet/stage/classifier");
     out.predicted =
-        nn::predict_labels(*classifier, use_reformer ? reformed : batch);
+        nn::predict_labels(*classifier_, use_reformer ? reformed : batch);
   }
   return out;
 }
 
 float MagNetPipeline::clean_accuracy(const Tensor& images,
                                      const std::vector<int>& labels,
-                                     DefenseScheme scheme,
-                                     ExecMode mode) const {
+                                     DefenseScheme scheme) const {
   if (images.dim(0) != labels.size()) {
     throw std::invalid_argument("clean_accuracy: image/label count mismatch");
   }
-  const DefenseOutcome o = classify(images, scheme, mode);
+  const DefenseOutcome o = classify(images, scheme);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < labels.size(); ++i) {
     // A rejected clean input counts as an error (it is not classified).

@@ -21,14 +21,6 @@ enum class DefenseScheme { None, DetectorOnly, ReformerOnly, Full };
 
 const char* to_string(DefenseScheme s);
 
-/// Execution backend for classify(): the float models, or the per-channel
-/// int8 clones built by prepare_quantized() (DESIGN.md §17). Detector
-/// thresholds are always the float-calibrated ones — int8 changes the
-/// scores, never the decision rule, so threshold drift is measurable.
-enum class ExecMode { Float, Int8 };
-
-const char* to_string(ExecMode m);
-
 /// One detector's raw output on a batch: its name, calibrated threshold,
 /// and per-row scores. reject_row(i) reproduces the detector's decision
 /// (score > threshold) without re-running the models.
@@ -84,49 +76,30 @@ class MagNetPipeline {
   Detector& detector(std::size_t i) { return *detectors_.at(i); }
   const Detector& detector(std::size_t i) const { return *detectors_.at(i); }
   nn::Sequential& classifier() { return *classifier_; }
+  /// Null when no reformer is set.
+  const Reformer* reformer() const { return reformer_.get(); }
 
   /// Calibrates every detector's threshold at `fpr` on clean validation
-  /// images (MagNet's procedure). If int8 clones exist, their thresholds
-  /// are refreshed from the float calibration (the int8 path never
-  /// recalibrates — see ExecMode).
+  /// images (MagNet's procedure).
   void calibrate(const Tensor& clean_validation, float fpr);
-
-  /// Builds the per-channel int8 clones (quant::quantize) of the
-  /// classifier, the reformer's auto-encoder and every detector-consulted
-  /// model, calibrating activation scales on `calib`. Models shared
-  /// between stages (the reformer AE doubling as a detector AE, the
-  /// classifier inside JSD detectors) are cloned once and shared again.
-  /// Detector thresholds are copied from the float calibration.
-  void prepare_quantized(const Tensor& calib);
-
-  /// True once prepare_quantized() has run (required for ExecMode::Int8).
-  bool quantized_ready() const { return q_classifier_ != nullptr; }
 
   /// Runs the defense. Detectors must be calibrated when the scheme uses
   /// them; a Full/ReformerOnly scheme without a reformer degrades to the
-  /// respective detector-only/no-defense behaviour. Const (and callable
-  /// on a const pipeline): serving never mutates the defense.
-  /// ExecMode::Int8 requires a prior prepare_quantized() and throws
-  /// std::runtime_error otherwise.
+  /// respective detector-only/no-defense behaviour. Const in name only:
+  /// the forward passes mutate layer caches and the per-model Workspace
+  /// arena, so at most one call may run on a pipeline at a time (the
+  /// serve batcher serializes them) until a stateless forward pass lands.
   DefenseOutcome classify(const Tensor& batch,
-                          DefenseScheme scheme = DefenseScheme::Full,
-                          ExecMode mode = ExecMode::Float) const;
+                          DefenseScheme scheme = DefenseScheme::Full) const;
 
   /// Accuracy on clean data: fraction neither rejected nor misclassified.
   float clean_accuracy(const Tensor& images, const std::vector<int>& labels,
-                       DefenseScheme scheme = DefenseScheme::Full,
-                       ExecMode mode = ExecMode::Float) const;
+                       DefenseScheme scheme = DefenseScheme::Full) const;
 
  private:
   std::shared_ptr<nn::Sequential> classifier_;
   std::vector<std::shared_ptr<Detector>> detectors_;
   std::shared_ptr<Reformer> reformer_;
-  // Int8 execution bank (prepare_quantized): clones aligned 1:1 with the
-  // float members; q_detectors_[i] mirrors detectors_[i] with copied
-  // thresholds.
-  std::shared_ptr<nn::Sequential> q_classifier_;
-  std::vector<std::shared_ptr<Detector>> q_detectors_;
-  std::shared_ptr<Reformer> q_reformer_;
 };
 
 }  // namespace adv::magnet

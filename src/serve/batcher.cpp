@@ -224,7 +224,7 @@ MicroBatcher::MicroBatcher(PipelineFactory factory, BatchConfig cfg)
 MicroBatcher::~MicroBatcher() { stop(); }
 
 std::future<ServeResult> MicroBatcher::submit(
-    Tensor rows, magnet::DefenseScheme scheme, magnet::ExecMode mode,
+    Tensor rows, magnet::DefenseScheme scheme,
     std::chrono::milliseconds deadline) {
   std::promise<ServeResult> promise;
   std::future<ServeResult> future = promise.get_future();
@@ -240,7 +240,6 @@ std::future<ServeResult> MicroBatcher::submit(
   p.row_count = rows.dim(0);
   p.rows = std::move(rows);
   p.scheme = scheme;
-  p.mode = mode;
   p.promise = std::move(promise);
   p.enqueued = std::chrono::steady_clock::now();
   p.deadline = deadline.count() > 0
@@ -356,7 +355,6 @@ std::vector<MicroBatcher::Pending> MicroBatcher::take_group_locked() {
     const bool fits = rows < cfg_.max_batch_rows;
     const bool compatible =
         group.empty() || (p.scheme == group.front().scheme &&
-                          p.mode == group.front().mode &&
                           same_row_shape(p.rows, group.front().rows));
     if (fits && compatible) {
       rows += p.row_count;
@@ -533,7 +531,7 @@ void MicroBatcher::execute_ticket(
     magnet::DefenseOutcome out;
     {
       obs::ScopedTimer t("serve/batch_forward");
-      out = pipe->classify(input, group.front().scheme, group.front().mode);
+      out = pipe->classify(input, group.front().scheme);
     }
     std::lock_guard lk(ticket->mu);
     if (!ticket->failed) {

@@ -181,10 +181,8 @@ ClassifyResponse ServeClient::request(
 
 ClassifyResponse ServeClient::classify(const Tensor& rows,
                                        magnet::DefenseScheme scheme,
-                                       std::uint32_t deadline_ms,
-                                       bool quantized) {
-  return request(
-      encode_classify_request(scheme, rows, deadline_ms, quantized));
+                                       std::uint32_t deadline_ms) {
+  return request(encode_classify_request(scheme, rows, deadline_ms));
 }
 
 bool ServeClient::ping() {

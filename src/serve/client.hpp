@@ -82,11 +82,8 @@ class ServeClient {
   /// One classify exchange (plus retries per the policy). `rows` is a
   /// rank-4 NCHW batch (1 row is the common serving case); `deadline_ms`
   /// > 0 rides the wire and bounds the request's queue wait server-side.
-  /// `quantized` sets kSchemeQuantBit: the daemon runs the request on the
-  /// int8 pipeline instead of its configured default mode.
   ClassifyResponse classify(const Tensor& rows, magnet::DefenseScheme scheme,
-                            std::uint32_t deadline_ms = 0,
-                            bool quantized = false);
+                            std::uint32_t deadline_ms = 0);
 
   /// Liveness probe; returns true iff the daemon answered Ok.
   bool ping();

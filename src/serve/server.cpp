@@ -169,11 +169,9 @@ void ServeDaemon::handle_connection(int fd) {
     if (req.type == MessageType::Ping) {
       resp = encode_ok_response(MessageType::Ping, {});
     } else {
-      const magnet::ExecMode mode =
-          req.quantized ? magnet::ExecMode::Int8 : cfg_.default_mode;
       ServeResult r =
           batcher_
-              .submit(std::move(req.batch), req.scheme, mode,
+              .submit(std::move(req.batch), req.scheme,
                       std::chrono::milliseconds(req.deadline_ms))
               .get();
       resp = r.ok ? encode_ok_response(MessageType::Classify, r.outcome)

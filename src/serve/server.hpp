@@ -47,10 +47,6 @@ struct ServeConfig {
   BatchConfig batch;
   std::size_t max_body_bytes = kDefaultMaxBodyBytes;
   int listen_backlog = 64;
-  /// Execution mode for classify requests that do NOT set the wire's
-  /// kSchemeQuantBit (serve_daemon --quant flips this to Int8). Requests
-  /// that DO set the bit always run int8, regardless of this default.
-  magnet::ExecMode default_mode = magnet::ExecMode::Float;
 };
 
 class ServeDaemon {

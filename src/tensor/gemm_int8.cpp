@@ -83,7 +83,10 @@ std::size_t strip_bytes(std::size_t kc, std::size_t npanels) {
   return kq * KQ * NR * npanels;
 }
 
-#if defined(__AVX2__)
+// The SIMD microkernel needs a VNNI u8 x s8 dot product, which sums each
+// 4-byte quad straight into int32 — exact for every input. Without VNNI
+// the scalar kernel runs, so int8 results are exact on every build.
+#if (defined(__AVX512VNNI__) && defined(__AVX512VL__)) || defined(__AVXVNNI__)
 
 // One u8 x s8 quad dot-product step: acc[j] += sum_t a[4t..] * b[j*4+t]
 // over 8 int32 lanes (8 columns x 4 k-bytes).
@@ -91,26 +94,12 @@ std::size_t strip_bytes(std::size_t kc, std::size_t npanels) {
 inline __m256i dp_u8s8(__m256i acc, __m256i a, __m256i b) {
   return _mm256_dpbusd_epi32(acc, a, b);
 }
-constexpr bool kExact = true;
 constexpr const char* kKernelName = "avx512-vnni";
-#elif defined(__AVXVNNI__)
+#else
 inline __m256i dp_u8s8(__m256i acc, __m256i a, __m256i b) {
   return _mm256_dpbusd_avx_epi32(acc, a, b);
 }
-constexpr bool kExact = true;
 constexpr const char* kKernelName = "avx-vnni";
-#else
-// Pre-VNNI fallback: maddubs forms saturating int16 pair-sums, madd with
-// ones widens to the quad int32. Deterministic, but a pair of products
-// past +/-32767 clamps — gemm_int8_exact() reports false so tests and CI
-// refuse to certify accuracy on such builds.
-inline __m256i dp_u8s8(__m256i acc, __m256i a, __m256i b) {
-  const __m256i pairs = _mm256_maddubs_epi16(a, b);
-  const __m256i quads = _mm256_madd_epi16(pairs, _mm256_set1_epi16(1));
-  return _mm256_add_epi32(acc, quads);
-}
-constexpr bool kExact = false;
-constexpr const char* kKernelName = "avx2-maddubs";
 #endif
 
 // Register-blocked microkernel: 12 int32 accumulator vectors (MR rows x
@@ -167,9 +156,8 @@ void micro_kernel_i8(std::size_t kq, const std::uint8_t* ap,
   }
 }
 
-#else  // !__AVX2__
+#else  // no VNNI
 
-constexpr bool kExact = true;
 constexpr const char* kKernelName = "scalar";
 
 void micro_kernel_i8(std::size_t kq, const std::uint8_t* ap,
@@ -194,7 +182,7 @@ void micro_kernel_i8(std::size_t kq, const std::uint8_t* ap,
   }
 }
 
-#endif  // __AVX2__
+#endif  // VNNI
 
 // Computes rows [r0, r1) of C from packed B, packing A blocks into a
 // per-thread scratch buffer on the fly. Mirrors the float
@@ -232,8 +220,6 @@ void gemm_rows_blocked_i8(const std::uint8_t* a, std::size_t lda,
 }
 
 }  // namespace
-
-bool gemm_int8_exact() { return kExact; }
 
 const char* gemm_int8_kernel_name() { return kKernelName; }
 

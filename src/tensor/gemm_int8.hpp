@@ -34,16 +34,8 @@ inline constexpr std::size_t KC = 256;  // multiple of KQ
 inline constexpr std::size_t KQ = 4;
 }  // namespace gemm_int8_blocking
 
-/// True when the compiled microkernel computes the u8 x s8 dot product
-/// exactly (VNNI dpbusd or the scalar fallback). False only for the plain
-/// AVX2 path, whose maddubs intermediate saturates at int16 — results are
-/// still deterministic there, but pairs of products summing past 32767
-/// clamp. Quantization tests assert exactness so a saturating build is
-/// caught loudly rather than as silent accuracy drift.
-bool gemm_int8_exact();
-
 /// Name of the compiled microkernel path ("avx512-vnni", "avx-vnni",
-/// "avx2-maddubs", "scalar") for bench provenance.
+/// "scalar") for bench provenance. Every path accumulates exactly.
 const char* gemm_int8_kernel_name();
 
 /// Bytes needed by pack_b_s8 for a [K, N] operand (k rounded up to KQ per

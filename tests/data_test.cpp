@@ -14,7 +14,7 @@
 namespace adv::data {
 namespace {
 
-TEST(Dataset, SliceAndSplit) {
+TEST(Dataset, SliceCopiesRows) {
   Dataset d;
   d.images = Tensor({10, 1, 2, 2});
   for (std::size_t i = 0; i < d.images.numel(); ++i) {
@@ -25,12 +25,7 @@ TEST(Dataset, SliceAndSplit) {
   EXPECT_EQ(s.size(), 3u);
   EXPECT_EQ(s.labels[0], 2);
   EXPECT_FLOAT_EQ(s.images[0], 8.0f);  // row 2 starts at flat index 2*4
-
-  auto [a, b] = split(d, 4);
-  EXPECT_EQ(a.size(), 4u);
-  EXPECT_EQ(b.size(), 6u);
-  EXPECT_EQ(b.labels[0], 4);
-  EXPECT_THROW(split(d, 11), std::out_of_range);
+  EXPECT_THROW(d.slice(4, 11), std::out_of_range);
 }
 
 TEST(Dataset, FilterSelectsRows) {

@@ -5,10 +5,9 @@
 //    k products in an output accumulates at most
 //      amax_x * s_w/2 + amax_w * s_a/2 + s_a * s_w / 4
 //    of rounding error, so |y_float - y_int8| <= k * that, guaranteed
-//    (no tuned tolerances). Tighter empirical ceilings are asserted only
-//    on exact-kernel builds (VNNI / scalar), where results are fully
-//    deterministic; the AVX2-maddubs fallback may saturate and is
-//    excluded from accuracy certification by design (gemm_int8_exact()).
+//    (no tuned tolerances). The int8 kernel accumulates exactly on every
+//    build (VNNI or scalar), so tighter empirical ceilings are asserted
+//    unconditionally as regression pins.
 //  * Thread-count determinism: int32 accumulation is associative, so
 //    1-thread and 4-thread pools must agree BITWISE. ADV_THREADS only
 //    pins the global pool, so the test passes dedicated pools through
@@ -31,7 +30,6 @@
 #include "nn/sequential.hpp"
 #include "nn/structural.hpp"
 #include "quant/quantize.hpp"
-#include "tensor/gemm_int8.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "tensor/thread_pool.hpp"
@@ -88,12 +86,9 @@ TEST_P(QuantLinearShapes, MatchesFloatWithinAnalyticBound) {
   const auto& lin = dynamic_cast<const nn::Linear&>(model.layer(0));
   const float bound = analytic_bound(in, max_abs(x), max_abs(lin.weight()));
   EXPECT_LE(max_abs_diff(yf, yq), bound);
-
-  if (gemm_int8_exact()) {
-    // Rounding errors do not conspire: the observed error sits far below
-    // the triangle-inequality bound on every exact build.
-    EXPECT_LE(max_abs_diff(yf, yq), bound / 4.0f);
-  }
+  // Rounding errors do not conspire: the observed error sits far below
+  // the triangle-inequality bound.
+  EXPECT_LE(max_abs_diff(yf, yq), bound / 4.0f);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -136,11 +131,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvShape{2, 3, 1, 3, 28},    // autoencoder out
                       ConvShape{1, 2, 5, 5, 11}));  // 5x5 kernel, odd hw
 
-// The end-to-end drift the serving A/B reports: a conv+pool+fc stack's
-// logits move by less than 0.05 under quantization (exact kernels only —
-// deterministic, so this is a regression pin, not a flaky tolerance).
+// End-to-end drift: a conv+pool+fc stack's logits move by less than 0.05
+// under quantization (exact and deterministic, so this is a regression
+// pin, not a flaky tolerance).
 TEST(QuantModel, LogitDriftSmallOnExactKernels) {
-  if (!gemm_int8_exact()) GTEST_SKIP() << "saturating int8 kernel";
   Rng rng(10);
   nn::Sequential model;
   model.emplace<nn::Conv2d>(nn::Conv2d::same(1, 16), rng);

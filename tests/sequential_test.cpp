@@ -35,27 +35,6 @@ TEST(Sequential, ForwardShapesCompose) {
   EXPECT_EQ(y.shape(), Shape({5, 4}));
 }
 
-TEST(Sequential, DeprecatedBoolOverloadStillMatchesModeApi) {
-  // The bool overload is kept (deprecated) for one transition cycle;
-  // it must route to the exact same computation as the Mode enum.
-  Rng rng(7);
-  Sequential m = tiny_cnn(rng);
-  Tensor x({2, 1, 6, 6});
-  fill_uniform(x, rng, 0.0f, 1.0f);
-  const Tensor want_eval = m.forward(x, Mode::Eval);
-  const Tensor want_train = m.forward(x, Mode::Train);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const Tensor got_eval = m.forward(x, false);
-  const Tensor got_train = m.forward(x, true);
-#pragma GCC diagnostic pop
-  ASSERT_EQ(got_eval.shape(), want_eval.shape());
-  for (std::size_t i = 0; i < got_eval.numel(); ++i) {
-    EXPECT_FLOAT_EQ(got_eval[i], want_eval[i]);
-  }
-  ASSERT_EQ(got_train.shape(), want_train.shape());
-}
-
 TEST(Sequential, ParameterAndGradientAlignment) {
   Rng rng(2);
   Sequential m = tiny_cnn(rng);

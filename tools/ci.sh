@@ -223,41 +223,20 @@ fi
 echo "== quant transfer bench (REPRO_SCALE=smoke) =="
 # table_quant_transfer crafts float attacks (EAD / C&W-L2 / I-FGSM,
 # sharing the shard_ci cache so the models and the EAD artifacts are
-# already there), replays them through the float and the int8-quantized
-# pipelines under all four defense schemes, and writes
-# BENCH_quant_transfer.json. Gates: the EAD rows cover every scheme on
-# the int8 path (the paper's headline attack must be measured against
-# the quantized deployment), and the clean top-1 drift between the
-# float and quantized classifiers stays within 0.5%.
+# already there), replays them through the float pipeline and its int8
+# twin under all four defense schemes, and writes
+# BENCH_quant_transfer.json. The binary exits non-zero unless its gates
+# hold: EAD int8 ASR measured under every scheme, and clean top-1 drift
+# between the float and quantized classifiers within 0.5%.
 quant_dir="$repo_root/$build_dir/quant_ci"
-quant_bench="$repo_root/$build_dir/bench/table_quant_transfer"
 rm -rf "$quant_dir"
 mkdir -p "$quant_dir"
-(cd "$quant_dir" &&
- REPRO_SCALE=smoke REPRO_CACHE_DIR="$shard_cache" ADV_THREADS=1 \
-   "$quant_bench" > quant.out)
-
-if [ -s "$quant_dir/BENCH_quant_transfer.json" ]; then
-  for scheme in none detector reformer full; do
-    if grep -q "qtransfer/mnist/ead/$scheme/asr_int8_pct" \
-         "$quant_dir/BENCH_quant_transfer.json"; then
-      echo "ok: BENCH_quant_transfer.json covers EAD vs int8 scheme '$scheme'"
-    else
-      echo "FAIL: BENCH_quant_transfer.json missing EAD int8 ASR for '$scheme'" >&2
-      fail=1
-    fi
-  done
-  drift=$(grep '"qtransfer/mnist/clean_top1_drift_pct"' \
-            "$quant_dir/BENCH_quant_transfer.json" |
-          sed -n 's/.*"value": *\([0-9.eE+-]*\).*/\1/p')
-  if awk -v d="${drift:-100}" 'BEGIN { exit !(d <= 0.5) }'; then
-    echo "ok: quantized clean top-1 drift ${drift}% (<= 0.5%)"
-  else
-    echo "FAIL: quantized clean top-1 drift ${drift:-?}% > 0.5%" >&2
-    fail=1
-  fi
+if (cd "$quant_dir" &&
+    REPRO_SCALE=smoke REPRO_CACHE_DIR="$shard_cache" ADV_THREADS=1 \
+      "$repo_root/$build_dir/bench/table_quant_transfer" > quant.out); then
+  echo "ok: table_quant_transfer gates (see $quant_dir/quant.out)"
 else
-  echo "MISSING: $quant_dir/BENCH_quant_transfer.json" >&2
+  echo "FAIL: table_quant_transfer gates (see $quant_dir/quant.out)" >&2
   fail=1
 fi
 

@@ -10,15 +10,12 @@
 //   serve_daemon --socket PATH [--dataset mnist|cifar]
 //                [--variant default|jsd|wide|wide-jsd]
 //                [--max-batch N] [--deadline-us N]
-//                [--max-queue-rows N] [--watchdog-ms N] [--quant]
+//                [--max-queue-rows N] [--watchdog-ms N]
 //
 // --max-queue-rows bounds the admission queue (requests past it are shed
 // with Overloaded); --watchdog-ms > 0 arms the batch watchdog (a stuck
-// forward pass fails its batch and the daemon keeps serving). --quant
-// makes int8 the default execution mode: requests that don't set the
-// wire's kSchemeQuantBit run on the quantized pipeline (requests that DO
-// set the bit run int8 either way; detector thresholds stay float-
-// calibrated — DESIGN.md §17). See DESIGN.md §15 and serve/batcher.hpp.
+// forward pass fails its batch and the daemon keeps serving). See
+// DESIGN.md §15 and serve/batcher.hpp.
 //
 // Talk to it with serve::ServeClient (bench/serve_bench.cpp is the
 // reference driver). REPRO_SCALE / REPRO_CACHE_DIR select the model scale
@@ -43,7 +40,7 @@ int usage(const char* argv0) {
                "usage: %s --socket PATH [--dataset mnist|cifar]\n"
                "          [--variant default|jsd|wide|wide-jsd]\n"
                "          [--max-batch N] [--deadline-us N]\n"
-               "          [--max-queue-rows N] [--watchdog-ms N] [--quant]\n",
+               "          [--max-queue-rows N] [--watchdog-ms N]\n",
                argv0);
   return 2;
 }
@@ -98,8 +95,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--watchdog-ms" && val) {
       cfg.batch.watchdog_timeout = std::chrono::milliseconds(std::atol(val));
       ++i;
-    } else if (arg == "--quant") {
-      cfg.default_mode = magnet::ExecMode::Int8;
     } else {
       return usage(argv[0]);
     }
@@ -129,13 +124,12 @@ int main(int argc, char** argv) {
   daemon.start();
   std::printf(
       "serve_daemon: %s MagNet %s on %s (max-batch %zu, deadline %lld us, "
-      "queue %zu rows, watchdog %lld ms, exec %s)\n",
+      "queue %zu rows, watchdog %lld ms)\n",
       core::to_string(dataset), core::to_string(variant), socket_path.c_str(),
       cfg.batch.max_batch_rows,
       static_cast<long long>(cfg.batch.flush_deadline.count()),
       cfg.batch.max_queue_rows,
-      static_cast<long long>(cfg.batch.watchdog_timeout.count()),
-      magnet::to_string(cfg.default_mode));
+      static_cast<long long>(cfg.batch.watchdog_timeout.count()));
   std::fflush(stdout);
 
   int sig = 0;
