@@ -324,10 +324,9 @@ void MicroBatcher::expire_locked(
   }
   if (!any) return;  // common case: nothing is touched, let alone moved
   std::deque<Pending> keep;
-  std::size_t expired = 0;
   for (Pending& p : queue_) {
     if (p.deadline <= now) {
-      ++expired;
+      if (obs::enabled()) deadline_expired_counter().add(1);
       p.promise.set_value({false, ResultStatus::DeadlineExceeded,
                            "deadline exceeded while queued", {}});
     } else {
@@ -335,7 +334,6 @@ void MicroBatcher::expire_locked(
     }
   }
   queue_ = std::move(keep);
-  if (obs::enabled()) deadline_expired_counter().add(expired);
 }
 
 void MicroBatcher::shed_queue_locked(const char* reason) {
@@ -424,13 +422,15 @@ void MicroBatcher::dispatch(std::vector<Pending> group) {
   const std::string msg =
       "watchdog: batch exceeded " +
       std::to_string(cfg_.watchdog_timeout.count()) + " ms";
-  for (Pending& p : ticket->group) {
-    p.promise.set_value({false, ResultStatus::Error, msg, {}});
-  }
+  // Count before resolving the promises (here and in execute_ticket), so
+  // a caller holding its result already sees the counters.
   if (obs::enabled()) {
     watchdog_trips_counter().add(1);
     batch_failures_counter().add(1);
     error_counter().add(ticket->group.size());
+  }
+  for (Pending& p : ticket->group) {
+    p.promise.set_value({false, ResultStatus::Error, msg, {}});
   }
   tlk.unlock();
   {
@@ -535,6 +535,7 @@ void MicroBatcher::execute_ticket(
     }
     std::lock_guard lk(ticket->mu);
     if (!ticket->failed) {
+      if (obs::enabled()) ok_counter().add(group.size());
       if (group.size() == 1) {
         group.front().promise.set_value(
             {true, ResultStatus::Ok, {}, std::move(out)});
@@ -546,7 +547,6 @@ void MicroBatcher::execute_ticket(
           off += p.row_count;
         }
       }
-      if (obs::enabled()) ok_counter().add(group.size());
     }
     ticket->done = true;
     ticket->cv.notify_all();
@@ -556,12 +556,12 @@ void MicroBatcher::execute_ticket(
     // got here first the promises are already resolved — drop silently.
     std::lock_guard lk(ticket->mu);
     if (!ticket->failed) {
-      for (Pending& p : group) {
-        p.promise.set_value({false, ResultStatus::Error, e.what(), {}});
-      }
       if (obs::enabled()) {
         batch_failures_counter().add(1);
         error_counter().add(group.size());
+      }
+      for (Pending& p : group) {
+        p.promise.set_value({false, ResultStatus::Error, e.what(), {}});
       }
     }
     ticket->done = true;

@@ -14,7 +14,7 @@
 namespace adv::data {
 namespace {
 
-TEST(Dataset, SliceCopiesRows) {
+TEST(Dataset, SliceAndSplit) {
   Dataset d;
   d.images = Tensor({10, 1, 2, 2});
   for (std::size_t i = 0; i < d.images.numel(); ++i) {
@@ -26,6 +26,28 @@ TEST(Dataset, SliceCopiesRows) {
   EXPECT_EQ(s.labels[0], 2);
   EXPECT_FLOAT_EQ(s.images[0], 8.0f);  // row 2 starts at flat index 2*4
   EXPECT_THROW(d.slice(4, 11), std::out_of_range);
+
+  // Splits as the model zoo makes them: contiguous ranges of one shuffled
+  // order, each gathered with filter(). Together they hold every row
+  // exactly once, with images still paired to their labels.
+  Rng rng(3);
+  const std::vector<std::size_t> order = shuffled_indices(d.size(), rng);
+  const auto part = [&](std::size_t begin, std::size_t end) {
+    return d.filter({order.begin() + static_cast<std::ptrdiff_t>(begin),
+                     order.begin() + static_cast<std::ptrdiff_t>(end)});
+  };
+  const Dataset parts[] = {part(0, 6), part(6, 8), part(8, 10)};
+  EXPECT_EQ(parts[0].size(), 6u);
+  EXPECT_EQ(parts[1].size(), 2u);
+  EXPECT_EQ(parts[2].size(), 2u);
+  std::set<int> seen;
+  for (const Dataset& p : parts) {
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      EXPECT_TRUE(seen.insert(p.labels[i]).second) << p.labels[i];
+      EXPECT_FLOAT_EQ(p.image(i)[0], 4.0f * static_cast<float>(p.labels[i]));
+    }
+  }
+  EXPECT_EQ(seen.size(), d.size());
 }
 
 TEST(Dataset, FilterSelectsRows) {
@@ -57,6 +79,25 @@ TEST(Dataset, ShuffleIsDeterministicPermutation) {
   // It is a permutation.
   std::set<int> seen(d.labels.begin(), d.labels.end());
   EXPECT_EQ(seen.size(), 8u);
+}
+
+TEST(Dataset, ShuffledIndicesAreTheOrderShuffleApplies) {
+  Dataset d;
+  d.images = Tensor({9, 1, 1, 1});
+  for (std::size_t i = 0; i < 9; ++i) d.images[i] = static_cast<float>(i);
+  d.labels = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+  Rng r1(11), r2(11);
+  const std::vector<std::size_t> order = shuffled_indices(d.size(), r1);
+  const Dataset gathered = d.filter(order);
+  d.shuffle(r2);
+  EXPECT_EQ(gathered.labels, d.labels);
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(d.labels[i], static_cast<int>(order[i]));
+    EXPECT_FLOAT_EQ(gathered.images[i], d.images[i]);
+  }
+  // Both generators advanced by the same draws.
+  EXPECT_EQ(r1.next_u64(), r2.next_u64());
+  EXPECT_TRUE(shuffled_indices(0, r1).empty());
 }
 
 // --- SynDigits ----------------------------------------------------------

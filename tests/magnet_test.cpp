@@ -250,6 +250,22 @@ TEST(Pipeline, CleanAccuracyCountsRejectionsAsErrors) {
   EXPECT_FLOAT_EQ(pipe.clean_accuracy(x, {0, 1}, DefenseScheme::None), 1.0f);
 }
 
+TEST(Pipeline, ReformerAccessorTracksSetReformer) {
+  MagNetPipeline pipe(threshold_classifier());
+  EXPECT_EQ(pipe.reformer(), nullptr);
+  // No reformer: ReformerOnly degrades to the bare classifier.
+  const Tensor x = batch_of_values({0.9f});
+  EXPECT_EQ(pipe.classify(x, DefenseScheme::ReformerOnly).predicted[0], 1);
+
+  auto ae = identity_ae();
+  ae->parameters()[0]->fill(0.5f);
+  auto reformer = std::make_shared<Reformer>(ae);
+  pipe.set_reformer(reformer);
+  ASSERT_EQ(pipe.reformer(), reformer.get());
+  EXPECT_EQ(pipe.reformer()->autoencoder(), ae);
+  EXPECT_EQ(pipe.classify(x, DefenseScheme::ReformerOnly).predicted[0], 0);
+}
+
 TEST(Pipeline, ValidatesConstruction) {
   EXPECT_THROW(MagNetPipeline(nullptr), std::invalid_argument);
   MagNetPipeline pipe(threshold_classifier());

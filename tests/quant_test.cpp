@@ -23,6 +23,8 @@
 #include <fstream>
 #include <vector>
 
+#include "magnet/detector.hpp"
+#include "magnet/pipeline.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
@@ -149,6 +151,68 @@ TEST(QuantModel, LogitDriftSmallOnExactKernels) {
   const Tensor yf = model.forward(x, nn::Mode::Infer);
   const Tensor yq = qmodel.forward(x, nn::Mode::Infer);
   EXPECT_LE(max_abs_diff(yf, yq), 0.05f);
+}
+
+// --- quantized MagNet -----------------------------------------------------
+
+// A quantized MagNet is an ordinary MagNetPipeline over quantize() clones,
+// with thresholds copied from the float pipeline. On the 1-pixel
+// hand-computable defense (AE halves the pixel, detector fires above
+// x = 0.4, classifier says 1 above x = 0.5) with inputs away from those
+// edges, every scheme decides exactly as float does, and each detector
+// score moves by at most the AE's analytic bound.
+TEST(QuantPipeline, QuantizedClonesDecideLikeFloat) {
+  Rng rng(30);
+  auto ae = std::make_shared<nn::Sequential>();
+  ae->emplace<nn::Conv2d>(nn::Conv2dConfig{1, 1, 1, 1, 0}, rng);
+  ae->parameters()[0]->fill(0.5f);
+  ae->parameters()[1]->fill(0.0f);
+  auto clf = std::make_shared<nn::Sequential>();
+  clf->emplace<nn::Flatten>();
+  auto& lin = clf->emplace<nn::Linear>(1, 2, rng);
+  *lin.parameters()[0] = Tensor::from_data(Shape({1, 2}), {-10.0f, 10.0f});
+  *lin.parameters()[1] = Tensor::from_data(Shape({2}), {5.0f, -5.0f});
+
+  magnet::MagNetPipeline fpipe(clf);
+  auto fdet = std::make_shared<magnet::ReconstructionDetector>(ae, 1);
+  fdet->set_threshold(0.2f);
+  fpipe.add_detector(fdet);
+  fpipe.set_reformer(std::make_shared<magnet::Reformer>(ae));
+
+  Tensor x({5, 1, 1, 1});
+  const float values[] = {0.1f, 0.3f, 0.45f, 0.7f, 0.9f};
+  for (std::size_t i = 0; i < 5; ++i) x[i] = values[i];
+  auto qae = std::make_shared<nn::Sequential>(quant::quantize(*ae, x));
+  auto qclf = std::make_shared<nn::Sequential>(quant::quantize(*clf, x));
+  ASSERT_TRUE(quant::is_quantized(*qae));
+  ASSERT_TRUE(quant::is_quantized(*qclf));
+  magnet::MagNetPipeline qpipe(qclf);
+  auto qdet = std::make_shared<magnet::ReconstructionDetector>(qae, 1);
+  qdet->set_threshold(fdet->threshold());
+  qpipe.add_detector(qdet);
+  qpipe.set_reformer(std::make_shared<magnet::Reformer>(qae));
+
+  const float bound = analytic_bound(1, max_abs(x), 0.5f);
+  for (const auto scheme :
+       {magnet::DefenseScheme::None, magnet::DefenseScheme::DetectorOnly,
+        magnet::DefenseScheme::ReformerOnly, magnet::DefenseScheme::Full}) {
+    const magnet::DefenseOutcome f = fpipe.classify(x, scheme);
+    const magnet::DefenseOutcome q = qpipe.classify(x, scheme);
+    EXPECT_EQ(q.predicted, f.predicted) << magnet::to_string(scheme);
+    EXPECT_EQ(q.rejected, f.rejected) << magnet::to_string(scheme);
+    ASSERT_EQ(q.readings.size(), f.readings.size());
+    for (std::size_t d = 0; d < f.readings.size(); ++d) {
+      EXPECT_EQ(q.readings[d].threshold, f.readings[d].threshold);
+      ASSERT_EQ(q.readings[d].scores.size(), f.readings[d].scores.size());
+      for (std::size_t i = 0; i < f.readings[d].scores.size(); ++i) {
+        EXPECT_LE(std::fabs(q.readings[d].scores[i] - f.readings[d].scores[i]),
+                  bound);
+      }
+    }
+  }
+  const std::vector<int> labels = {0, 0, 0, 1, 1};
+  EXPECT_EQ(qpipe.clean_accuracy(x, labels, magnet::DefenseScheme::Full),
+            fpipe.clean_accuracy(x, labels, magnet::DefenseScheme::Full));
 }
 
 // --- determinism ----------------------------------------------------------
