@@ -102,10 +102,12 @@ void BM_ConvBackward(benchmark::State& state) {
   fill_uniform(x, rng, 0.0f, 1.0f);
   Tensor g({8, 32, 14, 14});
   fill_uniform(g, rng, -1.0f, 1.0f);
-  conv.forward(x, nn::Mode::Eval);
+  nn::TapeEntry saved;
+  nn::GradientSet grads(conv);
+  conv.forward(x, nn::Mode::Eval, &saved);
   for (auto _ : state) {
-    conv.zero_grad();
-    Tensor dx = conv.backward(g);
+    grads.zero();
+    Tensor dx = conv.backward(g, saved, grads.pointers());
     benchmark::DoNotOptimize(dx.data());
   }
 }
@@ -159,12 +161,14 @@ void BM_AttackStep(benchmark::State& state) {
   fill_uniform(x0, rng, 0.0f, 1.0f);
   std::vector<int> labels(16, 0);
   std::vector<float> c(16, 1.0f);
+  attacks::ObliviousTarget target(m);
   Tensor x = x0;
   Tensor shrunk;
   for (auto _ : state) {
     const attacks::HingeEval eval =
-        attacks::eval_untargeted_hinge(m, x, labels, 10.0f);
-    Tensor grad = attacks::hinge_input_gradient(m, eval, labels, 10.0f, c);
+        attacks::eval_untargeted_hinge(target, x, labels, 10.0f);
+    Tensor grad =
+        attacks::hinge_input_gradient(target, x, eval, labels, 10.0f, c);
     axpy_inplace(x, -0.01f, grad);
     attacks::shrink_project(x, x0, beta, shrunk);
     std::swap(x, shrunk);
@@ -332,37 +336,37 @@ void write_conv_json(const char* path) {
       Tensor y = fallback.forward(x, nn::Mode::Infer);
       benchmark::DoNotOptimize(y.data());
     });
-    direct.forward(x, nn::Mode::Eval);
-    fallback.forward(x, nn::Mode::Eval);
+    nn::TapeEntry saved_d, saved_i;
+    nn::GradientSet grads_d(direct), grads_i(fallback);
+    direct.forward(x, nn::Mode::Eval, &saved_d);
+    fallback.forward(x, nn::Mode::Eval, &saved_i);
     const double bwd_d = best_ms([&] {
-      direct.zero_grad();
-      Tensor dx = direct.backward(g);
+      grads_d.zero();
+      Tensor dx = direct.backward(g, saved_d, grads_d.pointers());
       benchmark::DoNotOptimize(dx.data());
     });
     const double bwd_i = best_ms([&] {
-      fallback.zero_grad();
-      Tensor dx = fallback.backward(g);
+      grads_i.zero();
+      Tensor dx = fallback.backward(g, saved_i, grads_i.pointers());
       benchmark::DoNotOptimize(dx.data());
     });
 
     // Bitwise identity across the whole layer contract.
     bool same = true;
     {
-      const Tensor yd = direct.forward(x, nn::Mode::Eval);
-      const Tensor yi = fallback.forward(x, nn::Mode::Eval);
+      const Tensor yd = direct.forward(x, nn::Mode::Eval, &saved_d);
+      const Tensor yi = fallback.forward(x, nn::Mode::Eval, &saved_i);
       same &= std::memcmp(yd.data(), yi.data(),
                           yd.numel() * sizeof(float)) == 0;
-      direct.zero_grad();
-      fallback.zero_grad();
-      const Tensor dxd = direct.backward(g);
-      const Tensor dxi = fallback.backward(g);
+      grads_d.zero();
+      grads_i.zero();
+      const Tensor dxd = direct.backward(g, saved_d, grads_d.pointers());
+      const Tensor dxi = fallback.backward(g, saved_i, grads_i.pointers());
       same &= std::memcmp(dxd.data(), dxi.data(),
                           dxd.numel() * sizeof(float)) == 0;
-      const auto gd = direct.gradients();
-      const auto gi = fallback.gradients();
-      for (std::size_t p = 0; p < gd.size(); ++p) {
-        same &= std::memcmp(gd[p]->data(), gi[p]->data(),
-                            gd[p]->numel() * sizeof(float)) == 0;
+      for (std::size_t p = 0; p < grads_d.size(); ++p) {
+        same &= std::memcmp(grads_d[p].data(), grads_i[p].data(),
+                            grads_d[p].numel() * sizeof(float)) == 0;
       }
     }
     all_identical &= same;
@@ -649,9 +653,10 @@ void emit_layer_metrics(const char* path) {
   fill_uniform(x, rng, 0.0f, 1.0f);
   Tensor g({8, 10});
   fill_uniform(g, rng, -1.0f, 1.0f);
+  nn::Tape tape;
   for (int i = 0; i < 3; ++i) {
-    m.forward(x, nn::Mode::Eval);
-    m.backward(g);
+    m.forward(x, nn::Mode::Eval, &tape);
+    m.backward(g, tape);
   }
   // Per-layer timings plus the conv path metrics (per-shape
   // conv/<shape>/{direct,im2col} timers and the direct_hits /

@@ -3,16 +3,14 @@
 // All attacks here are *untargeted, white-box against an AttackTarget*
 // (attacks/target.hpp): the paper's oblivious threat model wraps the
 // bare classifier, the gray-box / detector-aware models wrap the
-// defended composition. The target must output raw logits. Legacy
-// nn::Sequential& overloads are kept for the oblivious path and are
-// bitwise-identical to routing through an ObliviousTarget.
+// defended composition. The target must output raw logits; the bare
+// classifier is reached through an ObliviousTarget.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "attacks/target.hpp"
-#include "nn/sequential.hpp"
 #include "tensor/tensor.hpp"
 
 namespace adv::attacks {
@@ -56,14 +54,10 @@ struct HingeEval {
 /// Forward pass + hinge statistics. In untargeted mode `labels` are the
 /// ORIGINAL labels t0; in targeted mode they are the TARGET labels t.
 /// `forward_mode` defaults to Eval (differentiable); pass nn::Mode::Infer
-/// for forward-only scoring (candidate/success checks) — it skips the
-/// layers' backward-cache copies, and no attack_hinge_input_gradient call
-/// may follow such an eval.
+/// for forward-only scoring (candidate/success checks) — it records no
+/// tape, so an attack_hinge_input_gradient call differentiates the last
+/// Eval forward, not this one.
 HingeEval eval_attack_hinge(AttackTarget& target, const Tensor& batch,
-                            const std::vector<int>& labels, float kappa,
-                            HingeMode mode,
-                            nn::Mode forward_mode = nn::Mode::Eval);
-HingeEval eval_attack_hinge(nn::Sequential& model, const Tensor& batch,
                             const std::vector<int>& labels, float kappa,
                             HingeMode mode,
                             nn::Mode forward_mode = nn::Mode::Eval);
@@ -72,23 +66,13 @@ HingeEval eval_attack_hinge(nn::Sequential& model, const Tensor& batch,
 HingeEval eval_untargeted_hinge(AttackTarget& target, const Tensor& batch,
                                 const std::vector<int>& labels, float kappa,
                                 nn::Mode forward_mode = nn::Mode::Eval);
-HingeEval eval_untargeted_hinge(nn::Sequential& model, const Tensor& batch,
-                                const std::vector<int>& labels, float kappa,
-                                nn::Mode forward_mode = nn::Mode::Eval);
 
 /// Builds the logit-space gradient seed of sum_i weight[i] * f_i and
 /// backpropagates it, returning d/d(batch). Rows whose hinge is inactive
 /// (margin >= kappa) contribute zero. Must follow the forward pass made by
-/// eval_attack_hinge on the same batch, with the same mode. The target
-/// overload takes `batch` because composed targets backpropagate through
-/// more than one model.
+/// eval_attack_hinge on the same batch in Eval mode. `batch` is passed
+/// because composed targets backpropagate through more than one model.
 Tensor attack_hinge_input_gradient(AttackTarget& target, const Tensor& batch,
-                                   const HingeEval& eval,
-                                   const std::vector<int>& labels,
-                                   float kappa,
-                                   const std::vector<float>& weight,
-                                   HingeMode mode);
-Tensor attack_hinge_input_gradient(nn::Sequential& model,
                                    const HingeEval& eval,
                                    const std::vector<int>& labels,
                                    float kappa,
@@ -98,9 +82,6 @@ Tensor attack_hinge_input_gradient(nn::Sequential& model,
 /// Untargeted convenience wrappers.
 Tensor hinge_input_gradient(AttackTarget& target, const Tensor& batch,
                             const HingeEval& eval,
-                            const std::vector<int>& labels, float kappa,
-                            const std::vector<float>& weight);
-Tensor hinge_input_gradient(nn::Sequential& model, const HingeEval& eval,
                             const std::vector<int>& labels, float kappa,
                             const std::vector<float>& weight);
 

@@ -30,8 +30,8 @@ AttackResult deepfool_attack(AttackTarget& target, const Tensor& images,
     Tensor x_g;
     const Tensor& xcur = plan.pick(x, x_g);
 
-    // One caching forward per iteration; the K per-class backwards below
-    // all read the same caches (backward treats them as read-only).
+    // One recording forward per iteration; the K per-class backwards
+    // below all read the same tape (backward treats it as read-only).
     const Tensor logits = target.logits(xcur, nn::Mode::Eval);
     const std::size_t k = logits.dim(1);
     plan.record_passes(stats, 1);

@@ -149,8 +149,6 @@ std::vector<AttackResult> ead_attack_multi(
       // Gradient of g(y) = c*f(y) + ||y - x0||_2^2 at the (FISTA) point y
       // — plus, on detector-aware targets, the c-weighted detector
       // penalty c*aux(y) (the Carlini–Wagner detector-evasion objective).
-      // The aux gradient runs its own model passes, so it must come after
-      // the hinge backward (which consumes the Eval caches).
       HingeEval eval =
           eval_attack_hinge(target, ycur, lab, cfg.kappa, cfg.mode);
       Tensor grad = attack_hinge_input_gradient(target, ycur, eval, lab,

@@ -31,26 +31,28 @@ Tensor AttackTarget::aux_input_grad(const Tensor& batch,
 }
 
 Tensor ObliviousTarget::logits(const Tensor& batch, nn::Mode mode) {
-  return classifier_.forward(batch, mode);
+  return classifier_.forward(batch, mode, &tape_);
 }
 
 Tensor ObliviousTarget::input_grad(const Tensor& batch,
                                    const Tensor& upstream) {
   (void)batch;
-  return classifier_.backward(upstream);
+  return classifier_.backward(upstream, tape_);
 }
 
 Tensor GrayBoxTarget::logits(const Tensor& batch, nn::Mode mode) {
-  return classifier_.forward(ae_.forward(batch, mode), mode);
+  return classifier_.forward(ae_.forward(batch, mode, &ae_tape_), mode,
+                             &classifier_tape_);
 }
 
 Tensor GrayBoxTarget::input_grad(const Tensor& batch, const Tensor& upstream) {
   (void)batch;
-  return ae_.backward(classifier_.backward(upstream));
+  return ae_.backward(classifier_.backward(upstream, classifier_tape_),
+                      ae_tape_);
 }
 
 DetectorAwareTarget::DetectorAwareTarget(
-    nn::Sequential* autoencoder, nn::Sequential& classifier,
+    const nn::Sequential* autoencoder, const nn::Sequential& classifier,
     std::vector<std::shared_ptr<AuxObjective>> aux, std::string tag)
     : ae_(autoencoder),
       classifier_(classifier),
@@ -64,16 +66,17 @@ DetectorAwareTarget::DetectorAwareTarget(
 }
 
 Tensor DetectorAwareTarget::logits(const Tensor& batch, nn::Mode mode) {
-  if (!ae_) return classifier_.forward(batch, mode);
-  return classifier_.forward(ae_->forward(batch, mode), mode);
+  if (!ae_) return classifier_.forward(batch, mode, &classifier_tape_);
+  return classifier_.forward(ae_->forward(batch, mode, &ae_tape_), mode,
+                             &classifier_tape_);
 }
 
 Tensor DetectorAwareTarget::input_grad(const Tensor& batch,
                                        const Tensor& upstream) {
   (void)batch;
-  Tensor g = classifier_.backward(upstream);
+  Tensor g = classifier_.backward(upstream, classifier_tape_);
   if (!ae_) return g;
-  return ae_->backward(g);
+  return ae_->backward(g, ae_tape_);
 }
 
 std::vector<float> DetectorAwareTarget::aux_loss(const Tensor& batch) {

@@ -9,8 +9,8 @@
 // seam so one attack implementation serves all three threat models:
 //
 //   * ObliviousTarget      — wraps the bare classifier. Bitwise-identical
-//                            to the legacy nn::Sequential& path (it calls
-//                            the exact same forward/backward sequence).
+//                            to the legacy nn::Sequential& attack entry
+//                            points, which route through it.
 //   * GrayBoxTarget        — logits(x) = classifier(AE(x)); input_grad
 //                            backpropagates through the classifier and
 //                            then the auto-encoder (Sequential input
@@ -22,16 +22,16 @@
 //                            bank; see magnet/detector_grad.hpp).
 //
 // Call contract (mirrors the Sequential one the attacks already obey):
-//   1. logits(batch, Mode::Eval) populates backward caches;
+//   1. logits(batch, Mode::Eval) records into the target's own tapes;
 //      input_grad(batch, seed) may then be called any number of times
-//      (caches are read-only during backward — DeepFool's K per-class
+//      (tapes are read-only during backward — DeepFool's K per-class
 //      backwards rely on this).
-//   2. logits(batch, Mode::Infer) is forward-only scoring; no input_grad
-//      may follow it.
-//   3. aux_loss / aux_input_grad are self-contained: they run their own
-//      model passes and therefore CLOBBER any caches from a prior Eval
-//      forward. Attacks must finish the hinge backward before touching
-//      the aux terms of the same iterate.
+//   2. logits(batch, Mode::Infer) is forward-only scoring and records
+//      nothing; the tapes of the last Eval forward stay valid.
+//   3. aux_loss / aux_input_grad run their own passes on each aux term's
+//      own tapes, leaving the target's intact.
+// Targets and aux terms own their tapes (reused across iterations) and
+// share the models read-only: concurrent attacks each build their own.
 #pragma once
 
 #include <memory>
@@ -66,8 +66,7 @@ class AuxObjective {
   virtual std::vector<float> loss(const Tensor& batch) = 0;
 
   /// d(sum_i weight[i] * loss_i)/d(batch). Self-contained: runs its own
-  /// forward passes (clobbering any prior Eval caches of the models it
-  /// shares with the target).
+  /// forward passes on its own tapes.
   virtual Tensor input_grad(const Tensor& batch,
                             const std::vector<float>& weight) = 0;
 };
@@ -87,13 +86,13 @@ class AttackTarget {
   /// non-empty (and distinct per configuration) for every other target.
   virtual std::string tag_suffix() const = 0;
 
-  /// Forward pass to raw logits [N, K]. Mode::Eval populates backward
-  /// caches for input_grad; Mode::Infer is forward-only scoring.
+  /// Forward pass to raw logits [N, K]. Mode::Eval records the tapes
+  /// input_grad reads; Mode::Infer is forward-only scoring.
   virtual Tensor logits(const Tensor& batch, nn::Mode mode) = 0;
 
   /// Backpropagates `upstream` (d loss / d logits) through whatever
   /// logits(batch, Mode::Eval) ran, returning d loss / d batch. `batch`
-  /// is the tensor the caches were built from; repeated calls after one
+  /// is the tensor the tapes were recorded from; repeated calls after one
   /// Eval forward are allowed.
   virtual Tensor input_grad(const Tensor& batch, const Tensor& upstream) = 0;
 
@@ -104,19 +103,18 @@ class AttackTarget {
   /// Element-wise sum of every aux term's per-row loss.
   virtual std::vector<float> aux_loss(const Tensor& batch);
 
-  /// Sum of every aux term's weighted input gradient. Same cache-clobber
-  /// caveat as AuxObjective::input_grad.
+  /// Sum of every aux term's weighted input gradient.
   virtual Tensor aux_input_grad(const Tensor& batch,
                                 const std::vector<float>& weight);
 };
 
 /// The paper's oblivious threat model: the bare (undefended) classifier.
-/// forward/backward calls are exactly the legacy nn::Sequential& path, so
-/// results are bitwise-identical to it (gated in attack_target_test and
-/// the threat-model bench).
+/// The legacy nn::Sequential& attack entry points route through this
+/// target (gated bitwise in attack_target_test and the threat-model
+/// bench).
 class ObliviousTarget final : public AttackTarget {
  public:
-  explicit ObliviousTarget(nn::Sequential& classifier)
+  explicit ObliviousTarget(const nn::Sequential& classifier)
       : classifier_(classifier) {}
 
   ThreatModel threat_model() const override { return ThreatModel::Oblivious; }
@@ -125,7 +123,8 @@ class ObliviousTarget final : public AttackTarget {
   Tensor input_grad(const Tensor& batch, const Tensor& upstream) override;
 
  private:
-  nn::Sequential& classifier_;
+  const nn::Sequential& classifier_;
+  nn::Tape tape_;
 };
 
 /// Gray-box attacker (Carlini & Wagner's first MagNet scenario): knows a
@@ -137,7 +136,8 @@ class GrayBoxTarget final : public AttackTarget {
  public:
   /// `tag` must uniquely identify the composition in cache keys; the
   /// default covers "the defender's own reformer" (the bench's setup).
-  GrayBoxTarget(nn::Sequential& autoencoder, nn::Sequential& classifier,
+  GrayBoxTarget(const nn::Sequential& autoencoder,
+                const nn::Sequential& classifier,
                 std::string tag = "_tmgray")
       : ae_(autoencoder), classifier_(classifier), tag_(std::move(tag)) {}
 
@@ -147,9 +147,10 @@ class GrayBoxTarget final : public AttackTarget {
   Tensor input_grad(const Tensor& batch, const Tensor& upstream) override;
 
  private:
-  nn::Sequential& ae_;
-  nn::Sequential& classifier_;
+  const nn::Sequential& ae_;
+  const nn::Sequential& classifier_;
   std::string tag_;
+  nn::Tape ae_tape_, classifier_tape_;
 };
 
 /// Detector-aware attacker (Carlini & Wagner's full MagNet break): the
@@ -158,8 +159,8 @@ class GrayBoxTarget final : public AttackTarget {
 /// a detector-only defense (logits then come from the bare classifier).
 class DetectorAwareTarget final : public AttackTarget {
  public:
-  DetectorAwareTarget(nn::Sequential* autoencoder,
-                      nn::Sequential& classifier,
+  DetectorAwareTarget(const nn::Sequential* autoencoder,
+                      const nn::Sequential& classifier,
                       std::vector<std::shared_ptr<AuxObjective>> aux,
                       std::string tag = "_tmdet");
 
@@ -178,10 +179,11 @@ class DetectorAwareTarget final : public AttackTarget {
   std::size_t aux_count() const { return aux_.size(); }
 
  private:
-  nn::Sequential* ae_;  // nullable
-  nn::Sequential& classifier_;
+  const nn::Sequential* ae_;  // nullable
+  const nn::Sequential& classifier_;
   std::vector<std::shared_ptr<AuxObjective>> aux_;
   std::string tag_;
+  nn::Tape ae_tape_, classifier_tape_;
 };
 
 }  // namespace adv::attacks

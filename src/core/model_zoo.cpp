@@ -171,7 +171,8 @@ std::shared_ptr<nn::Sequential> ModelZoo::classifier(DatasetId id) {
     std::printf("[zoo] training %s classifier (%zu images, %zu epochs)...\n",
                 to_string(id), ds.train.size(), cfg_.classifier_epochs);
     std::fflush(stdout);
-    nn::Adam opt(model->parameters(), model->gradients(), 1e-3f);
+    nn::GradientSet grads(*model);
+    nn::Adam opt(model->parameters(), grads.pointers(), 1e-3f);
     nn::TrainConfig tc;
     tc.epochs = cfg_.classifier_epochs;
     tc.batch_size = cfg_.batch_size;

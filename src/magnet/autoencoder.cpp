@@ -49,7 +49,8 @@ std::shared_ptr<nn::Sequential> train_autoencoder(const AutoencoderConfig& cfg,
                                                   nn::TrainStats* stats) {
   Rng rng(cfg.seed);
   auto model = std::make_shared<nn::Sequential>(build_autoencoder(cfg, rng));
-  nn::Adam opt(model->parameters(), model->gradients(), cfg.learning_rate);
+  nn::GradientSet grads(*model);
+  nn::Adam opt(model->parameters(), grads.pointers(), cfg.learning_rate);
   nn::TrainConfig tc;
   tc.epochs = cfg.epochs;
   tc.batch_size = cfg.batch_size;

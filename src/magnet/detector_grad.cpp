@@ -66,7 +66,7 @@ Tensor ReconErrorTerm::input_grad(const Tensor& batch,
   }
   const std::size_t n = batch.dim(0);
   const std::size_t row = batch.numel() / n;
-  const Tensor recon = ae_->forward(batch, nn::Mode::Eval);
+  const Tensor recon = ae_->forward(batch, nn::Mode::Eval, &ae_tape_);
 
   // Per-row seed d(sum_i w_i aux_i)/d(diff): with diff = x - AE(x) and
   // score = mean |diff|^p, each element contributes (sign(d)/row) for
@@ -107,7 +107,7 @@ Tensor ReconErrorTerm::input_grad(const Tensor& batch,
 
   // d/dx [x - AE(x)] applied to the seed: identity minus the AE pullback.
   // Returned in the batch's own shape (flat copy; numel matches).
-  const Tensor pullback = ae_->backward(seed);
+  const Tensor pullback = ae_->backward(seed, ae_tape_);
   Tensor grad(batch.shape());
   for (std::size_t j = 0, m = grad.numel(); j < m; ++j) {
     grad[j] = seed[j] - pullback[j];
@@ -157,16 +157,12 @@ Tensor JsdEvasionTerm::input_grad(const Tensor& batch,
   }
   const std::size_t n = batch.dim(0);
 
-  // Branch values first. The direct-branch logits are computed
-  // forward-only, and BEFORE the recon branch's caching Eval forward:
-  // even an Infer pass updates shape-tracking layer state (Flatten), so
-  // the classifier must see the recon branch last for its backward. Its
-  // own caching forward for the direct branch happens at the end, after
-  // the recon branch has consumed these caches (both branches share
-  // classifier_).
-  const Tensor recon = ae_->forward(batch, nn::Mode::Eval);
-  const Tensor logits_x = classifier_->forward(batch, nn::Mode::Infer);
-  const Tensor logits_r = classifier_->forward(recon, nn::Mode::Eval);
+  // Branch values first, each pass on its own tape.
+  const Tensor recon = ae_->forward(batch, nn::Mode::Eval, &ae_tape_);
+  const Tensor logits_x =
+      classifier_->forward(batch, nn::Mode::Eval, &direct_tape_);
+  const Tensor logits_r =
+      classifier_->forward(recon, nn::Mode::Eval, &recon_tape_);
   const Tensor probs_x = nn::softmax_rows(logits_x, temperature_);
   const Tensor probs_r = nn::softmax_rows(logits_r, temperature_);
   const std::size_t k = probs_x.dim(1);
@@ -212,17 +208,14 @@ Tensor JsdEvasionTerm::input_grad(const Tensor& batch,
   Tensor grad(batch.shape());
   if (!any_active) return grad;
 
-  // Recon branch first: x -> AE -> classifier, using the caches from the
-  // Eval forwards above.
+  // Recon branch (x -> AE -> classifier), then the direct branch.
   {
-    const Tensor g = ae_->backward(classifier_->backward(seed_r));
+    const Tensor g = ae_->backward(
+        classifier_->backward(seed_r, recon_tape_), ae_tape_);
     for (std::size_t j = 0, m = grad.numel(); j < m; ++j) grad[j] += g[j];
   }
-  // Direct branch: re-run the classifier on the raw batch with caching
-  // (this clobbers the recon-branch caches, which are no longer needed).
   {
-    classifier_->forward(batch, nn::Mode::Eval);
-    const Tensor g = classifier_->backward(seed_x);
+    const Tensor g = classifier_->backward(seed_x, direct_tape_);
     for (std::size_t j = 0, m = grad.numel(); j < m; ++j) grad[j] += g[j];
   }
   return grad;

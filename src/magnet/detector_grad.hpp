@@ -12,7 +12,7 @@
 // so aux_i <= 0 exactly when the detector would pass row i, and terms
 // with very different score scales (reconstruction error vs JSD)
 // contribute comparably. input_grad differentiates the same expression
-// through the detector's models analytically:
+// through the detector's models analytically, on tapes the term owns:
 //   * reconstruction error  — d/dx mean|x - AE(x)|^p needs one AE
 //     forward/backward (grad = seed - AE^T seed);
 //   * JSD                   — dJSD/dp_j = 0.5 ln(p_j / m_j), chained
@@ -47,6 +47,7 @@ class ReconErrorTerm final : public attacks::AuxObjective {
   int p_;
   float threshold_;
   std::string name_;
+  nn::Tape ae_tape_;
 };
 
 /// Evasion term for a JsdDetector: hinged overshoot of
@@ -68,6 +69,8 @@ class JsdEvasionTerm final : public attacks::AuxObjective {
   float temperature_;
   float threshold_;
   std::string name_;
+  // AE, classifier on the raw batch, classifier on the reconstruction.
+  nn::Tape ae_tape_, direct_tape_, recon_tape_;
 };
 
 /// Builds one evasion term per detector in the (calibrated) pipeline's

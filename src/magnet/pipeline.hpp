@@ -85,10 +85,11 @@ class MagNetPipeline {
 
   /// Runs the defense. Detectors must be calibrated when the scheme uses
   /// them; a Full/ReformerOnly scheme without a reformer degrades to the
-  /// respective detector-only/no-defense behaviour. Const in name only:
-  /// the forward passes mutate layer caches and the per-model Workspace
-  /// arena, so at most one call may run on a pipeline at a time (the
-  /// serve batcher serializes them) until a stateless forward pass lands.
+  /// respective detector-only/no-defense behaviour. Every model pass is a
+  /// forward-only pass over read-only layers (the shared per-model
+  /// Workspace arena is internally synchronized), so concurrent calls on
+  /// one pipeline are safe and each returns exactly what a lone call
+  /// would.
   DefenseOutcome classify(const Tensor& batch,
                           DefenseScheme scheme = DefenseScheme::Full) const;
 

@@ -17,9 +17,10 @@ void require_same_shape(const Tensor& a, const Tensor& b, const char* who) {
 
 }  // namespace
 
-Tensor ReLU::forward(const Tensor& input, Mode mode) {
-  if (caches_for_backward(mode)) input_ = input;
-  Tensor out = make_buffer(input.shape());
+Tensor ReLU::forward_impl(const Tensor& input, Mode /*mode*/, TapeEntry* saved,
+                          Workspace* ws) const {
+  if (saved) saved->tensor = input;
+  Tensor out = make_buffer(ws, input.shape());
   const float* x = input.data();
   float* o = out.data();
   for (std::size_t i = 0, n = out.numel(); i < n; ++i) {
@@ -28,16 +29,11 @@ Tensor ReLU::forward(const Tensor& input, Mode mode) {
   return out;
 }
 
-void ReLU::adopt_fused(const Tensor& fused_out, Mode mode) {
-  // The cache must be a copy: the fused output buffer travels on through
-  // the model and may be recycled by the workspace.
-  if (caches_for_backward(mode)) input_ = fused_out;
-}
-
-Tensor ReLU::backward(const Tensor& grad_output) {
-  require_same_shape(input_, grad_output, "ReLU");
-  Tensor grad = make_buffer(grad_output.shape());
-  const float* x = input_.data();
+Tensor ReLU::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                           GradSlots /*grads*/, Workspace* ws) const {
+  require_same_shape(saved.tensor, grad_output, "ReLU");
+  Tensor grad = make_buffer(ws, grad_output.shape());
+  const float* x = saved.tensor.data();
   const float* gin = grad_output.data();
   float* g = grad.data();
   for (std::size_t i = 0, n = grad.numel(); i < n; ++i) {
@@ -46,9 +42,10 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor LeakyReLU::forward(const Tensor& input, Mode mode) {
-  if (caches_for_backward(mode)) input_ = input;
-  Tensor out = make_buffer(input.shape());
+Tensor LeakyReLU::forward_impl(const Tensor& input, Mode /*mode*/,
+                               TapeEntry* saved, Workspace* ws) const {
+  if (saved) saved->tensor = input;
+  Tensor out = make_buffer(ws, input.shape());
   const float* x = input.data();
   float* o = out.data();
   for (std::size_t i = 0, n = out.numel(); i < n; ++i) {
@@ -57,10 +54,12 @@ Tensor LeakyReLU::forward(const Tensor& input, Mode mode) {
   return out;
 }
 
-Tensor LeakyReLU::backward(const Tensor& grad_output) {
-  require_same_shape(input_, grad_output, "LeakyReLU");
-  Tensor grad = make_buffer(grad_output.shape());
-  const float* x = input_.data();
+Tensor LeakyReLU::backward_impl(const Tensor& grad_output,
+                                const TapeEntry& saved, GradSlots /*grads*/,
+                                Workspace* ws) const {
+  require_same_shape(saved.tensor, grad_output, "LeakyReLU");
+  Tensor grad = make_buffer(ws, grad_output.shape());
+  const float* x = saved.tensor.data();
   const float* gin = grad_output.data();
   float* g = grad.data();
   for (std::size_t i = 0, n = grad.numel(); i < n; ++i) {
@@ -69,27 +68,25 @@ Tensor LeakyReLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Sigmoid::forward(const Tensor& input, Mode mode) {
-  Tensor out = make_buffer(input.shape());
+Tensor Sigmoid::forward_impl(const Tensor& input, Mode /*mode*/,
+                             TapeEntry* saved, Workspace* ws) const {
+  Tensor out = make_buffer(ws, input.shape());
   const float* x = input.data();
   float* o = out.data();
   for (std::size_t i = 0, n = out.numel(); i < n; ++i) {
     o[i] = 1.0f / (1.0f + std::exp(-x[i]));
   }
-  // The cache is the *output* (sigmoid' = y(1-y)), so the copy cannot be
-  // skipped by handing out the buffer itself — recycling may overwrite it.
-  if (caches_for_backward(mode)) output_ = out;
+  // The entry is a copy of the *output* (sigmoid' = y(1-y)): the buffer
+  // itself travels on and may be recycled by the workspace.
+  if (saved) saved->tensor = out;
   return out;
 }
 
-void Sigmoid::adopt_fused(const Tensor& fused_out, Mode mode) {
-  if (caches_for_backward(mode)) output_ = fused_out;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_output) {
-  require_same_shape(output_, grad_output, "Sigmoid");
-  Tensor grad = make_buffer(grad_output.shape());
-  const float* y = output_.data();
+Tensor Sigmoid::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                              GradSlots /*grads*/, Workspace* ws) const {
+  require_same_shape(saved.tensor, grad_output, "Sigmoid");
+  Tensor grad = make_buffer(ws, grad_output.shape());
+  const float* y = saved.tensor.data();
   const float* gin = grad_output.data();
   float* g = grad.data();
   for (std::size_t i = 0, n = grad.numel(); i < n; ++i) {
@@ -98,21 +95,23 @@ Tensor Sigmoid::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Tanh::forward(const Tensor& input, Mode mode) {
-  Tensor out = make_buffer(input.shape());
+Tensor Tanh::forward_impl(const Tensor& input, Mode /*mode*/, TapeEntry* saved,
+                          Workspace* ws) const {
+  Tensor out = make_buffer(ws, input.shape());
   const float* x = input.data();
   float* o = out.data();
   for (std::size_t i = 0, n = out.numel(); i < n; ++i) {
     o[i] = std::tanh(x[i]);
   }
-  if (caches_for_backward(mode)) output_ = out;
+  if (saved) saved->tensor = out;
   return out;
 }
 
-Tensor Tanh::backward(const Tensor& grad_output) {
-  require_same_shape(output_, grad_output, "Tanh");
-  Tensor grad = make_buffer(grad_output.shape());
-  const float* y = output_.data();
+Tensor Tanh::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                           GradSlots /*grads*/, Workspace* ws) const {
+  require_same_shape(saved.tensor, grad_output, "Tanh");
+  Tensor grad = make_buffer(ws, grad_output.shape());
+  const float* y = saved.tensor.data();
   const float* gin = grad_output.data();
   float* g = grad.data();
   for (std::size_t i = 0, n = grad.numel(); i < n; ++i) {

@@ -1,4 +1,10 @@
 // Element-wise activation layers: ReLU, LeakyReLU, Sigmoid, Tanh.
+//
+// Tape entries: ReLU/LeakyReLU save their input, Sigmoid/Tanh their
+// output. A fused Conv->ReLU/Sigmoid step records the POST-activation
+// tensor instead: Sigmoid's usual entry, and for ReLU y <= 0 exactly when
+// x <= 0 (y == x on the open positive side, else +0.0), so the mask on y
+// is bitwise the mask on x.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -7,60 +13,50 @@ namespace adv::nn {
 
 class ReLU final : public Layer {
  public:
-  Tensor forward(const Tensor& input, Mode mode) override;
-  Tensor backward(const Tensor& grad_output) override;
-
-  /// Installs the backward cache from a conv-fused forward whose epilogue
-  /// already applied this activation; `fused_out` is the POST-activation
-  /// tensor. The gradient mask is unchanged: for y = (x > 0 ? x : 0),
-  /// y <= 0 exactly when x <= 0 (y == x on the open positive side, else
-  /// y == +0.0), so masking on y is bitwise the mask on x.
-  void adopt_fused(const Tensor& fused_out, Mode mode);
-
   std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor input_;  // cached for the gradient mask
+  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
+                      Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                       GradSlots grads, Workspace* ws) const override;
 };
 
 class LeakyReLU final : public Layer {
  public:
   explicit LeakyReLU(float negative_slope = 0.01f)
       : negative_slope_(negative_slope) {}
-  Tensor forward(const Tensor& input, Mode mode) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "LeakyReLU"; }
   float negative_slope() const { return negative_slope_; }
 
  private:
+  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
+                      Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                       GradSlots grads, Workspace* ws) const override;
   float negative_slope_;
-  Tensor input_;
 };
 
 class Sigmoid final : public Layer {
  public:
-  Tensor forward(const Tensor& input, Mode mode) override;
-  Tensor backward(const Tensor& grad_output) override;
-
-  /// Installs the backward cache from a conv-fused forward: this layer
-  /// caches its OUTPUT anyway (sigmoid' = y(1-y)), so the fused
-  /// post-activation tensor is exactly the usual cache.
-  void adopt_fused(const Tensor& fused_out, Mode mode);
-
   std::string name() const override { return "Sigmoid"; }
 
  private:
-  Tensor output_;  // sigmoid' = y * (1 - y)
+  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
+                      Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                       GradSlots grads, Workspace* ws) const override;
 };
 
 class Tanh final : public Layer {
  public:
-  Tensor forward(const Tensor& input, Mode mode) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Tanh"; }
 
  private:
-  Tensor output_;  // tanh' = 1 - y^2
+  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
+                      Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                       GradSlots grads, Workspace* ws) const override;
 };
 
 }  // namespace adv::nn

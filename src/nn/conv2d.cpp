@@ -84,9 +84,7 @@ void col2im(const float* col, std::size_t channels, std::size_t height,
 Conv2d::Conv2d(const Conv2dConfig& cfg, Rng& rng)
     : cfg_(cfg),
       weight_({cfg.out_channels, cfg.in_channels * cfg.kernel * cfg.kernel}),
-      bias_({cfg.out_channels}),
-      grad_weight_(weight_.shape()),
-      grad_bias_(bias_.shape()) {
+      bias_({cfg.out_channels}) {
   if (cfg.kernel == 0 || cfg.stride == 0) {
     throw std::invalid_argument("Conv2d: kernel and stride must be > 0");
   }
@@ -117,7 +115,7 @@ std::size_t Conv2d::output_dim(std::size_t in_dim) const {
   return (in_dim + 2 * cfg_.padding - cfg_.kernel) / cfg_.stride + 1;
 }
 
-obs::Timer* Conv2d::observe_path(bool direct, bool forward) {
+obs::Timer* Conv2d::observe_path(bool direct, bool forward) const {
   if (!obs::enabled()) return nullptr;
   auto& reg = obs::MetricsRegistry::global();
   if (forward) {
@@ -125,53 +123,53 @@ obs::Timer* Conv2d::observe_path(bool direct, bool forward) {
     static obs::Counter& fallbacks = reg.counter("conv/im2col_fallback");
     (direct ? hits : fallbacks).add(1);
   }
-  obs::Timer** slots = forward ? fwd_timers_ : bwd_timers_;
-  obs::Timer*& slot = slots[direct ? 0 : 1];
-  if (!slot) {
+  std::atomic<obs::Timer*>& slot =
+      timers_[(forward ? 0 : 2) + (direct ? 0 : 1)];
+  obs::Timer* timer = slot.load(std::memory_order_acquire);
+  if (!timer) {
+    // Racing resolvers get the same registry entry; either store wins.
     const std::string suffix =
         std::string(direct ? "/direct" : "/im2col") + (forward ? "" : "_bwd");
-    slot = &reg.timer(obs_key_ + suffix);
+    timer = &reg.timer(obs_key_ + suffix);
+    slot.store(timer, std::memory_order_release);
   }
-  return slot;
+  return timer;
 }
 
-Tensor Conv2d::forward(const Tensor& input, Mode mode) {
-  return forward_impl(input, mode, conv::Epilogue::None);
+Tensor Conv2d::forward_impl(const Tensor& input, Mode /*mode*/,
+                            TapeEntry* saved, Workspace* ws) const {
+  return forward_fused(input, conv::Epilogue::None, saved, ws);
 }
 
-Tensor Conv2d::forward_fused(const Tensor& input, Mode mode,
-                             conv::Epilogue epi) {
-  return forward_impl(input, mode, epi);
-}
-
-Tensor Conv2d::forward_impl(const Tensor& input, Mode mode,
-                            conv::Epilogue epi) {
+Tensor Conv2d::forward_fused(const Tensor& input, conv::Epilogue epi,
+                             TapeEntry* saved, Workspace* ws) const {
   if (input.rank() != 4 || input.dim(1) != cfg_.in_channels) {
     throw std::invalid_argument("Conv2d::forward: expected [N, " +
                                 std::to_string(cfg_.in_channels) +
                                 ", H, W], got " + input.shape_string());
   }
-  if (caches_for_backward(mode)) input_ = input;
+  if (saved) saved->tensor = input;
   const std::size_t h = input.dim(2), w = input.dim(3);
   if (h + 2 * cfg_.padding < cfg_.kernel || w + 2 * cfg_.padding < cfg_.kernel) {
     throw std::invalid_argument("Conv2d::forward: input smaller than kernel");
   }
   const std::size_t n = input.dim(0);
-  Tensor out = make_buffer({n, cfg_.out_channels, output_dim(h), output_dim(w)});
+  Tensor out =
+      make_buffer(ws, {n, cfg_.out_channels, output_dim(h), output_dim(w)});
   const bool direct = uses_direct();
   obs::ScopedTimer timer(observe_path(direct, /*forward=*/true));
   ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
   if (direct) {
-    forward_direct(input, out, h, w, epi, pool);
+    forward_direct(input, out, h, w, epi, pool, ws);
   } else {
-    forward_im2col(input, out, h, w, epi, pool);
+    forward_im2col(input, out, h, w, epi, pool, ws);
   }
   return out;
 }
 
 void Conv2d::forward_direct(const Tensor& input, Tensor& out, std::size_t h,
                             std::size_t w, conv::Epilogue epi,
-                            ThreadPool& pool) {
+                            ThreadPool& pool, Workspace* ws) const {
   const std::size_t n = input.dim(0);
   const std::size_t k2 = cfg_.in_channels * cfg_.kernel * cfg_.kernel;
   const std::size_t plane = out.dim(2) * out.dim(3);
@@ -181,14 +179,15 @@ void Conv2d::forward_direct(const Tensor& input, Tensor& out, std::size_t h,
   // the workspace high-water drops on this path. Scratch is acquired
   // before the parallel region — the workspace mutex is never touched
   // inside it — and both buffers are fully overwritten before use.
-  Tensor wpack = make_buffer({conv::packed_fwd_size(cfg_.out_channels, k2)});
+  Tensor wpack =
+      make_buffer(ws, {conv::packed_fwd_size(cfg_.out_channels, k2)});
   conv::pack_weights_fwd(weight_.data(), cfg_.out_channels, k2, wpack.data());
   const std::size_t padsz =
       conv::padded_size(cfg_.in_channels, h, w, cfg_.padding);
   std::vector<Tensor> pads;
   pads.reserve(pool.max_chunks());
   for (std::size_t c = 0; c < pool.max_chunks(); ++c) {
-    pads.push_back(make_buffer({padsz}));
+    pads.push_back(make_buffer(ws, {padsz}));
   }
   pool.parallel_for_indexed(0, n, [&](std::size_t chunk, std::size_t b0,
                                       std::size_t b1) {
@@ -202,13 +201,13 @@ void Conv2d::forward_direct(const Tensor& input, Tensor& out, std::size_t h,
                            out.data() + s * cfg_.out_channels * plane);
     }
   });
-  for (auto& t : pads) recycle(std::move(t));
-  recycle(std::move(wpack));
+  for (auto& t : pads) recycle(ws, std::move(t));
+  recycle(ws, std::move(wpack));
 }
 
 void Conv2d::forward_im2col(const Tensor& input, Tensor& out, std::size_t h,
                             std::size_t w, conv::Epilogue epi,
-                            ThreadPool& pool) {
+                            ThreadPool& pool, Workspace* ws) const {
   const std::size_t n = input.dim(0);
   const std::size_t k2 = cfg_.in_channels * cfg_.kernel * cfg_.kernel;
   const std::size_t plane = out.dim(2) * out.dim(3);
@@ -218,7 +217,7 @@ void Conv2d::forward_im2col(const Tensor& input, Tensor& out, std::size_t h,
   std::vector<Tensor> cols;
   cols.reserve(pool.max_chunks());
   for (std::size_t c = 0; c < pool.max_chunks(); ++c) {
-    cols.push_back(make_buffer({k2, plane}));
+    cols.push_back(make_buffer(ws, {k2, plane}));
   }
   pool.parallel_for_indexed(0, n, [&](std::size_t chunk, std::size_t b0,
                                       std::size_t b1) {
@@ -248,12 +247,14 @@ void Conv2d::forward_im2col(const Tensor& input, Tensor& out, std::size_t h,
       }
     }
   });
-  for (auto& c : cols) recycle(std::move(c));
+  for (auto& c : cols) recycle(ws, std::move(c));
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
-  const std::size_t n = input_.dim(0);
-  const std::size_t h = input_.dim(2), w = input_.dim(3);
+Tensor Conv2d::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                             GradSlots grads, Workspace* ws) const {
+  const Tensor& input = saved.tensor;
+  const std::size_t n = input.dim(0);
+  const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = output_dim(h), ow = output_dim(w);
   if (grad_output.rank() != 4 || grad_output.dim(0) != n ||
       grad_output.dim(1) != cfg_.out_channels || grad_output.dim(2) != oh ||
@@ -264,71 +265,67 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::size_t k2 = cfg_.in_channels * cfg_.kernel * cfg_.kernel;
   const std::size_t plane = oh * ow;
   const bool direct = uses_direct();
+  const bool want_params = !grads.empty();
   obs::ScopedTimer timer(observe_path(direct, /*forward=*/false));
   // col2im accumulates, so the input gradient must start zeroed on the
   // im2col path; the direct kernel fully overwrites it instead.
-  Tensor grad_input = make_buffer(input_.shape(), /*zeroed=*/!direct);
+  Tensor grad_input = make_buffer(ws, input.shape(), /*zeroed=*/!direct);
 
   ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
   const std::size_t chunks = pool.max_chunks();
-  // Per-chunk parameter-gradient scratch, reduced in chunk order below.
-  // Kept as members (zeroed each call) so repeated backwards allocate
-  // nothing.
-  if (dw_parts_.size() != chunks) {
-    dw_parts_.assign(chunks, Tensor(weight_.shape()));
-    db_parts_.assign(chunks, Tensor(bias_.shape()));
-  } else {
-    for (auto& t : dw_parts_) t.fill(0.0f);
-    for (auto& t : db_parts_) t.fill(0.0f);
-  }
-  // Scratch per chunk, acquired outside the parallel region (all buffers
-  // are fully overwritten before use). Both paths keep one column buffer
-  // for dW (weight gradients stay on im2col+GEMM, whose pixel-major strip
-  // reduction the direct layout cannot reproduce cheaply); the direct
-  // path replaces the second, dcol, with the much smaller padded
-  // output-gradient copy.
-  const std::size_t cols_per_chunk = direct ? 1 : 2;
-  std::vector<Tensor> cols;
-  cols.reserve(cols_per_chunk * chunks);
-  for (std::size_t c = 0; c < cols_per_chunk * chunks; ++c) {
-    cols.push_back(make_buffer({k2, plane}));
-  }
-  std::vector<Tensor> gpads;
-  Tensor wpackb;
   const std::size_t bpad = cfg_.kernel - 1 - cfg_.padding;  // direct only
+  const std::size_t gpsz =
+      direct ? conv::padded_size(cfg_.out_channels, oh, ow, bpad) : 0;
+  // Scratch per chunk, acquired outside the parallel region. Parameter
+  // gradients (only when asked for) need zeroed dW/db parts, reduced in
+  // chunk order below, and a column buffer for the dW GEMM (weight
+  // gradients stay on im2col+GEMM, whose pixel-major strip reduction the
+  // direct layout cannot reproduce cheaply). The input gradient needs
+  // dcol on the im2col path, or the much smaller padded output-gradient
+  // copy on the direct path; both are fully overwritten before use.
+  std::vector<Tensor> dw_parts, db_parts, cols, dcols, gpads;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    if (want_params) {
+      dw_parts.push_back(make_buffer(ws, weight_.shape(), /*zeroed=*/true));
+      db_parts.push_back(make_buffer(ws, bias_.shape(), /*zeroed=*/true));
+      cols.push_back(make_buffer(ws, {k2, plane}));
+    }
+    if (direct) {
+      gpads.push_back(make_buffer(ws, {gpsz}));
+    } else {
+      dcols.push_back(make_buffer(ws, {k2, plane}));
+    }
+  }
+  Tensor wpackb;
   if (direct) {
-    wpackb = make_buffer({conv::packed_bwd_size(
+    wpackb = make_buffer(ws, {conv::packed_bwd_size(
         cfg_.in_channels, cfg_.out_channels, cfg_.kernel)});
     conv::pack_weights_bwd(weight_.data(), cfg_.in_channels,
                            cfg_.out_channels, cfg_.kernel, wpackb.data());
-    const std::size_t gpsz =
-        conv::padded_size(cfg_.out_channels, oh, ow, bpad);
-    gpads.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      gpads.push_back(make_buffer({gpsz}));
-    }
   }
 
   pool.parallel_for_indexed(0, n, [&](std::size_t chunk, std::size_t b0,
                                       std::size_t b1) {
-    float* col = cols[cols_per_chunk * chunk].data();
-    Tensor& dw = dw_parts_[chunk];
-    Tensor& db = db_parts_[chunk];
     for (std::size_t s = b0; s < b1; ++s) {
       const float* gout = grad_output.data() + s * cfg_.out_channels * plane;
-      // db
-      for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
-        const float* p = gout + oc * plane;
-        double acc = 0.0;
-        for (std::size_t i = 0; i < plane; ++i) acc += p[i];
-        db[oc] += static_cast<float>(acc);
+      if (want_params) {
+        // db
+        Tensor& db = db_parts[chunk];
+        for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
+          const float* p = gout + oc * plane;
+          double acc = 0.0;
+          for (std::size_t i = 0; i < plane; ++i) acc += p[i];
+          db[oc] += static_cast<float>(acc);
+        }
+        // Recompute the column buffer (cheaper than caching it for wide
+        // AEs), then dW += gout [out_c, plane] * col^T [plane, k2] (B
+        // stored [k2, plane]).
+        float* col = cols[chunk].data();
+        im2col(input.data() + s * cfg_.in_channels * h * w, cfg_.in_channels,
+               h, w, cfg_.kernel, cfg_.stride, cfg_.padding, col);
+        gemm_a_bt_raw(gout, col, dw_parts[chunk].data(), cfg_.out_channels,
+                      plane, k2, {.accumulate = true, .parallel = false});
       }
-      // Recompute the column buffer (cheaper than caching it for wide AEs).
-      im2col(input_.data() + s * cfg_.in_channels * h * w, cfg_.in_channels,
-             h, w, cfg_.kernel, cfg_.stride, cfg_.padding, col);
-      // dW += gout [out_c, plane] * col^T [plane, k2] (B stored [k2, plane])
-      gemm_a_bt_raw(gout, col, dw.data(), cfg_.out_channels, plane,
-                    k2, {.accumulate = true, .parallel = false});
       float* gi = grad_input.data() + s * cfg_.in_channels * h * w;
       if (direct) {
         float* gpad = gpads[chunk].data();
@@ -337,7 +334,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                                 cfg_.kernel, cfg_.padding,
                                 cfg_.out_channels, gi);
       } else {
-        float* dcol = cols[2 * chunk + 1].data();
+        float* dcol = dcols[chunk].data();
         // dcol = W^T [k2, out_c] * gout [out_c, plane] (A stored [out_c, k2])
         gemm_at_b_raw(weight_.data(), gout, dcol, k2,
                       cfg_.out_channels, plane,
@@ -347,18 +344,20 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       }
     }
   });
-  for (auto& c : cols) recycle(std::move(c));
-  for (auto& g : gpads) recycle(std::move(g));
-  if (direct) recycle(std::move(wpackb));
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    float* gw = grad_weight_.data();
-    float* gb = grad_bias_.data();
-    const float* pw = dw_parts_[c].data();
-    const float* pb = db_parts_[c].data();
-    for (std::size_t i = 0, m = grad_weight_.numel(); i < m; ++i) gw[i] += pw[i];
-    for (std::size_t i = 0, m = grad_bias_.numel(); i < m; ++i) gb[i] += pb[i];
+  if (want_params) {
+    float* gw = grads[0]->data();
+    float* gb = grads[1]->data();
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const float* pw = dw_parts[c].data();
+      const float* pb = db_parts[c].data();
+      for (std::size_t i = 0, m = weight_.numel(); i < m; ++i) gw[i] += pw[i];
+      for (std::size_t i = 0, m = bias_.numel(); i < m; ++i) gb[i] += pb[i];
+    }
   }
+  for (auto* scratch : {&dw_parts, &db_parts, &cols, &dcols, &gpads}) {
+    for (auto& t : *scratch) recycle(ws, std::move(t));
+  }
+  recycle(ws, std::move(wpackb));
   return grad_input;
 }
 

@@ -17,11 +17,12 @@
 // "conv/direct_hits" / "conv/im2col_fallback" counters.
 //
 // Forward / backward parallelize over batch samples (each sample is
-// independent); parameter gradients are accumulated into per-chunk scratch
-// buffers and reduced in chunk order, keeping results deterministic under
-// any thread count.
+// independent); parameter gradients, when requested, are accumulated into
+// per-chunk scratch buffers and reduced in chunk order, keeping results
+// deterministic under any thread count.
 #pragma once
 
+#include <atomic>
 #include <string>
 
 #include "nn/layer.hpp"
@@ -55,23 +56,19 @@ class Conv2d final : public Layer {
     return Conv2dConfig{in_c, out_c, kernel, 1, kernel / 2};
   }
 
-  Tensor forward(const Tensor& input, Mode mode) override;
-
   /// forward() with an activation fused into the conv epilogue, bitwise
   /// equal to running that activation layer on forward()'s output. The
-  /// Sequential peephole calls this for Conv->ReLU/Sigmoid pairs; the
-  /// activation layer then adopts the fused output as its backward cache.
-  /// Works on both paths (the im2col fallback applies the epilogue as a
-  /// post-pass), so fusion never depends on path selection.
-  Tensor forward_fused(const Tensor& input, Mode mode, conv::Epilogue epi);
+  /// Sequential peephole calls this for Conv->ReLU/Sigmoid pairs and
+  /// writes the activation's tape entry itself. Works on both paths (the
+  /// im2col fallback applies the epilogue as a post-pass), so fusion never
+  /// depends on path selection.
+  Tensor forward_fused(const Tensor& input, conv::Epilogue epi,
+                       TapeEntry* saved = nullptr,
+                       Workspace* ws = nullptr) const;
 
-  Tensor backward(const Tensor& grad_output) override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<const Tensor*> parameters() const override {
     return {&weight_, &bias_};
-  }
-  std::vector<Tensor*> gradients() override {
-    return {&grad_weight_, &grad_bias_};
   }
   std::string name() const override { return "Conv2d"; }
 
@@ -96,32 +93,32 @@ class Conv2d final : public Layer {
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
  private:
-  Tensor forward_impl(const Tensor& input, Mode mode, conv::Epilogue epi);
+  // Tape entry: the input batch. Without `grads` ({dW, db}) backward
+  // skips the weight-gradient work (column rebuild + GEMM per sample).
+  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
+                      Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                       GradSlots grads, Workspace* ws) const override;
   void forward_direct(const Tensor& input, Tensor& out, std::size_t h,
-                      std::size_t w, conv::Epilogue epi, ThreadPool& pool);
+                      std::size_t w, conv::Epilogue epi, ThreadPool& pool,
+                      Workspace* ws) const;
   void forward_im2col(const Tensor& input, Tensor& out, std::size_t h,
-                      std::size_t w, conv::Epilogue epi, ThreadPool& pool);
+                      std::size_t w, conv::Epilogue epi, ThreadPool& pool,
+                      Workspace* ws) const;
   // Resolves the per-shape path timer (nullptr when obs is off) and, on
   // forward, bumps the global path-split counters.
-  obs::Timer* observe_path(bool direct, bool forward);
+  obs::Timer* observe_path(bool direct, bool forward) const;
 
   Conv2dConfig cfg_;
   Tensor weight_;       // [out_c, in_c * k * k]
   Tensor bias_;         // [out_c]
-  Tensor grad_weight_;
-  Tensor grad_bias_;
-  Tensor input_;        // cached batch for backward (skipped in Mode::Infer)
-  // Per-chunk parameter-gradient scratch, kept across backward calls so the
-  // hot attack loop does not reallocate it; zeroed at the top of each call.
-  std::vector<Tensor> dw_parts_;
-  std::vector<Tensor> db_parts_;
   bool direct_ok_ = false;       // shape covered by the direct kernels
   bool force_im2col_ = false;    // A/B override
   ThreadPool* pool_ = nullptr;   // test seam; nullptr = global pool
   std::string obs_key_;          // "conv/c<in>o<out>k<k>s<s>p<p>"
-  // Lazily resolved per-shape timers: [0] = direct, [1] = im2col.
-  obs::Timer* fwd_timers_[2] = {nullptr, nullptr};
-  obs::Timer* bwd_timers_[2] = {nullptr, nullptr};
+  // Per-shape timers, resolved on the first instrumented pass (atomic:
+  // passes may race to it). Index (forward ? 0 : 2) + (direct ? 0 : 1).
+  mutable std::atomic<obs::Timer*> timers_[4] = {};
 };
 
 /// Unpacks one sample [C, H, W] (within a batch tensor) into a column

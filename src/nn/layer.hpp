@@ -1,23 +1,23 @@
 // Layer: the building block of every model in this library.
 //
 // Models here are strictly sequential (as are all networks in the paper),
-// so layers expose a plain forward/backward pair instead of a tape. A
-// layer caches whatever it needs during forward; backward reads the cache
-// and returns the gradient w.r.t. the layer INPUT while accumulating
-// gradients w.r.t. its parameters. Propagating gradients all the way back
-// to the input is what lets the attack implementations (C&W, EAD, FGSM,
-// DeepFool) compute d(loss)/d(image).
+// so layers expose a plain forward/backward pair. Propagating gradients all
+// the way back to the input is what lets the attack implementations (C&W,
+// EAD, FGSM, DeepFool) compute d(loss)/d(image).
 //
-// Caching contract:
-//   * forward(x, Train|Eval) populates the backward cache; forward(x,
-//     Infer) may skip it, so no backward() may follow an Infer pass.
-//   * backward() treats the cache as READ-ONLY: it may be called any
-//     number of times after one caching forward, each call propagating a
-//     new output-gradient seed through the same cached activations
-//     (DeepFool seeds one backward per class from a single forward).
-//   * Output buffers handed out by forward/backward are fully overwritten
-//     (or acquired zeroed) before being returned, so recycling them
-//     through a Workspace is bitwise-invisible.
+// Call contract: a layer holds only parameters and configuration; what a
+// call produces lives in caller-owned objects (nn/tape.hpp), so concurrent
+// passes over one layer are safe. The one state a call advances is
+// Dropout's mask RNG, in Mode::Train.
+//   * forward(x, mode, saved, ws) records what backward needs into `saved`
+//     when non-null (a Train/Eval pass); with none, no backward may follow.
+//   * backward(g, saved, grads, ws) treats `saved` as READ-ONLY: it may be
+//     called any number of times after one recording forward (DeepFool
+//     seeds one backward per class). Parameter gradients accumulate into
+//     `grads` when non-empty; otherwise that work is skipped.
+//   * Buffers come from `ws` (fresh tensors when null) and are fully
+//     overwritten (or acquired zeroed) before being returned, so recycling
+//     them through a Workspace is bitwise-invisible.
 #pragma once
 
 #include <memory>
@@ -25,13 +25,14 @@
 #include <vector>
 
 #include "nn/mode.hpp"
+#include "nn/tape.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/workspace.hpp"
 
 namespace adv::nn {
 
-/// Arena of reusable buffers shared by a model and its layers; defined in
-/// src/tensor (shape-keyed storage is a tensor-library concern).
+/// Arena of reusable buffers, handed to layer calls by the owning model;
+/// defined in src/tensor (shape-keyed storage is a tensor-library concern).
 using Workspace = ::adv::Workspace;
 
 class Layer {
@@ -39,14 +40,18 @@ class Layer {
   virtual ~Layer() = default;
 
   /// Computes the layer output for `input` (leading dimension = batch).
-  /// Mode::Train toggles train-only behaviour (dropout); Mode::Infer
-  /// skips backward caching (see the caching contract above).
-  virtual Tensor forward(const Tensor& input, Mode mode) = 0;
+  /// Mode::Train toggles train-only behaviour (dropout).
+  Tensor forward(const Tensor& input, Mode mode, TapeEntry* saved = nullptr,
+                 Workspace* ws = nullptr) const {
+    return forward_impl(input, mode, saved, ws);
+  }
 
-  /// Given d(loss)/d(output), accumulates parameter gradients and returns
-  /// d(loss)/d(input). Must follow a caching forward on the same batch;
-  /// may be called repeatedly (the cache is not consumed).
-  virtual Tensor backward(const Tensor& grad_output) = 0;
+  /// Given d(loss)/d(output) and the entry a recording forward filled,
+  /// returns d(loss)/d(input).
+  Tensor backward(const Tensor& grad_output, const TapeEntry& saved,
+                  GradSlots grads = {}, Workspace* ws = nullptr) const {
+    return backward_impl(grad_output, saved, grads, ws);
+  }
 
   /// Learnable parameters (empty for stateless layers). Pointers remain
   /// valid for the life of the layer.
@@ -57,36 +62,29 @@ class Layer {
   /// avoid const_cast.
   virtual std::vector<const Tensor*> parameters() const { return {}; }
 
-  /// Gradient buffers, aligned index-by-index with parameters().
-  virtual std::vector<Tensor*> gradients() { return {}; }
-
-  void zero_grad() {
-    for (Tensor* g : gradients()) g->fill(0.0f);
-  }
-
-  /// Attaches the owning model's buffer arena; nullptr detaches (layers
-  /// then allocate fresh tensors — the standalone-layer and test path).
-  void set_workspace(Workspace* ws) { ws_ = ws; }
-  Workspace* workspace() const { return ws_; }
-
   virtual std::string name() const = 0;
 
  protected:
-  /// Output/scratch buffer of `shape` from the attached workspace (fresh
-  /// zero-filled tensor when detached). `zeroed` must be true whenever the
-  /// caller accumulates into the buffer instead of overwriting it.
-  Tensor make_buffer(const Shape& shape, bool zeroed = false) {
-    return ws_ ? ws_->acquire(shape, zeroed) : Tensor(shape);
+  // What each layer kind implements (the public pair supplies defaults).
+  virtual Tensor forward_impl(const Tensor& input, Mode mode,
+                              TapeEntry* saved, Workspace* ws) const = 0;
+  virtual Tensor backward_impl(const Tensor& grad_output,
+                               const TapeEntry& saved, GradSlots grads,
+                               Workspace* ws) const = 0;
+
+  /// Output/scratch buffer of `shape` from `ws` (fresh zero-filled tensor
+  /// when null). `zeroed` must be true whenever the caller accumulates
+  /// into the buffer instead of overwriting it.
+  static Tensor make_buffer(Workspace* ws, const Shape& shape,
+                            bool zeroed = false) {
+    return ws ? ws->acquire(shape, zeroed) : Tensor(shape);
   }
 
   /// Returns a make_buffer() scratch tensor to the arena once it is no
-  /// longer referenced (no-op when detached).
-  void recycle(Tensor&& t) {
-    if (ws_) ws_->release(std::move(t));
+  /// longer referenced (no-op when `ws` is null).
+  static void recycle(Workspace* ws, Tensor&& t) {
+    if (ws) ws->release(std::move(t));
   }
-
- private:
-  Workspace* ws_ = nullptr;
 };
 
 }  // namespace adv::nn

@@ -11,22 +11,21 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng)
     : in_(in_features),
       out_(out_features),
       weight_({in_features, out_features}),
-      bias_({out_features}),
-      grad_weight_({in_features, out_features}),
-      grad_bias_({out_features}) {
+      bias_({out_features}) {
   glorot_uniform(weight_, in_features, out_features, rng);
 }
 
-Tensor Linear::forward(const Tensor& input, Mode mode) {
+Tensor Linear::forward_impl(const Tensor& input, Mode /*mode*/,
+                            TapeEntry* saved, Workspace* ws) const {
   if (input.rank() != 2 || input.dim(1) != in_) {
     throw std::invalid_argument("Linear::forward: expected [N, " +
                                 std::to_string(in_) + "], got " +
                                 input.shape_string());
   }
-  if (caches_for_backward(mode)) input_ = input;
+  if (saved) saved->tensor = input;
   // gemm's prepare_c keeps an already-correctly-shaped c, so the recycled
   // buffer is used in place and fully overwritten.
-  Tensor out = make_buffer({input.dim(0), out_});
+  Tensor out = make_buffer(ws, {input.dim(0), out_});
   gemm(input, weight_, out);
   const std::size_t n = out.dim(0);
   float* o = out.data();
@@ -37,23 +36,27 @@ Tensor Linear::forward(const Tensor& input, Mode mode) {
   return out;
 }
 
-Tensor Linear::backward(const Tensor& grad_output) {
+Tensor Linear::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                             GradSlots grads, Workspace* ws) const {
+  const Tensor& input = saved.tensor;
   if (grad_output.rank() != 2 || grad_output.dim(1) != out_ ||
-      grad_output.dim(0) != input_.dim(0)) {
+      grad_output.dim(0) != input.dim(0)) {
     throw std::invalid_argument("Linear::backward: bad grad shape " +
                                 grad_output.shape_string());
   }
-  // dW += x^T * dy, accumulated straight into the gradient buffer.
-  gemm_at_b(input_, grad_output, grad_weight_, {.accumulate = true});
-  // db += column sums of dy
-  const std::size_t n = grad_output.dim(0);
-  const float* g = grad_output.data();
-  float* db = grad_bias_.data();
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < out_; ++c) db[c] += g[r * out_ + c];
+  if (!grads.empty()) {
+    // dW += x^T * dy, accumulated straight into the gradient buffer.
+    gemm_at_b(input, grad_output, *grads[0], {.accumulate = true});
+    // db += column sums of dy
+    const std::size_t n = grad_output.dim(0);
+    const float* g = grad_output.data();
+    float* db = grads[1]->data();
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < out_; ++c) db[c] += g[r * out_ + c];
+    }
   }
   // dx = dy * W^T
-  Tensor dx = make_buffer(input_.shape());
+  Tensor dx = make_buffer(ws, input.shape());
   gemm_a_bt(grad_output, weight_, dx);
   return dx;
 }

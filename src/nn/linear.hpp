@@ -12,14 +12,9 @@ class Linear final : public Layer {
   /// matching the training stack the paper used).
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng);
 
-  Tensor forward(const Tensor& input, Mode mode) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<const Tensor*> parameters() const override {
     return {&weight_, &bias_};
-  }
-  std::vector<Tensor*> gradients() override {
-    return {&grad_weight_, &grad_bias_};
   }
   std::string name() const override { return "Linear"; }
 
@@ -29,13 +24,17 @@ class Linear final : public Layer {
   const Tensor& bias() const { return bias_; }
 
  private:
+  // Tape entry: the input batch. Backward's `grads`, when non-empty, is
+  // {dW [in, out], db [out]}.
+  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
+                      Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                       GradSlots grads, Workspace* ws) const override;
+
   std::size_t in_;
   std::size_t out_;
-  Tensor weight_;       // [in, out]
-  Tensor bias_;         // [out]
-  Tensor grad_weight_;  // [in, out]
-  Tensor grad_bias_;    // [out]
-  Tensor input_;        // cached [N, in]
+  Tensor weight_;  // [in, out]
+  Tensor bias_;    // [out]
 };
 
 }  // namespace adv::nn

@@ -4,20 +4,14 @@
 namespace adv::nn {
 
 /// Train enables train-only behaviour (dropout masks); Eval is the
-/// deterministic inference path. Attacks differentiate in Eval — backward
-/// caches are populated in Train and Eval, so those forward passes remain
-/// differentiable. Infer is Eval minus the backward caches: numerically
-/// identical outputs, but layers skip the input/output caching copies, so
-/// calling backward() after an Infer forward is undefined. Use it for
-/// forward-only passes (candidate scoring inside attacks, prediction,
-/// detector scoring).
+/// deterministic inference path. Attacks differentiate in Eval. A
+/// Train/Eval forward records into a caller-owned tape (nn/tape.hpp) so a
+/// backward may follow; Infer is Eval that records nothing (a tape passed
+/// with it is left as it was): numerically identical outputs without the
+/// recording copies. Use it for forward-only passes (candidate scoring
+/// inside attacks, prediction, detector scoring).
 enum class Mode { Train, Eval, Infer };
 
 inline constexpr bool is_training(Mode mode) { return mode == Mode::Train; }
-
-/// True when a backward() may follow this forward — layers must cache.
-inline constexpr bool caches_for_backward(Mode mode) {
-  return mode != Mode::Infer;
-}
 
 }  // namespace adv::nn

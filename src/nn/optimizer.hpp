@@ -11,7 +11,8 @@ namespace adv::nn {
 class Optimizer {
  public:
   /// `params` and `grads` must be aligned index-by-index and outlive the
-  /// optimizer (they point into a Sequential's layers).
+  /// optimizer (params point into a Sequential's layers, grads into the
+  /// caller's nn::GradientSet).
   Optimizer(std::vector<Tensor*> params, std::vector<Tensor*> grads, float lr);
   virtual ~Optimizer() = default;
 
@@ -19,6 +20,9 @@ class Optimizer {
   virtual void step() = 0;
 
   void zero_grad();
+
+  /// The gradients step() reads, in parameter order.
+  const std::vector<Tensor*>& gradients() const { return grads_; }
 
   /// Learning rate, shared across optimizers so generic code (the
   /// Trainer's divergence backoff halves it) can adjust any of them.

@@ -23,14 +23,15 @@ void require_poolable(const Tensor& input, std::size_t window,
 
 }  // namespace
 
-Tensor AvgPool2d::forward(const Tensor& input, Mode /*mode*/) {
+Tensor AvgPool2d::forward_impl(const Tensor& input, Mode /*mode*/,
+                               TapeEntry* saved, Workspace* ws) const {
   require_poolable(input, window_, "AvgPool2d");
-  input_shape_ = input.shape();
+  if (saved) saved->shape = input.shape();
   const std::size_t n = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = h / window_, ow = w / window_;
   const float inv = 1.0f / static_cast<float>(window_ * window_);
-  Tensor out = make_buffer({n, c, oh, ow});
+  Tensor out = make_buffer(ws, {n, c, oh, ow});
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* src = input.data() + nc * h * w;
     float* dst = out.data() + nc * oh * ow;
@@ -48,16 +49,18 @@ Tensor AvgPool2d::forward(const Tensor& input, Mode /*mode*/) {
   return out;
 }
 
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
-  const std::size_t n = input_shape_[0], c = input_shape_[1];
-  const std::size_t h = input_shape_[2], w = input_shape_[3];
+Tensor AvgPool2d::backward_impl(const Tensor& grad_output,
+                                const TapeEntry& saved, GradSlots /*grads*/,
+                                Workspace* ws) const {
+  const std::size_t n = saved.shape[0], c = saved.shape[1];
+  const std::size_t h = saved.shape[2], w = saved.shape[3];
   const std::size_t oh = h / window_, ow = w / window_;
   if (grad_output.shape() != Shape{n, c, oh, ow}) {
     throw std::invalid_argument("AvgPool2d::backward: bad grad shape " +
                                 grad_output.shape_string());
   }
   const float inv = 1.0f / static_cast<float>(window_ * window_);
-  Tensor grad = make_buffer(input_shape_, /*zeroed=*/true);
+  Tensor grad = make_buffer(ws, saved.shape, /*zeroed=*/true);
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* src = grad_output.data() + nc * oh * ow;
     float* dst = grad.data() + nc * h * w;
@@ -74,19 +77,21 @@ Tensor AvgPool2d::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor MaxPool2d::forward(const Tensor& input, Mode mode) {
+Tensor MaxPool2d::forward_impl(const Tensor& input, Mode /*mode*/,
+                               TapeEntry* saved, Workspace* ws) const {
   require_poolable(input, window_, "MaxPool2d");
-  input_shape_ = input.shape();
   const std::size_t n = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = h / window_, ow = w / window_;
-  Tensor out = make_buffer({n, c, oh, ow});
-  const bool cache = caches_for_backward(mode);
-  if (cache) argmax_.assign(out.numel(), 0);
+  Tensor out = make_buffer(ws, {n, c, oh, ow});
+  if (saved) {
+    saved->shape = input.shape();
+    saved->index.assign(out.numel(), 0);
+  }
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* src = input.data() + nc * h * w;
     float* dst = out.data() + nc * oh * ow;
-    std::size_t* amax = cache ? argmax_.data() + nc * oh * ow : nullptr;
+    std::size_t* amax = saved ? saved->index.data() + nc * oh * ow : nullptr;
     for (std::size_t i = 0; i < oh; ++i) {
       for (std::size_t j = 0; j < ow; ++j) {
         float best = -std::numeric_limits<float>::infinity();
@@ -102,37 +107,41 @@ Tensor MaxPool2d::forward(const Tensor& input, Mode mode) {
           }
         }
         dst[i * ow + j] = best;
-        if (cache) amax[i * ow + j] = nc * h * w + best_idx;
+        if (amax) amax[i * ow + j] = nc * h * w + best_idx;
       }
     }
   }
   return out;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_output) {
-  if (grad_output.numel() != argmax_.size()) {
+Tensor MaxPool2d::backward_impl(const Tensor& grad_output,
+                                const TapeEntry& saved, GradSlots /*grads*/,
+                                Workspace* ws) const {
+  const std::vector<std::size_t>& argmax = saved.index;
+  if (grad_output.numel() != argmax.size()) {
     throw std::invalid_argument("MaxPool2d::backward: bad grad shape " +
                                 grad_output.shape_string());
   }
-  Tensor grad = make_buffer(input_shape_, /*zeroed=*/true);
+  Tensor grad = make_buffer(ws, saved.shape, /*zeroed=*/true);
   const float* g = grad_output.data();
   float* dst = grad.data();
-  for (std::size_t i = 0, m = argmax_.size(); i < m; ++i) {
-    dst[argmax_[i]] += g[i];
+  for (std::size_t i = 0, m = argmax.size(); i < m; ++i) {
+    dst[argmax[i]] += g[i];
   }
   return grad;
 }
 
-Tensor Upsample2d::forward(const Tensor& input, Mode /*mode*/) {
+Tensor Upsample2d::forward_impl(const Tensor& input, Mode /*mode*/,
+                                TapeEntry* saved, Workspace* ws) const {
   if (input.rank() != 4) {
     throw std::invalid_argument("Upsample2d: expected NCHW, got " +
                                 input.shape_string());
   }
-  input_shape_ = input.shape();
+  if (saved) saved->shape = input.shape();
   const std::size_t n = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = h * factor_, ow = w * factor_;
-  Tensor out = make_buffer({n, c, oh, ow});
+  Tensor out = make_buffer(ws, {n, c, oh, ow});
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* src = input.data() + nc * h * w;
     float* dst = out.data() + nc * oh * ow;
@@ -145,15 +154,17 @@ Tensor Upsample2d::forward(const Tensor& input, Mode /*mode*/) {
   return out;
 }
 
-Tensor Upsample2d::backward(const Tensor& grad_output) {
-  const std::size_t n = input_shape_[0], c = input_shape_[1];
-  const std::size_t h = input_shape_[2], w = input_shape_[3];
+Tensor Upsample2d::backward_impl(const Tensor& grad_output,
+                                 const TapeEntry& saved, GradSlots /*grads*/,
+                                 Workspace* ws) const {
+  const std::size_t n = saved.shape[0], c = saved.shape[1];
+  const std::size_t h = saved.shape[2], w = saved.shape[3];
   const std::size_t oh = h * factor_, ow = w * factor_;
   if (grad_output.shape() != Shape{n, c, oh, ow}) {
     throw std::invalid_argument("Upsample2d::backward: bad grad shape " +
                                 grad_output.shape_string());
   }
-  Tensor grad = make_buffer(input_shape_, /*zeroed=*/true);
+  Tensor grad = make_buffer(ws, saved.shape, /*zeroed=*/true);
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* src = grad_output.data() + nc * oh * ow;
     float* dst = grad.data() + nc * h * w;

@@ -1,8 +1,9 @@
 // Spatial pooling layers (NCHW). Window == stride (non-overlapping), which
 // is all the paper's architectures use (2x2 pools).
+//
+// Tape entries: every layer here saves its input shape; MaxPool2d also
+// saves the flat input index of each output max.
 #pragma once
-
-#include <vector>
 
 #include "nn/layer.hpp"
 
@@ -11,42 +12,47 @@ namespace adv::nn {
 class AvgPool2d final : public Layer {
  public:
   explicit AvgPool2d(std::size_t window = 2) : window_(window) {}
-  Tensor forward(const Tensor& input, Mode mode) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "AvgPool2d"; }
   std::size_t window() const { return window_; }
 
  private:
+  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
+                      Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                       GradSlots grads, Workspace* ws) const override;
+
   std::size_t window_;
-  Shape input_shape_;
 };
 
 class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(std::size_t window = 2) : window_(window) {}
-  Tensor forward(const Tensor& input, Mode mode) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "MaxPool2d"; }
   std::size_t window() const { return window_; }
 
  private:
+  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
+                      Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                       GradSlots grads, Workspace* ws) const override;
+
   std::size_t window_;
-  Shape input_shape_;
-  std::vector<std::size_t> argmax_;  // flat input index of each output max
 };
 
 /// Nearest-neighbour upsampling by an integer factor (MagNet decoders).
 class Upsample2d final : public Layer {
  public:
   explicit Upsample2d(std::size_t factor = 2) : factor_(factor) {}
-  Tensor forward(const Tensor& input, Mode mode) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Upsample2d"; }
   std::size_t factor() const { return factor_; }
 
  private:
+  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
+                      Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                       GradSlots grads, Workspace* ws) const override;
+
   std::size_t factor_;
-  Shape input_shape_;
 };
 
 }  // namespace adv::nn

@@ -8,77 +8,83 @@
 
 namespace adv::nn {
 
-void Sequential::sync_obs_timers() {
-  if (obs_timers_.size() == layers_.size()) return;
-  auto& reg = obs::MetricsRegistry::global();
-  obs_timers_.clear();
-  obs_timers_.reserve(layers_.size());
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const std::string stem =
-        "layer/" + std::to_string(i) + ":" + layers_[i]->name();
-    obs_timers_.push_back(
-        {&reg.timer(stem + "/forward"), &reg.timer(stem + "/backward")});
-  }
+Sequential::Sequential() { layers_changed(); }
+
+void Sequential::add(std::unique_ptr<Layer> layer) {
+  layers_.push_back(std::move(layer));
+  layers_changed();
 }
 
-void Sequential::sync_workspace() {
-  if (!ws_) ws_ = std::make_unique<Workspace>();  // moved-from safety
-  if (ws_synced_layers_ == layers_.size()) return;
-  for (auto& layer : layers_) layer->set_workspace(ws_.get());
-  ws_synced_layers_ = layers_.size();
+void Sequential::append(Sequential&& tail) {
+  for (auto& layer : tail.layers_) layers_.push_back(std::move(layer));
+  tail.layers_.clear();
+  layers_changed();
+  tail.layers_changed();
 }
 
-void Sequential::sync_fusion() {
-  if (fuse_synced_layers_ == layers_.size()) return;
-  fuse_.assign(layers_.size(), FuseStep{});
+void Sequential::layers_changed() {
+  if (!ws_) ws_ = std::make_unique<Workspace>();  // fresh or moved-from
+  fuse_.assign(layers_.size(), conv::Epilogue::None);
   for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
-    auto* conv = dynamic_cast<Conv2d*>(layers_[i].get());
-    if (!conv) continue;
-    if (auto* relu = dynamic_cast<ReLU*>(layers_[i + 1].get())) {
-      fuse_[i] = {conv::Epilogue::ReLU, conv, relu, nullptr};
-    } else if (auto* sig = dynamic_cast<Sigmoid*>(layers_[i + 1].get())) {
-      fuse_[i] = {conv::Epilogue::Sigmoid, conv, nullptr, sig};
+    if (!dynamic_cast<const Conv2d*>(layers_[i].get())) continue;
+    const Layer* next = layers_[i + 1].get();
+    if (dynamic_cast<const ReLU*>(next)) {
+      fuse_[i] = conv::Epilogue::ReLU;
+    } else if (dynamic_cast<const Sigmoid*>(next)) {
+      fuse_[i] = conv::Epilogue::Sigmoid;
     }
   }
-  fuse_synced_layers_ = layers_.size();
+  obs_ = std::make_unique<ObsTimers>();
 }
 
-Tensor Sequential::forward(const Tensor& input, Mode mode) {
-  sync_workspace();
-  sync_fusion();
+const Sequential::LayerTimers* Sequential::obs_timers() const {
+  if (!obs::enabled()) return nullptr;
+  std::call_once(obs_->once, [this] {
+    auto& reg = obs::MetricsRegistry::global();
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+      const std::string stem =
+          "layer/" + std::to_string(i) + ":" + layers_[i]->name();
+      obs_->timers.push_back(
+          {&reg.timer(stem + "/forward"), &reg.timer(stem + "/backward")});
+    }
+  });
+  return obs_->timers.data();
+}
+
+Tensor Sequential::forward(const Tensor& input, Mode mode, Tape* tape) const {
+  if (mode == Mode::Infer) tape = nullptr;  // records nothing
   if (layers_.empty()) return input;
-  const bool instr = obs::enabled();
-  if (instr) {
-    sync_obs_timers();
+  if (tape) tape->entries.resize(layers_.size());
+  const LayerTimers* timers = obs_timers();
+  if (timers) {
     static obs::Counter& calls =
         obs::MetricsRegistry::global().counter("model/forward_calls");
     calls.add(1);
   }
+  const auto entry = [tape](std::size_t i) {
+    return tape ? &tape->entries[i] : nullptr;
+  };
   // Fused Conv->activation steps consume two layers per iteration: the
-  // conv applies the activation in its store epilogue and the activation
-  // layer adopts the result as its backward cache (its own forward never
-  // runs, so its per-layer timer stays silent; the conv's timer covers
-  // the fused op).
+  // conv applies the activation in its store epilogue and the pass writes
+  // (a copy of) the result as the activation's tape entry. The
+  // activation's own timer stays silent; the conv's covers the fused op.
+  Workspace* ws = ws_.get();
   Tensor x;
   bool have_x = false;
   for (std::size_t i = 0; i < layers_.size();) {
     const Tensor& in = have_x ? x : input;
-    const FuseStep& f = fuse_[i];
-    const bool fused = fusion_enabled_ && f.epi != conv::Epilogue::None;
+    const conv::Epilogue epi =
+        fusion_enabled_ ? fuse_[i] : conv::Epilogue::None;
+    const bool fused = epi != conv::Epilogue::None;
     Tensor next;
     {
-      obs::ScopedTimer t(instr ? obs_timers_[i].forward : nullptr);
-      next = fused ? f.conv->forward_fused(in, mode, f.epi)
-                   : layers_[i]->forward(in, mode);
+      obs::ScopedTimer t(timers ? timers[i].forward : nullptr);
+      next = fused ? static_cast<const Conv2d&>(*layers_[i])
+                         .forward_fused(in, epi, entry(i), ws)
+                   : layers_[i]->forward(in, mode, entry(i), ws);
     }
-    if (fused) {
-      if (f.relu) {
-        f.relu->adopt_fused(next, mode);
-      } else {
-        f.sigmoid->adopt_fused(next, mode);
-      }
-    }
-    if (have_x) ws_->release(std::move(x));  // consumed by this step
+    if (fused && tape) tape->entries[i + 1].tensor = next;
+    if (have_x) ws->release(std::move(x));  // consumed by this step
     x = std::move(next);
     have_x = true;
     i += fused ? 2 : 1;
@@ -86,33 +92,37 @@ Tensor Sequential::forward(const Tensor& input, Mode mode) {
   return x;
 }
 
-Tensor Sequential::backward(const Tensor& grad_output) {
-  sync_workspace();
+Tensor Sequential::backward(const Tensor& grad_output, const Tape& tape,
+                            GradSlots grads) const {
   if (layers_.empty()) return grad_output;
-  if (obs::enabled()) {
-    sync_obs_timers();
+  if (tape.entries.size() != layers_.size() ||
+      (!grads.empty() && grads.size() != parameters().size())) {
+    throw std::invalid_argument(
+        "Sequential::backward: tape or gradients do not match this model");
+  }
+  const LayerTimers* timers = obs_timers();
+  if (timers) {
     // One backward call == one gradient query: the attack metrics derive
     // their gradient-query counts from this counter's deltas.
     static obs::Counter& calls =
         obs::MetricsRegistry::global().counter("model/backward_calls");
     calls.add(1);
-    Tensor g;
-    {
-      obs::ScopedTimer t(obs_timers_.back().backward);
-      g = layers_.back()->backward(grad_output);
-    }
-    for (std::size_t i = layers_.size() - 1; i-- > 0;) {
-      obs::ScopedTimer t(obs_timers_[i].backward);
-      Tensor next = layers_[i]->backward(g);
-      ws_->release(std::move(g));
-      g = std::move(next);
-    }
-    return g;
   }
-  Tensor g = layers_.back()->backward(grad_output);
-  for (std::size_t i = layers_.size() - 1; i-- > 0;) {
-    Tensor next = layers_[i]->backward(g);
-    ws_->release(std::move(g));
+  Workspace* ws = ws_.get();
+  Tensor g;
+  std::size_t slot_end = grads.size();  // slots are handed out back to front
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    const std::size_t n =
+        grads.empty() ? 0 : std::as_const(*layers_[i]).parameters().size();
+    slot_end -= n;
+    Tensor next;
+    {
+      obs::ScopedTimer t(timers ? timers[i].backward : nullptr);
+      next = layers_[i]->backward(i + 1 == layers_.size() ? grad_output : g,
+                                  tape.entries[i], grads.subspan(slot_end, n),
+                                  ws);
+    }
+    ws->release(std::move(g));  // consumed (a no-op before the first step)
     g = std::move(next);
   }
   return g;
@@ -134,18 +144,6 @@ std::vector<const Tensor*> Sequential::parameters() const {
     }
   }
   return out;
-}
-
-std::vector<Tensor*> Sequential::gradients() {
-  std::vector<Tensor*> out;
-  for (auto& layer : layers_) {
-    for (Tensor* g : layer->gradients()) out.push_back(g);
-  }
-  return out;
-}
-
-void Sequential::zero_grad() {
-  for (auto& layer : layers_) layer->zero_grad();
 }
 
 std::size_t Sequential::parameter_count() const {

@@ -1,17 +1,21 @@
 // Sequential: an ordered stack of layers with whole-model forward,
 // backward (including gradient w.r.t. the input) and weight serialization.
 //
+// Forward and backward are const (the per-call state is the caller's
+// Tape, see nn/layer.hpp), so concurrent passes may share one model.
+//
 // Each model owns a Workspace (an arena of reusable buffers, see
-// tensor/workspace.hpp) that is shared with its layers: intermediate
-// activations/gradients are released back to the arena as soon as the
-// next layer has consumed them, so steady-state passes over a fixed batch
-// shape allocate nothing. set_workspace_enabled(false) restores the
-// allocate-per-pass profile (the benchmark baseline); outputs are bitwise
-// identical either way.
+// tensor/workspace.hpp, internally synchronized) that its passes hand to
+// the layers: intermediate activations/gradients are released back to the
+// arena as soon as the next layer has consumed them, so steady-state
+// passes over a fixed batch shape allocate nothing.
+// set_workspace_enabled(false) restores the allocate-per-pass profile (the
+// benchmark baseline); outputs are bitwise identical either way.
 #pragma once
 
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -21,15 +25,11 @@
 
 namespace adv::nn {
 
-class Conv2d;
-class ReLU;
-class Sigmoid;
-
 class Sequential {
  public:
-  Sequential() : ws_(std::make_unique<Workspace>()) {}
+  Sequential();
 
-  // Move-only: layers hold caches and parameter storage.
+  // Move-only: layers hold parameter storage.
   Sequential(Sequential&&) = default;
   Sequential& operator=(Sequential&&) = default;
 
@@ -38,43 +38,39 @@ class Sequential {
   L& emplace(Args&&... args) {
     auto layer = std::make_unique<L>(std::forward<Args>(args)...);
     L& ref = *layer;
-    layers_.push_back(std::move(layer));
+    add(std::move(layer));
     return ref;
   }
 
-  void add(std::unique_ptr<Layer> layer) { layers_.push_back(std::move(layer)); }
+  void add(std::unique_ptr<Layer> layer);
 
-  /// Moves every layer of `tail` (with its parameters and state) onto the
-  /// end of this model, leaving `tail` empty. Used to compose models,
-  /// e.g. a gray-box attack target classifier(reformer(x)). Moved layers
-  /// are re-pointed at this model's workspace on the next pass.
-  void append(Sequential&& tail) {
-    for (auto& layer : tail.layers_) layers_.push_back(std::move(layer));
-    tail.layers_.clear();
-  }
+  /// Moves every layer of `tail` (with its parameters) onto the end of
+  /// this model, leaving `tail` empty. Used to compose models, e.g. a
+  /// gray-box attack target classifier(reformer(x)).
+  void append(Sequential&& tail);
 
   std::size_t size() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }
   const Layer& layer(std::size_t i) const { return *layers_.at(i); }
 
-  /// Forward pass over all layers. Train/Eval populate backward caches
-  /// (attacks differentiate in eval mode); Infer skips them — see the
-  /// caching contract in layer.hpp.
-  Tensor forward(const Tensor& input, Mode mode = Mode::Eval);
+  /// Forward pass over all layers. A Train/Eval pass records one entry
+  /// per layer into `tape` when given, so backward() may follow; an Infer
+  /// pass records nothing and leaves `tape` as it was.
+  Tensor forward(const Tensor& input, Mode mode = Mode::Eval,
+                 Tape* tape = nullptr) const;
 
-  /// Backpropagates d(loss)/d(output) through every layer, accumulating
-  /// parameter gradients, and returns d(loss)/d(input). May be called
-  /// repeatedly after one caching forward (layer caches are read-only
-  /// during backward).
-  Tensor backward(const Tensor& grad_output);
+  /// Backpropagates d(loss)/d(output) through the layers using `tape`
+  /// (read-only, so one recording forward may seed many backwards) and
+  /// returns d(loss)/d(input). Parameter gradients accumulate into
+  /// `grads` (aligned with parameters()) when non-empty.
+  Tensor backward(const Tensor& grad_output, const Tape& tape,
+                  GradSlots grads = {}) const;
 
   std::vector<Tensor*> parameters();
   std::vector<const Tensor*> parameters() const;
-  std::vector<Tensor*> gradients();
-  void zero_grad();
   std::size_t parameter_count() const;
 
-  /// This model's buffer arena (always present; shared with the layers).
+  /// This model's buffer arena (always present; handed to the layers).
   Workspace& workspace() { return *ws_; }
   const Workspace& workspace() const { return *ws_; }
 
@@ -84,9 +80,9 @@ class Sequential {
 
   /// Toggles the Conv->ReLU/Sigmoid peephole (on by default): detected
   /// pairs run as one Conv2d::forward_fused call with the activation
-  /// applied in the conv store epilogue, and the activation layer adopts
-  /// the fused output as its backward cache. Off restores one forward
-  /// call per layer — the A/B baseline; outputs and gradients are
+  /// applied in the conv store epilogue, and the pass writes the
+  /// activation's tape entry from the fused output. Off restores one
+  /// forward call per layer — the A/B baseline; outputs and gradients are
   /// bitwise identical either way.
   void set_fusion_enabled(bool on) { fusion_enabled_ = on; }
 
@@ -98,39 +94,31 @@ class Sequential {
   void load(const std::filesystem::path& path);
 
  private:
-  // Global-registry timer handles for "layer/<i>:<name>/forward|backward",
-  // resolved lazily on the first instrumented pass and rebuilt when the
-  // layer count changes (emplace/add/append). Identical architectures
-  // share keys, so per-layer metrics aggregate across model instances.
+  // Global-registry timer handles for "layer/<i>:<name>/forward|backward".
+  // Identical architectures share keys, so per-layer metrics aggregate
+  // across model instances.
   struct LayerTimers {
     obs::Timer* forward;
     obs::Timer* backward;
   };
-  void sync_obs_timers();
-  // Re-points every layer at ws_ when the layer list changed since the
-  // last pass (same size-based trigger as the timers).
-  void sync_workspace();
-  // Fusion plan entry for layer i: when epi != None, layer i is a Conv2d
-  // whose successor is the recorded ReLU/Sigmoid and the forward loop
-  // executes both as one fused step (skipping the activation layer).
-  struct FuseStep {
-    conv::Epilogue epi = conv::Epilogue::None;
-    Conv2d* conv = nullptr;
-    ReLU* relu = nullptr;
-    Sigmoid* sigmoid = nullptr;
+  // Resolved once, on the first instrumented pass (nothing registers while
+  // obs is off; racing first passes are safe).
+  struct ObsTimers {
+    std::once_flag once;
+    std::vector<LayerTimers> timers;
   };
-  // Rebuilds the fusion plan when the layer list changed since the last
-  // pass (same size-based trigger as the timers/workspace syncs).
-  void sync_fusion();
+  const LayerTimers* obs_timers() const;  // null while obs is off
+  // Rebuilds the fusion plan and the timer table; the layer list never
+  // changes during a pass.
+  void layers_changed();
 
   std::vector<std::unique_ptr<Layer>> layers_;
-  std::vector<LayerTimers> obs_timers_;
-  std::vector<FuseStep> fuse_;
-  // unique_ptr keeps the arena's address stable across Sequential moves
-  // (layers hold a raw pointer to it).
+  // Fusion plan: fuse_[i] != None when layer i is a Conv2d whose
+  // successor is the ReLU/Sigmoid the epilogue applies.
+  std::vector<conv::Epilogue> fuse_;
+  std::unique_ptr<ObsTimers> obs_;
+  // Held by pointer so Sequential stays movable (the arena has a mutex).
   std::unique_ptr<Workspace> ws_;
-  std::size_t ws_synced_layers_ = 0;
-  std::size_t fuse_synced_layers_ = 0;
   bool fusion_enabled_ = true;
 };
 

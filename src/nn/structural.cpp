@@ -6,22 +6,24 @@
 
 namespace adv::nn {
 
-Tensor Flatten::forward(const Tensor& input, Mode /*mode*/) {
+Tensor Flatten::forward_impl(const Tensor& input, Mode /*mode*/,
+                             TapeEntry* saved, Workspace* /*ws*/) const {
   if (input.rank() < 2) {
     throw std::invalid_argument("Flatten: expected rank >= 2, got " +
                                 input.shape_string());
   }
-  input_shape_ = input.shape();
+  if (saved) saved->shape = input.shape();
   const std::size_t n = input.dim(0);
   return input.reshaped({n, input.numel() / n});
 }
 
-Tensor Flatten::backward(const Tensor& grad_output) {
-  if (grad_output.numel() != input_shape_.numel()) {
+Tensor Flatten::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                              GradSlots /*grads*/, Workspace* /*ws*/) const {
+  if (grad_output.numel() != saved.shape.numel()) {
     throw std::invalid_argument("Flatten::backward: bad grad shape " +
                                 grad_output.shape_string());
   }
-  return grad_output.reshaped(input_shape_);
+  return grad_output.reshaped(saved.shape);
 }
 
 Dropout::Dropout(float rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
@@ -30,27 +32,30 @@ Dropout::Dropout(float rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
   }
 }
 
-Tensor Dropout::forward(const Tensor& input, Mode mode) {
-  last_training_ = is_training(mode);
-  if (!last_training_ || rate_ == 0.0f) return input;
+Tensor Dropout::forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
+                             Workspace* /*ws*/) const {
+  if (saved) saved->tensor = Tensor();
+  if (!is_training(mode) || rate_ == 0.0f) return input;
   const float keep = 1.0f - rate_;
   const float scale = 1.0f / keep;
-  mask_ = Tensor(input.shape());
+  Tensor mask(input.shape());
   Tensor out = input;
-  float* m = mask_.data();
+  float* m = mask.data();
   float* o = out.data();
   for (std::size_t i = 0, n = out.numel(); i < n; ++i) {
     const bool keep_unit = rng_.bernoulli(keep);
     m[i] = keep_unit ? scale : 0.0f;
     o[i] *= m[i];
   }
+  if (saved) saved->tensor = std::move(mask);
   return out;
 }
 
-Tensor Dropout::backward(const Tensor& grad_output) {
-  if (!last_training_ || rate_ == 0.0f) return grad_output;
+Tensor Dropout::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                              GradSlots /*grads*/, Workspace* /*ws*/) const {
+  if (saved.tensor.empty()) return grad_output;
   Tensor grad = grad_output;
-  mul_inplace(grad, mask_);
+  mul_inplace(grad, saved.tensor);
   return grad;
 }
 

@@ -6,31 +6,37 @@
 
 namespace adv::nn {
 
+/// Tape entry: the input shape.
 class Flatten final : public Layer {
  public:
-  Tensor forward(const Tensor& input, Mode mode) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Flatten"; }
 
  private:
-  Shape input_shape_;
+  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
+                      Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                       GradSlots grads, Workspace* ws) const override;
 };
 
 /// Inverted dropout: activations are scaled by 1/(1-rate) at train time so
 /// eval needs no rescaling. Identity (and differentiable) in eval mode, so
-/// attacks see the deterministic network.
+/// attacks see the deterministic network. Tape entry: the train-mode
+/// mask, empty after an eval-mode forward (backward is then the
+/// identity). The mask RNG is the one layer state a forward advances
+/// (Mode::Train only).
 class Dropout final : public Layer {
  public:
   Dropout(float rate, std::uint64_t seed);
-  Tensor forward(const Tensor& input, Mode mode) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Dropout"; }
 
  private:
+  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
+                      Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
+                       GradSlots grads, Workspace* ws) const override;
+
   float rate_;
-  Rng rng_;
-  Tensor mask_;       // empty when the last forward was eval-mode
-  bool last_training_ = false;
+  mutable Rng rng_;
 };
 
 }  // namespace adv::nn

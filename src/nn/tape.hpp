@@ -1,0 +1,52 @@
+// The per-call state of a forward/backward pair, owned by the caller (see
+// nn/layer.hpp). Reusing a tape across passes reuses its storage.
+#pragma once
+
+#include <span>
+#include <vector>
+
+#include "tensor/tensor.hpp"
+
+namespace adv::nn {
+
+/// What one layer saved during a recording forward. A tensor, a shape and
+/// an index vector cover every layer kind (each documents what it fills).
+struct TapeEntry {
+  Tensor tensor;
+  Shape shape;
+  std::vector<std::size_t> index;
+};
+
+/// One entry per layer of the model whose forward recorded it.
+struct Tape {
+  std::vector<TapeEntry> entries;
+};
+
+/// Gradient slots aligned with parameters(); empty: input gradient only.
+using GradSlots = std::span<Tensor* const>;
+
+/// Zeroed gradients aligned with a model's (or layer's) parameters().
+class GradientSet {
+ public:
+  template <typename Model>
+  explicit GradientSet(const Model& model) {
+    for (const Tensor* p : model.parameters()) grads_.emplace_back(p->shape());
+  }
+
+  /// What backward and the optimizers take.
+  std::vector<Tensor*> pointers() {
+    std::vector<Tensor*> out;
+    for (Tensor& g : grads_) out.push_back(&g);
+    return out;
+  }
+  std::size_t size() const { return grads_.size(); }
+  Tensor& operator[](std::size_t i) { return grads_.at(i); }
+  void zero() {
+    for (Tensor& g : grads_) g.fill(0.0f);
+  }
+
+ private:
+  std::vector<Tensor> grads_;
+};
+
+}  // namespace adv::nn

@@ -40,7 +40,7 @@ class DivergenceGuard {
 
   /// True when every accumulated gradient is finite.
   bool gradients_finite() {
-    for (Tensor* g : model_.gradients()) {
+    for (Tensor* g : opt_.gradients()) {
       for (float v : g->values()) {
         if (!std::isfinite(v)) return false;
       }
@@ -111,6 +111,7 @@ TrainStats fit_classifier(Sequential& model, const Tensor& images,
   const std::size_t n = images.dim(0);
   Rng rng(cfg.shuffle_seed);
   SoftmaxCrossEntropy loss;
+  Tape tape;
   TrainStats stats;
   DivergenceGuard guard(model, opt, stats);
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
@@ -123,14 +124,14 @@ TrainStats fit_classifier(Sequential& model, const Tensor& images,
       Tensor x = gather_rows(images, idx, b, e);
       std::vector<int> y(e - b);
       for (std::size_t i = b; i < e; ++i) y[i - b] = labels[idx[i]];
-      const Tensor logits = model.forward(x, Mode::Train);
+      const Tensor logits = model.forward(x, Mode::Train, &tape);
       const float batch_loss = maybe_poison(loss.forward(logits, y));
       if (!std::isfinite(batch_loss)) {
         guard.on_divergence("non-finite loss", epoch, b / cfg.batch_size);
         continue;
       }
-      model.zero_grad();
-      model.backward(loss.backward());
+      opt.zero_grad();
+      model.backward(loss.backward(), tape, opt.gradients());
       if (!guard.gradients_finite()) {
         guard.on_divergence("non-finite gradient", epoch, b / cfg.batch_size);
         continue;
@@ -165,6 +166,7 @@ TrainStats fit_autoencoder(Sequential& model, const Tensor& images,
   const std::size_t n = images.dim(0);
   Rng rng(cfg.shuffle_seed);
   Rng noise_rng = rng.fork();
+  Tape tape;
   TrainStats stats;
   DivergenceGuard guard(model, opt, stats);
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
@@ -183,14 +185,14 @@ TrainStats fit_autoencoder(Sequential& model, const Tensor& images,
               1.0f);
         }
       }
-      const Tensor recon = model.forward(x, Mode::Train);
+      const Tensor recon = model.forward(x, Mode::Train, &tape);
       const float batch_loss = maybe_poison(loss.forward(recon, target));
       if (!std::isfinite(batch_loss)) {
         guard.on_divergence("non-finite loss", epoch, b / cfg.batch_size);
         continue;
       }
-      model.zero_grad();
-      model.backward(loss.backward());
+      opt.zero_grad();
+      model.backward(loss.backward(), tape, opt.gradients());
       if (!guard.gradients_finite()) {
         guard.on_divergence("non-finite gradient", epoch, b / cfg.batch_size);
         continue;
@@ -212,7 +214,7 @@ TrainStats fit_autoencoder(Sequential& model, const Tensor& images,
   return stats;
 }
 
-Tensor predict(Sequential& model, const Tensor& images,
+Tensor predict(const Sequential& model, const Tensor& images,
                std::size_t batch_size) {
   if (images.rank() == 0) throw std::invalid_argument("predict: empty input");
   const std::size_t n = images.dim(0);
@@ -231,7 +233,7 @@ Tensor predict(Sequential& model, const Tensor& images,
   return out;
 }
 
-std::vector<int> predict_labels(Sequential& model, const Tensor& images,
+std::vector<int> predict_labels(const Sequential& model, const Tensor& images,
                                 std::size_t batch_size) {
   const Tensor logits = predict(model, images, batch_size);
   std::vector<int> labels(logits.dim(0));
@@ -241,7 +243,7 @@ std::vector<int> predict_labels(Sequential& model, const Tensor& images,
   return labels;
 }
 
-float classification_accuracy(Sequential& model, const Tensor& images,
+float classification_accuracy(const Sequential& model, const Tensor& images,
                               const std::vector<int>& labels,
                               std::size_t batch_size) {
   if (images.dim(0) != labels.size()) {

@@ -31,7 +31,8 @@ struct TrainStats {
   std::size_t snapshot_restores = 0;  // rollbacks to last-good weights
 };
 
-/// Trains a classifier (logit outputs) with softmax cross-entropy.
+/// Trains a classifier (logit outputs) with softmax cross-entropy; each
+/// batch's backward accumulates into opt.gradients().
 TrainStats fit_classifier(Sequential& model, const Tensor& images,
                           const std::vector<int>& labels, Optimizer& opt,
                           const TrainConfig& cfg);
@@ -45,15 +46,15 @@ TrainStats fit_autoencoder(Sequential& model, const Tensor& images,
                            Optimizer& opt, const TrainConfig& cfg);
 
 /// Runs the model over `images` in batches and returns stacked outputs.
-Tensor predict(Sequential& model, const Tensor& images,
+Tensor predict(const Sequential& model, const Tensor& images,
                std::size_t batch_size = 128);
 
 /// Argmax labels from a classifier's logits.
-std::vector<int> predict_labels(Sequential& model, const Tensor& images,
+std::vector<int> predict_labels(const Sequential& model, const Tensor& images,
                                 std::size_t batch_size = 128);
 
 /// Fraction of images whose argmax prediction equals the label.
-float classification_accuracy(Sequential& model, const Tensor& images,
+float classification_accuracy(const Sequential& model, const Tensor& images,
                               const std::vector<int>& labels,
                               std::size_t batch_size = 128);
 

@@ -180,7 +180,9 @@ void QuantLinear::pack() {
   colsum_s8(weight_q_.data(), in_, out_, colsum_.data());
 }
 
-Tensor QuantLinear::forward(const Tensor& input, nn::Mode mode) {
+Tensor QuantLinear::forward_impl(const Tensor& input, nn::Mode mode,
+                                 nn::TapeEntry* /*saved*/,
+                                 nn::Workspace* ws) const {
   check_inference_mode(mode, "QuantLinear");
   if (input.rank() != 2 || input.dim(1) != in_) {
     throw std::invalid_argument("QuantLinear: expected [N, " +
@@ -190,20 +192,23 @@ Tensor QuantLinear::forward(const Tensor& input, nn::Mode mode) {
   obs::ScopedTimer t("quant/linear/forward");
   const std::size_t n = input.dim(0);
   if (obs::enabled()) quant_rows_counter().add(n);
-  a_q_.resize(n * in_);
-  quantize_u8(input.data(), n * in_, 1.0f / act_scale_, a_q_.data());
-  acc_.resize(n * out_);
+  std::vector<std::uint8_t> a_q(n * in_);
+  quantize_u8(input.data(), n * in_, 1.0f / act_scale_, a_q.data());
+  std::vector<std::int32_t> acc(n * out_);
   GemmOpts opts;
   opts.pool = pool_;
-  gemm_u8s8_packed(a_q_.data(), packed_.data(), acc_.data(), n, in_, out_,
+  gemm_u8s8_packed(a_q.data(), packed_.data(), acc.data(), n, in_, out_,
                    opts);
-  Tensor out = make_buffer({n, out_});
-  dequant_rows(acc_.data(), colsum_.data(), w_scales_.data(), bias_.data(),
+  Tensor out = make_buffer(ws, {n, out_});
+  dequant_rows(acc.data(), colsum_.data(), w_scales_.data(), bias_.data(),
                act_scale_, n, out_, out.data());
   return out;
 }
 
-Tensor QuantLinear::backward(const Tensor&) { throw_no_backward("QuantLinear"); }
+Tensor QuantLinear::backward_impl(const Tensor&, const nn::TapeEntry&,
+                                  nn::GradSlots, nn::Workspace*) const {
+  throw_no_backward("QuantLinear");
+}
 
 void QuantLinear::export_tensors(std::vector<Tensor>& out) const {
   out.push_back(meta_tensor({static_cast<float>(in_),
@@ -275,7 +280,9 @@ std::size_t QuantConv2d::output_dim(std::size_t in_dim) const {
   return (padded - cfg_.kernel) / cfg_.stride + 1;
 }
 
-Tensor QuantConv2d::forward(const Tensor& input, nn::Mode mode) {
+Tensor QuantConv2d::forward_impl(const Tensor& input, nn::Mode mode,
+                                 nn::TapeEntry* /*saved*/,
+                                 nn::Workspace* ws) const {
   check_inference_mode(mode, "QuantConv2d");
   if (input.rank() != 4 || input.dim(1) != cfg_.in_channels) {
     throw std::invalid_argument("QuantConv2d: expected [N, " +
@@ -300,15 +307,15 @@ Tensor QuantConv2d::forward(const Tensor& input, nn::Mode mode) {
   // parallel and exact.
   constexpr std::uint8_t kPadByte = static_cast<std::uint8_t>(kActOffset);
   const std::size_t chw = cfg_.in_channels * h * w;
-  img_q_.resize(n * chw);
-  quantize_u8(input.data(), n * chw, 1.0f / act_scale_, img_q_.data());
-  a_q_.resize(n * out_hw * ckk_);
+  std::vector<std::uint8_t> img_q(n * chw);  // [N, C, H, W] quantized input
+  quantize_u8(input.data(), n * chw, 1.0f / act_scale_, img_q.data());
+  std::vector<std::uint8_t> a_q(n * out_hw * ckk_);  // quantized im2row
   ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
   const auto im2row_rows = [&](auto kt, std::size_t s0, std::size_t s1) {
     constexpr std::size_t KT = decltype(kt)::value;
     for (std::size_t s = s0; s < s1; ++s) {
-      const std::uint8_t* img = img_q_.data() + s * chw;
-      std::uint8_t* rows = a_q_.data() + s * out_hw * ckk_;
+      const std::uint8_t* img = img_q.data() + s * chw;
+      std::uint8_t* rows = a_q.data() + s * out_hw * ckk_;
       for (std::size_t oy = 0; oy < oh; ++oy) {
         std::uint8_t* rrow = rows + oy * ow * ckk_;
         for (std::size_t c = 0; c < cfg_.in_channels; ++c) {
@@ -352,10 +359,10 @@ Tensor QuantConv2d::forward(const Tensor& input, nn::Mode mode) {
   // each sample's patch rows and int32 accumulators are read back while
   // still cache-hot instead of round-tripping multi-MB intermediates
   // through DRAM between phases (batch 64 of the MNIST classifier's first
-  // conv makes acc_ alone 3.2 MB). Parallelism moves to whole samples —
+  // conv makes acc alone 3.2 MB). Parallelism moves to whole samples —
   // same exact int32 results, fewer barriers, better locality.
-  acc_.resize(n * out_hw * oc);
-  Tensor out = make_buffer({n, oc, oh, ow});
+  std::vector<std::int32_t> acc(n * out_hw * oc);  // [N * out_hw, out_c]
+  Tensor out = make_buffer(ws, {n, oc, oh, ow});
   const bool outer_parallel = pool.thread_count() > 1 && n > 1;
   const auto run_samples = [&](std::size_t s0, std::size_t s1) {
     GemmOpts opts;
@@ -366,11 +373,11 @@ Tensor QuantConv2d::forward(const Tensor& input, nn::Mode mode) {
         obs::ScopedTimer t_rows("quant/conv/im2row");
         im2row_sample(s, s + 1);
       }
-      gemm_u8s8_packed(a_q_.data() + s * out_hw * ckk_, packed_.data(),
-                       acc_.data() + s * out_hw * oc, out_hw, ckk_, oc, opts);
+      gemm_u8s8_packed(a_q.data() + s * out_hw * ckk_, packed_.data(),
+                       acc.data() + s * out_hw * oc, out_hw, ckk_, oc, opts);
       {
         obs::ScopedTimer t_deq("quant/conv/dequant");
-        dequant_rows_transposed(acc_.data() + s * out_hw * oc, colsum_.data(),
+        dequant_rows_transposed(acc.data() + s * out_hw * oc, colsum_.data(),
                                 w_scales_.data(), bias_.data(), act_scale_,
                                 out_hw, oc, out.data() + s * oc * out_hw);
       }
@@ -384,7 +391,10 @@ Tensor QuantConv2d::forward(const Tensor& input, nn::Mode mode) {
   return out;
 }
 
-Tensor QuantConv2d::backward(const Tensor&) { throw_no_backward("QuantConv2d"); }
+Tensor QuantConv2d::backward_impl(const Tensor&, const nn::TapeEntry&,
+                                  nn::GradSlots, nn::Workspace*) const {
+  throw_no_backward("QuantConv2d");
+}
 
 void QuantConv2d::export_tensors(std::vector<Tensor>& out) const {
   out.push_back(meta_tensor({static_cast<float>(cfg_.in_channels),
@@ -429,13 +439,10 @@ nn::Sequential quantize(const nn::Sequential& model, const Tensor& calib) {
   }
   // Max-abs sweep: forward the calibration batch layer by layer through
   // the float model, recording each quantizable layer's input range.
-  // Mode::Infer forwards touch only transient caches, so the model is
-  // logically const.
-  auto& mutable_model = const_cast<nn::Sequential&>(model);
   std::vector<float> act_scales;
   Tensor x = calib;
   for (std::size_t i = 0; i < model.size(); ++i) {
-    nn::Layer& layer = mutable_model.layer(i);
+    const nn::Layer& layer = model.layer(i);
     if (dynamic_cast<const nn::Linear*>(&layer) ||
         dynamic_cast<const nn::Conv2d*>(&layer)) {
       act_scales.push_back(safe_scale(max_abs(x)));

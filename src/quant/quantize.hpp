@@ -77,8 +77,6 @@ class QuantLinear final : public nn::Layer, public QuantLayer {
   /// calibrated per-tensor input scale.
   QuantLinear(const nn::Linear& src, float act_scale);
 
-  Tensor forward(const Tensor& input, nn::Mode mode) override;
-  Tensor backward(const Tensor& grad_output) override;  // throws
   std::string name() const override { return "QuantLinear"; }
 
   std::size_t in_features() const { return in_; }
@@ -92,6 +90,10 @@ class QuantLinear final : public nn::Layer, public QuantLayer {
   float act_scale() const override { return act_scale_; }
 
  private:
+  Tensor forward_impl(const Tensor& input, nn::Mode mode, nn::TapeEntry* saved,
+                      nn::Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const nn::TapeEntry& saved,
+                       nn::GradSlots grads, nn::Workspace* ws) const override;
   void pack();  // rebuilds packed_ and colsum_ from weight_q_
 
   std::size_t in_ = 0;
@@ -103,10 +105,6 @@ class QuantLinear final : public nn::Layer, public QuantLayer {
   std::vector<float> bias_;            // [out]
   float act_scale_ = 1.0f;
   ThreadPool* pool_ = nullptr;
-  // Per-forward staging, kept across calls (layers are single-batch
-  // stateful objects already — see Layer's caching contract).
-  std::vector<std::uint8_t> a_q_;
-  std::vector<std::int32_t> acc_;
 };
 
 /// Int8 convolution: quantized im2row (uint8, zero-point 128 padding)
@@ -115,8 +113,6 @@ class QuantConv2d final : public nn::Layer, public QuantLayer {
  public:
   QuantConv2d(const nn::Conv2d& src, float act_scale);
 
-  Tensor forward(const Tensor& input, nn::Mode mode) override;
-  Tensor backward(const Tensor& grad_output) override;  // throws
   std::string name() const override { return "QuantConv2d"; }
 
   const nn::Conv2dConfig& config() const { return cfg_; }
@@ -129,6 +125,10 @@ class QuantConv2d final : public nn::Layer, public QuantLayer {
   float act_scale() const override { return act_scale_; }
 
  private:
+  Tensor forward_impl(const Tensor& input, nn::Mode mode, nn::TapeEntry* saved,
+                      nn::Workspace* ws) const override;
+  Tensor backward_impl(const Tensor& grad_output, const nn::TapeEntry& saved,
+                       nn::GradSlots grads, nn::Workspace* ws) const override;
   void pack();
   std::size_t output_dim(std::size_t in_dim) const;
 
@@ -141,9 +141,6 @@ class QuantConv2d final : public nn::Layer, public QuantLayer {
   std::vector<float> bias_;            // [out_c]
   float act_scale_ = 1.0f;
   ThreadPool* pool_ = nullptr;
-  std::vector<std::uint8_t> img_q_;    // [N, C, H, W] quantized input
-  std::vector<std::uint8_t> a_q_;      // [N * out_hw, ckk] quantized im2row
-  std::vector<std::int32_t> acc_;      // [N * out_hw, out_c]
 };
 
 /// Clones `model` into an int8-executable Sequential. Runs the
@@ -151,8 +148,7 @@ class QuantConv2d final : public nn::Layer, public QuantLayer {
 /// each Linear/Conv2d input's max-abs for its activation scale, then
 /// rebuilds the stack with quantized compute layers. Stateless layers are
 /// recreated; Dropout is skipped (eval identity); any other layer type
-/// throws std::invalid_argument. `model` is const logically — the sweep
-/// uses Mode::Infer forwards, which mutate only transient caches.
+/// throws std::invalid_argument.
 nn::Sequential quantize(const nn::Sequential& model, const Tensor& calib);
 
 /// True when `model` contains at least one quantized layer.

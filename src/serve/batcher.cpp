@@ -80,12 +80,6 @@ bool same_row_shape(const Tensor& a, const Tensor& b) {
 struct MicroBatcher::PipelineSlot {
   std::mutex mu;
   std::shared_ptr<const magnet::MagNetPipeline> pipeline;
-  /// Bumped by every watchdog trip. A load that started under an older
-  /// generation may USE the pipeline it built (it holds the only
-  /// reference), but its attempt to publish into the slot is rejected —
-  /// an abandoned executor must never share an instance with the
-  /// replacement that superseded it.
-  std::uint64_t generation = 0;
 };
 
 struct MicroBatcher::BatchTicket {
@@ -417,7 +411,7 @@ void MicroBatcher::dispatch(std::vector<Pending> group) {
     return;
   }
   // Watchdog trip: fail this batch's requests, then replace the wedged
-  // executor and the pipeline it may have been mutating mid-forward.
+  // executor. The pipeline stays: the wedged pass leaves no state in it.
   ticket->failed = true;
   const std::string msg =
       "watchdog: batch exceeded " +
@@ -433,11 +427,6 @@ void MicroBatcher::dispatch(std::vector<Pending> group) {
     p.promise.set_value({false, ResultStatus::Error, msg, {}});
   }
   tlk.unlock();
-  {
-    std::lock_guard slk(slot_->mu);
-    slot_->pipeline.reset();  // tainted: abandoned thread may still use it
-    ++slot_->generation;      // and may never publish a late replacement
-  }
   executor_->retire();
   executor_ = Executor::spawn(factory_, slot_, drain_);
 }
@@ -445,22 +434,19 @@ void MicroBatcher::dispatch(std::vector<Pending> group) {
 std::shared_ptr<const magnet::MagNetPipeline> MicroBatcher::ensure_pipeline(
     const PipelineFactory& factory,
     const std::shared_ptr<PipelineSlot>& slot) {
-  // Double duty: lazy first load AND reload after a failed load or a
-  // watchdog trip. The factory is expected to route through the
-  // self-healing ModelZoo, so a corrupt cached model quarantines and
-  // rebuilds here instead of permanently wedging the daemon.
-  std::shared_ptr<const magnet::MagNetPipeline> pipe;
-  std::uint64_t gen = 0;
+  // Double duty: lazy first load AND reload after a failed load. The
+  // factory is expected to route through the self-healing ModelZoo, so a
+  // corrupt cached model quarantines and rebuilds here instead of
+  // permanently wedging the daemon.
   {
     std::lock_guard lk(slot->mu);
-    pipe = slot->pipeline;
-    gen = slot->generation;
+    if (slot->pipeline) return slot->pipeline;
   }
-  if (pipe) return pipe;
   if (fault::check("serve.model_load") != fault::Action::None) {
     if (obs::enabled()) model_load_failures_counter().add(1);
     throw std::runtime_error("injected fault: serve.model_load");
   }
+  std::shared_ptr<const magnet::MagNetPipeline> pipe;
   try {
     pipe = factory();
   } catch (...) {
@@ -472,8 +458,8 @@ std::shared_ptr<const magnet::MagNetPipeline> MicroBatcher::ensure_pipeline(
     throw std::runtime_error("pipeline factory returned null");
   }
   std::lock_guard lk(slot->mu);
-  if (slot->generation == gen && !slot->pipeline) slot->pipeline = pipe;
-  return pipe;
+  if (!slot->pipeline) slot->pipeline = pipe;
+  return slot->pipeline;
 }
 
 void MicroBatcher::execute_ticket(

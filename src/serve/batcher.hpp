@@ -22,11 +22,10 @@
 // response sliced back out is BITWISE IDENTICAL to running that request
 // alone. tests/serve_test.cpp and the serve_bench CI gate assert this.
 //
-// All model execution happens on one thread at a time: classify() is
-// const but the underlying Sequentials mutate layer caches and the
-// per-model Workspace arena, so serializing passes is what makes the
-// shared pipeline safe under concurrent clients (and is also what lets
-// the arena's steady-state reuse work — one pass in flight at a time).
+// Batches execute one at a time, so coalescing pays. That is a throughput
+// choice: classify() is stateless over read-only layers, so the shared
+// pipeline is safe under concurrent callers too (e.g. a watchdog-retired
+// executor still finishing its pass).
 //
 // Overload semantics (time-shaped faults; crash-shaped ones below):
 //   * ADMISSION CONTROL — the queue is bounded by max_queue_rows. A
@@ -44,12 +43,12 @@
 //   * WATCHDOG — with watchdog_timeout > 0, batches execute on a
 //     replaceable executor thread. If one batch (including a lazy model
 //     load) runs past the timeout, the watchdog fails that batch's
-//     requests with error results, discards the possibly-tainted
-//     pipeline (mid-forward layer caches are unusable — the factory
-//     rebuilds a fresh one), retires the stuck executor and spawns a
-//     replacement, so the daemon keeps serving while the old thread is
-//     still wedged. A retired executor that eventually wakes finds its
-//     batch already failed and exits without touching anything shared.
+//     requests with error results, retires the stuck executor and spawns
+//     a replacement, so the daemon keeps serving while the old thread is
+//     still wedged. The pipeline is kept: a pass leaves no state in the
+//     models, so the replacement shares it with the wedged thread. A
+//     retired executor that eventually wakes finds its batch already
+//     failed and exits without delivering anything.
 //   * DRAIN — stop() finishes the in-flight batch, then answers every
 //     still-queued request with an Overloaded shed result (stop
 //     accepting, finish in-flight, shed the rest — never serve a queue
@@ -60,15 +59,12 @@
 // Failure containment for crash-shaped faults (tests label
 // `serve`/`fault`):
 //   * the pipeline is acquired LAZILY through the factory on the first
-//     batch (and re-acquired after a failed load or a watchdog trip). A
-//     factory that throws — e.g. the `serve.model_load` failpoint, or a
-//     ModelZoo rebuild that fails — turns into error responses for that
-//     batch only; the next batch retries the load. The factory is
-//     expected to go through the self-healing ModelZoo layer so a
-//     corrupt cached model is quarantined and rebuilt rather than
-//     failing forever. With a watchdog in play the factory should build
-//     a FRESH pipeline per call (the zoo factory does): after a trip the
-//     abandoned executor may still be touching the old instance.
+//     batch (and re-acquired after a failed load). A factory that throws
+//     — e.g. the `serve.model_load` failpoint, or a ModelZoo rebuild that
+//     fails — turns into error responses for that batch only; the next
+//     batch retries the load. The factory is expected to go through the
+//     self-healing ModelZoo layer so a corrupt cached model is
+//     quarantined and rebuilt rather than failing forever.
 //   * the `serve.batch_forward` failpoint (and any exception escaping
 //     classify) fails the requests of that batch with error results; the
 //     batcher thread and every queued request keep going. The `delay`
@@ -141,8 +137,8 @@ struct ServeResult {
 
 class MicroBatcher {
  public:
-  /// Produces the pipeline on first use; called again after a failure or
-  /// a watchdog trip.
+  /// Produces the pipeline on first use; called again only after a
+  /// failed load.
   using PipelineFactory =
       std::function<std::shared_ptr<const magnet::MagNetPipeline>()>;
 

@@ -75,7 +75,7 @@ void ServeDaemon::start() {
   }
   listen_fd_ = fd;
   stopping_.store(false);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  accept_thread_ = std::thread([this, fd] { accept_loop(fd); });
 }
 
 void ServeDaemon::stop() {
@@ -83,12 +83,15 @@ void ServeDaemon::stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // Wake the accept thread (shutdown makes its blocked accept() fail),
+  // join it, and only then close: closing under a blocked accept() races
+  // with the fd number being reused.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   // Drain BEFORE disconnecting clients: the batcher finishes its in-flight
   // batch and sheds the queue, resolving every blocked submit().get() —
   // handlers then still hold live fds, so clients actually RECEIVE their
@@ -111,12 +114,12 @@ void ServeDaemon::stop() {
   std::filesystem::remove(cfg_.socket_path);
 }
 
-void ServeDaemon::accept_loop() {
+void ServeDaemon::accept_loop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listener closed by stop(), or fatal — either way, done
+      return;  // listener shut down by stop(), or fatal — either way, done
     }
     if (stopping_.load()) {
       ::close(fd);

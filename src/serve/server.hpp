@@ -4,10 +4,9 @@
 // One accept thread hands each connection to its own handler thread;
 // handlers parse length-prefixed request frames (serve/protocol.hpp) and
 // block on the shared MicroBatcher, which coalesces everything in flight
-// into dense forward batches. Concurrency therefore lives entirely in the
-// connection layer — model execution stays single-threaded inside the
-// batcher, which is what makes the shared pipeline and its Workspace
-// arena safe.
+// into dense forward batches. Concurrency lives in the connection layer;
+// model execution is one batch at a time inside the batcher (a throughput
+// choice — the pipeline itself is stateless, see batcher.hpp).
 //
 // Failure containment at the connection layer (the batcher has its own,
 // see batcher.hpp):
@@ -73,7 +72,8 @@ class ServeDaemon {
   MicroBatcher& batcher() { return batcher_; }
 
  private:
-  void accept_loop();
+  /// Uses the fd it was started with; only start()/stop() touch listen_fd_.
+  void accept_loop(int listen_fd);
   void handle_connection(int fd);
 
   ServeConfig cfg_;

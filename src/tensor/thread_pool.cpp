@@ -52,6 +52,8 @@ void ThreadPool::parallel_for_indexed(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
+  // Also covers the inline path: fn may use chunk_scratch(0).
+  std::lock_guard call_lock(call_mutex_);
   const std::size_t total = end - begin;
   const std::size_t nthreads = std::min(thread_count(), total);
   if (nthreads <= 1) {

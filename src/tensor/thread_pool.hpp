@@ -5,6 +5,9 @@
 // (range, thread count) — results of per-chunk reductions can be combined
 // in a fixed order, keeping multi-threaded runs bit-identical.
 //
+// Concurrent callers are serialized: each parallel_for holds the pool for
+// its whole duration, so task slots and chunk scratch are never shared.
+//
 // Exception safety: a task that throws no longer terminates the process.
 // The first exception (from any chunk, including the caller's own) is
 // captured, the remaining chunks drain normally, and parallel_for rethrows
@@ -95,6 +98,7 @@ class ThreadPool {
   void record_exception(std::exception_ptr e);
 
   std::vector<std::thread> workers_;
+  std::mutex call_mutex_;  // held by each parallel_for call (see top)
   std::mutex mutex_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;

@@ -389,14 +389,15 @@ TEST(WorkspaceArena, ModelOutputsIdenticalWithWorkspaceOnAndOff) {
   fill_uniform(x, rng, 0.0f, 1.0f);
 
   for (int pass = 0; pass < 3; ++pass) {
-    const Tensor y1 = m1.forward(x, nn::Mode::Eval);
-    const Tensor y2 = m2.forward(x, nn::Mode::Eval);
+    nn::Tape t1, t2;
+    const Tensor y1 = m1.forward(x, nn::Mode::Eval, &t1);
+    const Tensor y2 = m2.forward(x, nn::Mode::Eval, &t2);
     ASSERT_EQ(0, std::memcmp(y1.data(), y2.data(),
                              y1.numel() * sizeof(float)));
     Tensor seed(y1.shape());
     seed.fill(0.25f);
-    const Tensor g1 = m1.backward(seed);
-    const Tensor g2 = m2.backward(seed);
+    const Tensor g1 = m1.backward(seed, t1);
+    const Tensor g2 = m2.backward(seed, t2);
     ASSERT_EQ(0, std::memcmp(g1.data(), g2.data(),
                              g1.numel() * sizeof(float)));
   }

@@ -63,8 +63,9 @@ TEST_P(AttackProperties, EadRespectsBoxAndConfidence) {
   const AttackResult r = ead_attack(m, x, labels, cfg);
   EXPECT_GE(min_value(r.adversarial), 0.0f);
   EXPECT_LE(max_value(r.adversarial), 1.0f);
+  ObliviousTarget target(m);
   const HingeEval e =
-      eval_untargeted_hinge(m, r.adversarial, labels, cfg.kappa);
+      eval_untargeted_hinge(target, r.adversarial, labels, cfg.kappa);
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (r.success[i]) {
       EXPECT_GE(e.margin[i], cfg.kappa - 1e-3f) << "row " << i;

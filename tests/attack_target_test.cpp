@@ -164,7 +164,8 @@ TEST(AttackTarget, GrayBoxEqualsFusedSequential) {
 
   const Tensor x = smoke_batch();
   const Tensor z_target = target.logits(x, nn::Mode::Eval);
-  const Tensor z_fused = fused.forward(x, nn::Mode::Eval);
+  nn::Tape fused_tape;
+  const Tensor z_fused = fused.forward(x, nn::Mode::Eval, &fused_tape);
   ASSERT_EQ(z_target.numel(), z_fused.numel());
   for (std::size_t i = 0; i < z_target.numel(); ++i) {
     ASSERT_EQ(z_target[i], z_fused[i]) << "logit " << i;
@@ -174,7 +175,7 @@ TEST(AttackTarget, GrayBoxEqualsFusedSequential) {
   Rng rng(17);
   fill_uniform(seed, rng, -1.0f, 1.0f);
   const Tensor g_target = target.input_grad(x, seed);
-  const Tensor g_fused = fused.backward(seed);
+  const Tensor g_fused = fused.backward(seed, fused_tape);
   ASSERT_EQ(g_target.numel(), g_fused.numel());
   for (std::size_t i = 0; i < g_target.numel(); ++i) {
     ASSERT_EQ(g_target[i], g_fused[i]) << "grad " << i;

@@ -88,9 +88,10 @@ TEST(ShrinkProject, IdempotentOnFixedPoint) {
 
 TEST(HingeEval, MarginAndLossMatchManual) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget target(m);
   const Tensor x = class0_image();
   // logit0 = 8*1.6 = 12.8, logit1 = 8*0.2 = 1.6; margin = 1.6 - 12.8 = -11.2
-  const HingeEval e = eval_untargeted_hinge(m, x, {0}, 5.0f);
+  const HingeEval e = eval_untargeted_hinge(target, x, {0}, 5.0f);
   EXPECT_NEAR(e.margin[0], -11.2f, 1e-4f);
   // f = max(-margin, -kappa) = max(11.2, -5) = 11.2
   EXPECT_NEAR(e.f[0], 11.2f, 1e-4f);
@@ -98,19 +99,21 @@ TEST(HingeEval, MarginAndLossMatchManual) {
 
 TEST(HingeEval, SaturatesAtMinusKappa) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget target(m);
   // Strongly class-1 input evaluated with label 0: margin large positive.
   const Tensor x =
       Tensor::from_data(Shape({1, 1, 2, 2}), {0.0f, 0.0f, 0.9f, 0.9f});
-  const HingeEval e = eval_untargeted_hinge(m, x, {0}, 5.0f);
+  const HingeEval e = eval_untargeted_hinge(target, x, {0}, 5.0f);
   EXPECT_GT(e.margin[0], 5.0f);
   EXPECT_FLOAT_EQ(e.f[0], -5.0f);
 }
 
 TEST(HingeGradient, PointsTowardOtherClass) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget target(m);
   const Tensor x = class0_image();
-  const HingeEval e = eval_untargeted_hinge(m, x, {0}, 5.0f);
-  const Tensor g = hinge_input_gradient(m, e, {0}, 5.0f, {1.0f});
+  const HingeEval e = eval_untargeted_hinge(target, x, {0}, 5.0f);
+  const Tensor g = hinge_input_gradient(target, x, e, {0}, 5.0f, {1.0f});
   // d f / d x = d(logit0 - logit1)/dx = s*(1,1,-1,-1).
   EXPECT_NEAR(g[0], 8.0f, 1e-4f);
   EXPECT_NEAR(g[1], 8.0f, 1e-4f);
@@ -120,10 +123,11 @@ TEST(HingeGradient, PointsTowardOtherClass) {
 
 TEST(HingeGradient, ZeroWhenHingeInactive) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget target(m);
   const Tensor x =
       Tensor::from_data(Shape({1, 1, 2, 2}), {0.0f, 0.0f, 0.9f, 0.9f});
-  const HingeEval e = eval_untargeted_hinge(m, x, {0}, 5.0f);
-  const Tensor g = hinge_input_gradient(m, e, {0}, 5.0f, {1.0f});
+  const HingeEval e = eval_untargeted_hinge(target, x, {0}, 5.0f);
+  const Tensor g = hinge_input_gradient(target, x, e, {0}, 5.0f, {1.0f});
   for (std::size_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(g[i], 0.0f);
 }
 
@@ -155,6 +159,7 @@ TEST(FillDistortions, ComputesRowwiseNorms) {
 
 TEST(Ead, FlipsLinearModelWithRequestedMargin) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget target(m);
   const Tensor x = class0_image();
   EadConfig cfg;
   cfg.beta = 0.01f;
@@ -166,7 +171,7 @@ TEST(Ead, FlipsLinearModelWithRequestedMargin) {
   ASSERT_TRUE(r.success[0]);
   // Verify the margin on the crafted example.
   const HingeEval e =
-      eval_untargeted_hinge(m, r.adversarial, {0}, cfg.kappa);
+      eval_untargeted_hinge(target, r.adversarial, {0}, cfg.kappa);
   EXPECT_GE(e.margin[0], cfg.kappa - 1e-3f);
   // Box constraint holds.
   EXPECT_GE(min_value(r.adversarial), 0.0f);
@@ -316,15 +321,16 @@ TEST(CwL2, HigherConfidenceCostsMoreDistortion) {
 
 TEST(TargetedHinge, MarginOrientedTowardTarget) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget target(m);
   const Tensor x = class0_image();
   // Target class 1: margin = z_1 - z_0 = 1.6 - 12.8 = -11.2 (not reached).
   const HingeEval e =
-      eval_attack_hinge(m, x, {1}, 2.0f, HingeMode::Targeted);
+      eval_attack_hinge(target, x, {1}, 2.0f, HingeMode::Targeted);
   EXPECT_NEAR(e.margin[0], -11.2f, 1e-4f);
   EXPECT_NEAR(e.f[0], 11.2f, 1e-4f);
   // Gradient ascends z_1 and descends z_0: d(z0 - z1)/dx = s*(1,1,-1,-1).
-  const Tensor g = attack_hinge_input_gradient(m, e, {1}, 2.0f, {1.0f},
-                                               HingeMode::Targeted);
+  const Tensor g = attack_hinge_input_gradient(target, x, e, {1}, 2.0f,
+                                               {1.0f}, HingeMode::Targeted);
   EXPECT_NEAR(g[0], 8.0f, 1e-4f);   // descending -g pushes x0, x1 down
   EXPECT_NEAR(g[2], -8.0f, 1e-4f);  // and x2, x3 up -> toward class 1
 }
@@ -349,22 +355,25 @@ TEST(TargetedEad, ReachesRequestedTargetClass) {
 
 TEST(TargetedEad, HingeInactiveOnceTargetConfident) {
   nn::Sequential m = linear_model(8.0f);
+  ObliviousTarget target(m);
   // Already strongly class 1; targeting class 1 means the hinge is
   // saturated and the gradient is zero.
   const Tensor x =
       Tensor::from_data(Shape({1, 1, 2, 2}), {0.0f, 0.0f, 0.9f, 0.9f});
   const HingeEval e =
-      eval_attack_hinge(m, x, {1}, 2.0f, HingeMode::Targeted);
+      eval_attack_hinge(target, x, {1}, 2.0f, HingeMode::Targeted);
   EXPECT_GT(e.margin[0], 2.0f);
-  const Tensor g = attack_hinge_input_gradient(m, e, {1}, 2.0f, {1.0f},
-                                               HingeMode::Targeted);
+  const Tensor g = attack_hinge_input_gradient(target, x, e, {1}, 2.0f,
+                                               {1.0f}, HingeMode::Targeted);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(g[i], 0.0f);
 }
 
 TEST(TargetedHinge, RejectsOutOfRangeLabel) {
   nn::Sequential m = linear_model();
+  ObliviousTarget target(m);
   EXPECT_THROW(
-      eval_attack_hinge(m, class0_image(), {7}, 0.0f, HingeMode::Targeted),
+      eval_attack_hinge(target, class0_image(), {7}, 0.0f,
+                        HingeMode::Targeted),
       std::invalid_argument);
 }
 

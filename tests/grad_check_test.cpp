@@ -2,7 +2,7 @@
 //
 // For a layer f we probe the scalar L(x) = sum_i w_i * f(x)_i with a fixed
 // random weighting w, so d(L)/d(output) = w and one backward() call yields
-// the analytic input gradient and (via gradients()) the parameter
+// the analytic input gradient and (into a GradientSet) the parameter
 // gradients. Each is compared against the central difference
 // (L(x + eps e_j) - L(x - eps e_j)) / (2 eps).
 //
@@ -69,13 +69,13 @@ void check_layer(nn::Layer& layer, const Tensor& input, Rng& rng) {
   fill_uniform(w, rng, -1.0f, 1.0f);
 
   // One analytic backward pass: input gradient out, parameter gradients
-  // accumulated into layer.gradients().
-  layer.zero_grad();
-  layer.forward(input, nn::Mode::Eval);
-  const Tensor analytic_in = layer.backward(w);
+  // accumulated into a gradient set.
+  nn::GradientSet analytic_params(layer);
+  nn::TapeEntry tape_entry;
+  layer.forward(input, nn::Mode::Eval, &tape_entry);
+  const Tensor analytic_in =
+      layer.backward(w, tape_entry, analytic_params.pointers());
   ASSERT_EQ(analytic_in.numel(), input.numel());
-  std::vector<Tensor> analytic_params;
-  for (Tensor* g : layer.gradients()) analytic_params.push_back(*g);
 
   // Input gradient.
   Tensor probe = input;

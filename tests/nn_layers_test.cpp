@@ -34,9 +34,9 @@ void check_gradients(Layer& layer, const Tensor& input, std::uint64_t seed,
   Rng rng(seed);
   fill_uniform(w, rng, -1.0f, 1.0f);
 
-  layer.zero_grad();
-  layer.forward(x, nn::Mode::Eval);
-  const Tensor dx = layer.backward(w);
+  TapeEntry saved;
+  layer.forward(x, nn::Mode::Eval, &saved);
+  const Tensor dx = layer.backward(w, saved);
   ASSERT_EQ(dx.shape(), x.shape());
 
   auto objective = [&](const Tensor& probe) {
@@ -59,15 +59,14 @@ void check_gradients(Layer& layer, const Tensor& input, std::uint64_t seed,
   }
 
   // Parameter gradients.
-  layer.zero_grad();
-  layer.forward(x, nn::Mode::Eval);
-  layer.backward(w);
+  GradientSet grads(layer);
+  layer.forward(x, nn::Mode::Eval, &saved);
+  layer.backward(w, saved, grads.pointers());
   const auto params = layer.parameters();
-  const auto grads = layer.gradients();
   ASSERT_EQ(params.size(), grads.size());
   for (std::size_t p = 0; p < params.size(); ++p) {
     Tensor& param = *params[p];
-    const Tensor& grad = *grads[p];
+    const Tensor& grad = grads[p];
     const std::size_t pstride = std::max<std::size_t>(1, param.numel() / 16);
     for (std::size_t i = 0; i < param.numel(); i += pstride) {
       const float orig = param[i];
@@ -151,8 +150,9 @@ TEST(TanhTest, GradientCheck) {
 
 TEST(ActivationTest, BackwardShapeMismatchThrows) {
   ReLU relu;
-  relu.forward(Tensor({2, 3}), nn::Mode::Eval);
-  EXPECT_THROW(relu.backward(Tensor({3, 2})), std::invalid_argument);
+  TapeEntry saved;
+  relu.forward(Tensor({2, 3}), nn::Mode::Eval, &saved);
+  EXPECT_THROW(relu.backward(Tensor({3, 2}), saved), std::invalid_argument);
 }
 
 // --- linear ------------------------------------------------------------
@@ -189,13 +189,14 @@ TEST(LinearTest, GradientsAccumulateAcrossBackwardCalls) {
   Linear lin(2, 2, rng);
   Tensor x({1, 2}, 1.0f);
   Tensor g({1, 2}, 1.0f);
-  lin.zero_grad();
-  lin.forward(x, nn::Mode::Eval);
-  lin.backward(g);
-  const Tensor once = *lin.gradients()[0];
-  lin.forward(x, nn::Mode::Eval);
-  lin.backward(g);
-  const Tensor twice = *lin.gradients()[0];
+  GradientSet grads(lin);
+  TapeEntry saved;
+  lin.forward(x, nn::Mode::Eval, &saved);
+  lin.backward(g, saved, grads.pointers());
+  const Tensor once = grads[0];
+  lin.forward(x, nn::Mode::Eval, &saved);
+  lin.backward(g, saved, grads.pointers());
+  const Tensor twice = grads[0];
   for (std::size_t i = 0; i < once.numel(); ++i) {
     EXPECT_FLOAT_EQ(twice[i], 2.0f * once[i]);
   }
@@ -366,19 +367,17 @@ TEST_P(Conv2dDirectIdentity, ForwardAndGradientsMatchIm2colBitwise) {
   for (ThreadPool* pool : {&pool1, &pool4}) {
     direct.set_pool(pool);
     baseline.set_pool(pool);
-    const Tensor yd = direct.forward(x, nn::Mode::Eval);
-    const Tensor yi = baseline.forward(x, nn::Mode::Eval);
+    TapeEntry saved_d, saved_i;
+    const Tensor yd = direct.forward(x, nn::Mode::Eval, &saved_d);
+    const Tensor yi = baseline.forward(x, nn::Mode::Eval, &saved_i);
     expect_bitwise_equal(yd, yi, "forward");
     const Tensor g = random_input(yd.shape(), 98);
-    direct.zero_grad();
-    baseline.zero_grad();
-    const Tensor dxd = direct.backward(g);
-    const Tensor dxi = baseline.backward(g);
+    GradientSet grads_d(direct), grads_i(baseline);
+    const Tensor dxd = direct.backward(g, saved_d, grads_d.pointers());
+    const Tensor dxi = baseline.backward(g, saved_i, grads_i.pointers());
     expect_bitwise_equal(dxd, dxi, "input grad");
-    expect_bitwise_equal(*direct.gradients()[0], *baseline.gradients()[0],
-                         "weight grad");
-    expect_bitwise_equal(*direct.gradients()[1], *baseline.gradients()[1],
-                         "bias grad");
+    expect_bitwise_equal(grads_d[0], grads_i[0], "weight grad");
+    expect_bitwise_equal(grads_d[1], grads_i[1], "bias grad");
   }
 }
 
@@ -421,13 +420,11 @@ TEST(Conv2dTest, FusedEpilogueMatchesSeparateActivationBitwise) {
     const Tensor x = random_input({2, 2, 6, 6}, 92);
     ReLU relu;
     Sigmoid sigmoid;
-    const Tensor yr = fused.forward_fused(x, nn::Mode::Eval,
-                                          conv::Epilogue::ReLU);
+    const Tensor yr = fused.forward_fused(x, conv::Epilogue::ReLU);
     const Tensor yr_ref =
         relu.forward(plain.forward(x, nn::Mode::Eval), nn::Mode::Eval);
     expect_bitwise_equal(yr, yr_ref, "relu epilogue");
-    const Tensor ys = fused.forward_fused(x, nn::Mode::Eval,
-                                          conv::Epilogue::Sigmoid);
+    const Tensor ys = fused.forward_fused(x, conv::Epilogue::Sigmoid);
     const Tensor ys_ref =
         sigmoid.forward(plain.forward(x, nn::Mode::Eval), nn::Mode::Eval);
     expect_bitwise_equal(ys, ys_ref, "sigmoid epilogue");
@@ -467,9 +464,10 @@ TEST(MaxPool2dTest, TakesWindowMaximum) {
 TEST(MaxPool2dTest, BackwardRoutesToArgmax) {
   MaxPool2d pool(2);
   Tensor x = Tensor::from_data(Shape({1, 1, 2, 2}), {1, 5, 2, 0});
-  pool.forward(x, nn::Mode::Eval);
+  TapeEntry saved;
+  pool.forward(x, nn::Mode::Eval, &saved);
   Tensor g({1, 1, 1, 1}, 3.0f);
-  Tensor dx = pool.backward(g);
+  Tensor dx = pool.backward(g, saved);
   EXPECT_FLOAT_EQ(dx[0], 0.0f);
   EXPECT_FLOAT_EQ(dx[1], 3.0f);
   EXPECT_FLOAT_EQ(dx[2], 0.0f);
@@ -515,19 +513,21 @@ TEST(PoolUpsampleTest, UpsampleUndoesAvgPoolOnConstantImages) {
 TEST(FlattenTest, CollapsesTrailingDims) {
   Flatten f;
   Tensor x({2, 3, 4, 5});
-  Tensor y = f.forward(x, nn::Mode::Eval);
+  TapeEntry saved;
+  Tensor y = f.forward(x, nn::Mode::Eval, &saved);
   EXPECT_EQ(y.shape(), Shape({2, 60}));
-  Tensor dx = f.backward(Tensor({2, 60}, 1.0f));
+  Tensor dx = f.backward(Tensor({2, 60}, 1.0f), saved);
   EXPECT_EQ(dx.shape(), x.shape());
 }
 
 TEST(DropoutTest, EvalModeIsIdentity) {
   Dropout d(0.5f, 7);
   Tensor x = random_input({4, 8}, 97);
-  Tensor y = d.forward(x, Mode::Eval);
+  TapeEntry saved;
+  Tensor y = d.forward(x, Mode::Eval, &saved);
   for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
   Tensor g = random_input({4, 8}, 98);
-  Tensor dx = d.backward(g);
+  Tensor dx = d.backward(g, saved);
   for (std::size_t i = 0; i < g.numel(); ++i) EXPECT_FLOAT_EQ(dx[i], g[i]);
 }
 

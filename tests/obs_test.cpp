@@ -236,8 +236,9 @@ TEST(Obs, DisabledPathRegistersNothing) {
   Tensor x({4, 8}), g({4, 8});
   fill_uniform(x, rng, -1.0f, 1.0f);
   fill_uniform(g, rng, -1.0f, 1.0f);
-  m.forward(x, nn::Mode::Eval);
-  m.backward(g);
+  nn::Tape tape;
+  m.forward(x, nn::Mode::Eval, &tape);
+  m.backward(g, tape);
 
   Tensor a({64, 64}), b({64, 64}), c;
   fill_uniform(a, rng, -1.0f, 1.0f);
@@ -271,8 +272,9 @@ TEST(Obs, EnabledPathRecordsModelAndPoolMetrics) {
   Tensor x({4, 8}), g({4, 8});
   fill_uniform(x, rng, -1.0f, 1.0f);
   fill_uniform(g, rng, -1.0f, 1.0f);
-  m.forward(x, nn::Mode::Eval);
-  m.backward(g);
+  nn::Tape tape;
+  m.forward(x, nn::Mode::Eval, &tape);
+  m.backward(g, tape);
   ThreadPool::global().parallel_for(0, 100, [](std::size_t, std::size_t) {});
   obs::set_enabled(false);
 

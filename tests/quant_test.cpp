@@ -266,7 +266,8 @@ TEST(QuantContract, InferenceOnly) {
   fill_uniform(x, rng, -1.0f, 1.0f);
   nn::Sequential qmodel = quant::quantize(model, x);
   EXPECT_THROW(qmodel.forward(x, nn::Mode::Train), std::runtime_error);
-  EXPECT_THROW(qmodel.layer(0).backward(x), std::runtime_error);
+  EXPECT_THROW(qmodel.layer(0).backward(x, nn::TapeEntry{}),
+               std::runtime_error);
 }
 
 TEST(QuantContract, EmptyCalibrationRejected) {

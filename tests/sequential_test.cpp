@@ -39,11 +39,11 @@ TEST(Sequential, ParameterAndGradientAlignment) {
   Rng rng(2);
   Sequential m = tiny_cnn(rng);
   const auto params = m.parameters();
-  const auto grads = m.gradients();
+  GradientSet grads(m);
   ASSERT_EQ(params.size(), grads.size());
   ASSERT_EQ(params.size(), 4u);  // conv W/b + linear W/b
   for (std::size_t i = 0; i < params.size(); ++i) {
-    EXPECT_EQ(params[i]->shape(), grads[i]->shape());
+    EXPECT_EQ(params[i]->shape(), grads[i].shape());
   }
   EXPECT_EQ(m.parameter_count(),
             2 * 9 + 2 + (2 * 3 * 3) * 4 + 4);
@@ -58,8 +58,9 @@ TEST(Sequential, InputGradientMatchesNumericDifference) {
   Tensor w({1, 4});
   fill_uniform(w, rng, -1.0f, 1.0f);
 
-  m.forward(x, nn::Mode::Eval);
-  const Tensor dx = m.backward(w);
+  Tape tape;
+  m.forward(x, nn::Mode::Eval, &tape);
+  const Tensor dx = m.backward(w, tape);
   ASSERT_EQ(dx.shape(), x.shape());
 
   auto objective = [&](const Tensor& probe) {
@@ -105,28 +106,26 @@ TEST(Sequential, ConvActivationFusionIsBitwiseInvisible) {
   fill_uniform(seed, rng, -1.0f, 1.0f);
 
   for (const Mode mode : {Mode::Train, Mode::Eval}) {
-    const Tensor y_on = on.forward(x, mode);
-    const Tensor y_off = off.forward(x, mode);
+    Tape tape_on, tape_off;
+    const Tensor y_on = on.forward(x, mode, &tape_on);
+    const Tensor y_off = off.forward(x, mode, &tape_off);
     ASSERT_EQ(y_on.shape(), y_off.shape());
     ASSERT_EQ(0, std::memcmp(y_on.data(), y_off.data(),
                              y_on.numel() * sizeof(float)));
-    const Tensor dx_on = on.backward(seed);
-    const Tensor dx_off = off.backward(seed);
+    GradientSet g_on(on), g_off(off);
+    const Tensor dx_on = on.backward(seed, tape_on, g_on.pointers());
+    const Tensor dx_off = off.backward(seed, tape_off, g_off.pointers());
     ASSERT_EQ(0, std::memcmp(dx_on.data(), dx_off.data(),
                              dx_on.numel() * sizeof(float)));
-    const auto g_on = on.gradients();
-    const auto g_off = off.gradients();
     ASSERT_EQ(g_on.size(), g_off.size());
     for (std::size_t i = 0; i < g_on.size(); ++i) {
-      ASSERT_EQ(0, std::memcmp(g_on[i]->data(), g_off[i]->data(),
-                               g_on[i]->numel() * sizeof(float)))
+      ASSERT_EQ(0, std::memcmp(g_on[i].data(), g_off[i].data(),
+                               g_on[i].numel() * sizeof(float)))
           << "parameter gradient " << i;
     }
-    on.zero_grad();
-    off.zero_grad();
   }
 
-  // Infer-mode forward (no caches) must agree too — this is the serving
+  // Infer-mode forward (no tape) must agree too — this is the serving
   // path, where the fused epilogue matters most.
   const Tensor yi_on = on.forward(x, Mode::Infer);
   const Tensor yi_off = off.forward(x, Mode::Infer);
@@ -138,11 +137,13 @@ TEST(Sequential, ZeroGradResetsAllLayers) {
   Rng rng(4);
   Sequential m = tiny_cnn(rng);
   Tensor x({2, 1, 6, 6}, 0.5f);
-  m.forward(x, nn::Mode::Eval);
-  m.backward(Tensor({2, 4}, 1.0f));
-  m.zero_grad();
-  for (Tensor* g : m.gradients()) {
-    for (float v : g->values()) EXPECT_FLOAT_EQ(v, 0.0f);
+  Tape tape;
+  GradientSet grads(m);
+  m.forward(x, nn::Mode::Eval, &tape);
+  m.backward(Tensor({2, 4}, 1.0f), tape, grads.pointers());
+  grads.zero();
+  for (std::size_t i = 0; i < grads.size(); ++i) {
+    for (float v : grads[i].values()) EXPECT_FLOAT_EQ(v, 0.0f);
   }
 }
 
@@ -166,7 +167,8 @@ TEST(Sequential, AppendComposesModels) {
   EXPECT_EQ(head.size(), 0u);
 
   Tensor x = Tensor::from_data(Shape({1, 1, 2, 2}), {1, 2, 3, 4});
-  const Tensor y = front.forward(x, nn::Mode::Eval);
+  Tape tape;
+  const Tensor y = front.forward(x, nn::Mode::Eval, &tape);
   // Doubled pixels {2,4,6,8}; W rows (per input pixel): {1,0},{1,0},
   // {0,1},{0,1} -> logits = (2+4, 6+8).
   EXPECT_FLOAT_EQ(y[0], 6.0f);
@@ -174,7 +176,8 @@ TEST(Sequential, AppendComposesModels) {
 
   // Backward flows through the composition down to the input:
   // d y0 / d x = 2 (conv gain) * W[:,0] = {2,2,0,0}.
-  const Tensor g = front.backward(Tensor::from_data(Shape({1, 2}), {1, 0}));
+  const Tensor g =
+      front.backward(Tensor::from_data(Shape({1, 2}), {1, 0}), tape);
   EXPECT_FLOAT_EQ(g[0], 2.0f);
   EXPECT_FLOAT_EQ(g[1], 2.0f);
   EXPECT_FLOAT_EQ(g[2], 0.0f);

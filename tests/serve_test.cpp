@@ -720,8 +720,7 @@ TEST_F(ServeTest, AbuseBarrageNeverWedgesBatcher) {
 /// releases the wedge.
 TEST_F(ServeTest, AdmissionQueueShedsWhenFull) {
   auto pipe = build_pipeline();
-  // Serial reference computed before the batcher can touch the pipeline:
-  // classify() mutates layer caches, so it must never overlap a batch.
+  // Serial reference, computed before the stall wedges the batcher.
   const DefenseOutcome serial =
       pipe->classify(rows_tensor(1, 0.2f), DefenseScheme::Full);
   const std::uint64_t shed_before = counter_value("serve/shed");
@@ -814,8 +813,8 @@ TEST_F(ServeTest, DeadlineExpiresInQueueWithoutForwardPass) {
 
 /// Watchdog: a stuck forward pass fails ITS batch with an error result
 /// while the batcher spawns a replacement executor and keeps serving.
-/// The factory builds a fresh pipeline per call, as the watchdog
-/// contract requires (batcher.hpp).
+/// This factory happens to build a new pipeline per call; the batcher
+/// asks for one only once either way (WatchdogTripKeepsSharedPipeline).
 TEST_F(ServeTest, WatchdogTripFailsBatchAndKeepsServing) {
   const std::uint64_t trips_before = counter_value("serve/watchdog_trips");
   MicroBatcher batcher([] { return build_pipeline(); },
@@ -842,6 +841,37 @@ TEST_F(ServeTest, WatchdogTripFailsBatchAndKeepsServing) {
                                                DefenseScheme::Full)));
   // Release the abandoned executor BEFORE stop() so the drain grace is
   // not spent waiting on a thread the test itself wedged.
+  fault::reset();
+  batcher.stop();
+}
+
+/// A trip keeps the loaded pipeline: the wedged pass leaves no state in
+/// the models, so the replacement executor shares the instance the stuck
+/// thread still holds. The factory (one shared pipeline) runs once, and
+/// the next answer is bitwise the serial one.
+TEST_F(ServeTest, WatchdogTripKeepsSharedPipeline) {
+  auto pipe = build_pipeline();
+  std::atomic<std::size_t> factory_calls{0};
+  MicroBatcher batcher(
+      [pipe, &factory_calls] {
+        ++factory_calls;
+        return pipe;
+      },
+      {.max_batch_rows = 1,
+       .flush_deadline = std::chrono::microseconds{0},
+       .watchdog_timeout = std::chrono::milliseconds{100}});
+  fault::arm("serve.batch_forward:stall_once");
+  const ServeResult tripped =
+      batcher.submit(rows_tensor(1, 0.1f), DefenseScheme::Full).get();
+  EXPECT_FALSE(tripped.ok);
+  EXPECT_NE(tripped.error.find("watchdog"), std::string::npos);
+
+  const ServeResult next =
+      batcher.submit(rows_tensor(1, 0.2f), DefenseScheme::Full).get();
+  ASSERT_TRUE(next.ok) << next.error;
+  EXPECT_EQ(factory_calls.load(), 1u);
+  EXPECT_TRUE(outcomes_bitwise_equal(
+      next.outcome, pipe->classify(rows_tensor(1, 0.2f), DefenseScheme::Full)));
   fault::reset();
   batcher.stop();
 }

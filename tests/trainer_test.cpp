@@ -48,7 +48,8 @@ TEST(FitClassifier, LearnsSeparableBlobs) {
   make_blobs(x, y, 200, 11);
   Rng rng(12);
   Sequential m = mlp(rng);
-  Adam opt(m.parameters(), m.gradients(), 1e-2f);
+  GradientSet grads(m);
+  Adam opt(m.parameters(), grads.pointers(), 1e-2f);
   TrainConfig tc;
   tc.epochs = 15;
   tc.batch_size = 16;
@@ -61,7 +62,8 @@ TEST(FitClassifier, LearnsSeparableBlobs) {
 TEST(FitClassifier, RejectsMismatchedData) {
   Rng rng(13);
   Sequential m = mlp(rng);
-  Adam opt(m.parameters(), m.gradients());
+  GradientSet grads(m);
+  Adam opt(m.parameters(), grads.pointers());
   Tensor x({4, 4});
   std::vector<int> y = {0, 1};
   EXPECT_THROW(fit_classifier(m, x, y, opt, TrainConfig{}),
@@ -75,7 +77,8 @@ TEST(FitClassifier, DeterministicGivenSeed) {
   auto train_once = [&] {
     Rng rng(15);
     Sequential m = mlp(rng);
-    Adam opt(m.parameters(), m.gradients(), 1e-2f);
+    GradientSet grads(m);
+    Adam opt(m.parameters(), grads.pointers(), 1e-2f);
     TrainConfig tc;
     tc.epochs = 5;
     tc.shuffle_seed = 77;
@@ -103,7 +106,8 @@ TEST(FitClassifier, CleanRunReportsNoDivergence) {
   make_blobs(x, y, 100, 31);
   Rng rng(32);
   Sequential m = mlp(rng);
-  Adam opt(m.parameters(), m.gradients(), 1e-2f);
+  GradientSet grads(m);
+  Adam opt(m.parameters(), grads.pointers(), 1e-2f);
   TrainConfig tc;
   tc.epochs = 3;
   const TrainStats stats = fit_classifier(m, x, y, opt, tc);
@@ -120,7 +124,8 @@ TEST(FitClassifier, InjectedNanLossSkipsBatchAndBacksOff) {
   make_blobs(x, y, 200, 33);
   Rng rng(34);
   Sequential m = mlp(rng);
-  Adam opt(m.parameters(), m.gradients(), 1e-2f);
+  GradientSet grads(m);
+  Adam opt(m.parameters(), grads.pointers(), 1e-2f);
   TrainConfig tc;
   tc.epochs = 10;
   tc.batch_size = 16;
@@ -145,7 +150,8 @@ TEST(FitClassifier, PersistentNanLossNeverPoisonsWeights) {
   make_blobs(x, y, 64, 35);
   Rng rng(36);
   Sequential m = mlp(rng);
-  Adam opt(m.parameters(), m.gradients(), 1e-2f);
+  GradientSet grads(m);
+  Adam opt(m.parameters(), grads.pointers(), 1e-2f);
   TrainConfig tc;
   tc.epochs = 2;
   tc.batch_size = 16;
@@ -170,7 +176,8 @@ TEST(FitAutoencoder, InjectedNanLossSkipsAndRecovers) {
   ae.emplace<Sigmoid>();
   ae.emplace<Conv2d>(Conv2d::same(4, 1), rng);
   ae.emplace<Sigmoid>();
-  Adam opt(ae.parameters(), ae.gradients(), 3e-3f);
+  GradientSet grads(ae);
+  Adam opt(ae.parameters(), grads.pointers(), 3e-3f);
   MseLoss loss;
   TrainConfig tc;
   tc.epochs = 4;
@@ -196,7 +203,8 @@ TEST(FitAutoencoder, ReconstructionLossDecreases) {
   ae.emplace<Sigmoid>();
   ae.emplace<Conv2d>(Conv2d::same(4, 1), rng);
   ae.emplace<Sigmoid>();
-  Adam opt(ae.parameters(), ae.gradients(), 3e-3f);
+  GradientSet grads(ae);
+  Adam opt(ae.parameters(), grads.pointers(), 3e-3f);
   MseLoss loss;
   TrainConfig tc;
   tc.epochs = 8;
@@ -239,7 +247,8 @@ TEST(ClassificationAccuracy, PerfectAndZero) {
   make_blobs(x, y, 40, 21);
   Rng rng(22);
   Sequential m = mlp(rng);
-  Adam opt(m.parameters(), m.gradients(), 1e-2f);
+  GradientSet grads(m);
+  Adam opt(m.parameters(), grads.pointers(), 1e-2f);
   TrainConfig tc;
   tc.epochs = 20;
   fit_classifier(m, x, y, opt, tc);

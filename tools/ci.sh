@@ -4,7 +4,8 @@
 # artifacts (BENCH_gemm.json, BENCH_layers.json), and a sharded-vs-
 # unsharded identity gate (REPRO_SCALE=smoke, --shards 2) proving the
 # process fan-out reproduces the single-process attack artifacts and
-# success counters bit for bit.
+# success counters bit for bit, and a ThreadSanitizer pass over the
+# concurrency tests (its own build tree, <build-dir>-tsan).
 #
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 # Env:   ADV_OBS=0 pins the instrumentation off (overhead A/B runs);
@@ -326,4 +327,27 @@ else
   echo "MISSING: $serve_dir/BENCH_serve.json" >&2
   fail=1
 fi
+
+echo "== thread sanitizer (concurrency tests) =="
+# Concurrent passes over shared models (classify threads, row-parallel
+# attacks), daemon start/stop under connecting clients, the serve
+# watchdog's retired executors, the thread pool and the obs atomics,
+# rebuilt with -fsanitize=thread in a tree of their own. Any report
+# fails the gate (halt_on_error turns the first one into a nonzero exit).
+tsan_dir="$repo_root/${build_dir}-tsan"
+cmake -B "$tsan_dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS=-fsanitize=thread > /dev/null
+cmake --build "$tsan_dir" -j"$jobs" \
+      --target concurrency_test thread_pool_test obs_test serve_test
+for t in concurrency_test thread_pool_test obs_test \
+         "serve_test --gtest_filter=*Watchdog*"; do
+  # shellcheck disable=SC2086  # $t carries the binary plus its filter
+  if TSAN_OPTIONS=halt_on_error=1 "$tsan_dir"/tests/$t > "$tsan_dir/tsan.out" 2>&1; then
+    echo "ok: $t clean under ThreadSanitizer"
+  else
+    echo "FAIL: $t under ThreadSanitizer (see $tsan_dir/tsan.out)" >&2
+    cat "$tsan_dir/tsan.out" >&2
+    fail=1
+  fi
+done
 exit "$fail"
