@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "attacks/ead.hpp"
+#include "core/model_zoo.hpp"
 #include "magnet/autoencoder.hpp"
 #include "magnet/detector.hpp"
+#include "magnet/pipeline.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
@@ -150,6 +152,53 @@ void BM_DetectorScoring(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetectorScoring);
+
+/// One defended classify() of 8 CIFAR rows per iteration, through a
+/// random-weight pipeline with the CIFAR default layout: recon L1/L2 and
+/// JSD T10/T40 detectors plus the reformer on one auto-encoder. Each
+/// scheme also records bench/pipeline_classify/<scheme>, so
+/// BENCH_layers.json carries the per-scheme cost next to the
+/// magnet/stage/* timers.
+void BM_PipelineClassify(benchmark::State& state, magnet::DefenseScheme scheme,
+                         const char* slug) {
+  Rng rng(9);
+  auto clf = std::make_shared<nn::Sequential>(
+      core::build_classifier(core::DatasetId::Cifar, 32, rng));
+  magnet::AutoencoderConfig ac;
+  ac.arch = magnet::AeArch::Cifar;
+  ac.image_channels = 3;
+  auto ae =
+      std::make_shared<nn::Sequential>(magnet::build_autoencoder(ac, rng));
+  magnet::MagNetPipeline pipe(clf);
+  pipe.add_detector(std::make_shared<magnet::ReconstructionDetector>(ae, 1));
+  pipe.add_detector(std::make_shared<magnet::ReconstructionDetector>(ae, 2));
+  pipe.add_detector(std::make_shared<magnet::JsdDetector>(ae, clf, 10.0f));
+  pipe.add_detector(std::make_shared<magnet::JsdDetector>(ae, clf, 40.0f));
+  pipe.set_reformer(std::make_shared<magnet::Reformer>(ae));
+  Tensor calib({32, 3, 32, 32});
+  fill_uniform(calib, rng, 0.0f, 1.0f);
+  pipe.calibrate(calib, 0.5f);
+  Tensor x({8, 3, 32, 32});
+  fill_uniform(x, rng, 0.0f, 1.0f);
+  obs::Timer* timer =
+      obs::enabled() ? &obs::MetricsRegistry::global().timer(
+                           std::string("bench/pipeline_classify/") + slug)
+                     : nullptr;
+  for (auto _ : state) {
+    obs::ScopedTimer t(timer);
+    magnet::DefenseOutcome out = pipe.classify(x, scheme);
+    benchmark::DoNotOptimize(out.predicted.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8);
+}
+BENCHMARK_CAPTURE(BM_PipelineClassify, full, magnet::DefenseScheme::Full,
+                  "full");
+BENCHMARK_CAPTURE(BM_PipelineClassify, detector_only,
+                  magnet::DefenseScheme::DetectorOnly, "detector_only");
+BENCHMARK_CAPTURE(BM_PipelineClassify, reformer_only,
+                  magnet::DefenseScheme::ReformerOnly, "reformer_only");
+BENCHMARK_CAPTURE(BM_PipelineClassify, none, magnet::DefenseScheme::None,
+                  "none");
 
 /// One ISTA iteration of EAD (forward + hinge gradient + shrink) vs the
 /// beta = 0 special case — the ablation of the paper's eq. (4) step cost.
@@ -660,10 +709,14 @@ void emit_layer_metrics(const char* path) {
   }
   // Per-layer timings plus the conv path metrics (per-shape
   // conv/<shape>/{direct,im2col} timers and the direct_hits /
-  // im2col_fallback counters) in one dump.
+  // im2col_fallback counters) in one dump, with the magnet/stage/* and
+  // bench/pipeline_classify/* timers when BM_PipelineClassify ran.
   auto samples = obs::MetricsRegistry::global().snapshot("conv/");
-  const auto layers = obs::MetricsRegistry::global().snapshot("layer/");
-  samples.insert(samples.end(), layers.begin(), layers.end());
+  for (const char* prefix :
+       {"layer/", "magnet/stage/", "bench/pipeline_classify/"}) {
+    const auto more = obs::MetricsRegistry::global().snapshot(prefix);
+    samples.insert(samples.end(), more.begin(), more.end());
+  }
   const std::string json = obs::samples_to_json(samples);
   if (std::FILE* f = std::fopen(path, "w")) {
     std::fputs(json.c_str(), f);

@@ -9,11 +9,40 @@
 
 namespace adv::magnet {
 
+const Tensor& PassMemo::reconstruction(const nn::Sequential& ae) {
+  auto it = reconstructions_.find(&ae);
+  if (it == reconstructions_.end()) {
+    it = reconstructions_.emplace(&ae, nn::predict(ae, batch_)).first;
+  }
+  return it->second;
+}
+
+const Tensor& PassMemo::logits(const nn::Sequential& classifier,
+                               const nn::Sequential* ae) {
+  const auto key = std::make_pair(&classifier, ae);
+  auto it = logits_.find(key);
+  if (it == logits_.end()) {
+    const Tensor& input = ae ? reconstruction(*ae) : batch_;
+    it = logits_.emplace(key, nn::predict(classifier, input)).first;
+  }
+  return it->second;
+}
+
+std::vector<float> Detector::scores(const Tensor& batch) const {
+  PassMemo memo(batch);
+  return scores_from(memo);
+}
+
 void Detector::calibrate(const Tensor& clean_validation, float fpr) {
+  calibrate_scores(scores(clean_validation), fpr);
+}
+
+void Detector::calibrate_scores(std::span<const float> clean_scores,
+                                float fpr) {
   if (fpr <= 0.0f || fpr >= 1.0f) {
     throw std::invalid_argument("Detector::calibrate: fpr must be in (0,1)");
   }
-  std::vector<float> s = scores(clean_validation);
+  std::vector<float> s(clean_scores.begin(), clean_scores.end());
   if (s.empty()) {
     throw std::invalid_argument("Detector::calibrate: empty validation set");
   }
@@ -51,8 +80,9 @@ ReconstructionDetector::ReconstructionDetector(
   }
 }
 
-std::vector<float> ReconstructionDetector::scores(const Tensor& batch) const {
-  const Tensor recon = nn::predict(*ae_, batch);
+std::vector<float> ReconstructionDetector::scores_from(PassMemo& memo) const {
+  const Tensor& batch = memo.batch();
+  const Tensor& recon = memo.reconstruction(*ae_);
   const std::size_t n = batch.dim(0);
   const std::size_t row = batch.numel() / n;
   std::vector<float> out(n);
@@ -106,13 +136,12 @@ float jensen_shannon_divergence(std::span<const float> p,
   return static_cast<float>(std::max(acc, 0.0));
 }
 
-std::vector<float> JsdDetector::scores(const Tensor& batch) const {
-  const Tensor recon = nn::predict(*ae_, batch);
-  const Tensor logits_x = nn::predict(*classifier_, batch);
-  const Tensor logits_r = nn::predict(*classifier_, recon);
-  const Tensor probs_x = nn::softmax_rows(logits_x, temperature_);
-  const Tensor probs_r = nn::softmax_rows(logits_r, temperature_);
-  const std::size_t n = batch.dim(0);
+std::vector<float> JsdDetector::scores_from(PassMemo& memo) const {
+  const Tensor probs_x =
+      nn::softmax_rows(memo.logits(*classifier_), temperature_);
+  const Tensor probs_r =
+      nn::softmax_rows(memo.logits(*classifier_, ae_.get()), temperature_);
+  const std::size_t n = memo.batch().dim(0);
   const std::size_t k = probs_x.dim(1);
   std::vector<float> out(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -4,6 +4,7 @@
 
 #include "nn/trainer.hpp"
 #include "obs/metrics.hpp"
+#include "tensor/tensor_ops.hpp"
 
 namespace adv::magnet {
 
@@ -66,7 +67,8 @@ void MagNetPipeline::set_reformer(std::shared_ptr<Reformer> reformer) {
 }
 
 void MagNetPipeline::calibrate(const Tensor& clean_validation, float fpr) {
-  for (auto& d : detectors_) d->calibrate(clean_validation, fpr);
+  PassMemo memo(clean_validation);
+  for (auto& d : detectors_) d->calibrate_scores(d->scores_from(memo), fpr);
 }
 
 DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
@@ -81,15 +83,19 @@ DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
                              scheme == DefenseScheme::Full) &&
                             reformer_ != nullptr;
 
+  // One memo per call: detectors, reformer and classifier share every
+  // model pass they have in common (see classify's contract).
+  PassMemo memo(batch);
   if (use_detectors) {
-    // Per-stage serving latency (adv::obs; no-op unless enabled).
+    // Per-stage serving latency (adv::obs; no-op unless enabled). A stage
+    // times the passes it is the first to need.
     obs::ScopedTimer t("magnet/stage/detectors");
     out.readings.reserve(detectors_.size());
     for (const auto& d : detectors_) {
       DetectorReading reading;
       reading.name = d->name();
       reading.threshold = d->threshold();  // throws if not calibrated
-      reading.scores = d->scores(batch);
+      reading.scores = d->scores_from(memo);
       for (std::size_t i = 0; i < n; ++i) {
         if (reading.reject_row(i)) out.rejected[i] = true;
       }
@@ -97,15 +103,20 @@ DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
     }
   }
 
-  Tensor reformed;
+  const nn::Sequential* reformer_ae = nullptr;
   if (use_reformer) {
     obs::ScopedTimer t("magnet/stage/reformer");
-    reformed = reformer_->reform(batch);
+    reformer_ae = reformer_->autoencoder().get();
+    memo.reconstruction(*reformer_ae);
   }
   {
     obs::ScopedTimer t("magnet/stage/classifier");
-    out.predicted =
-        nn::predict_labels(*classifier_, use_reformer ? reformed : batch);
+    // Row argmax of the logits, exactly as nn::predict_labels.
+    const Tensor& logits = memo.logits(*classifier_, reformer_ae);
+    out.predicted.resize(logits.dim(0));
+    for (std::size_t r = 0; r < logits.dim(0); ++r) {
+      out.predicted[r] = static_cast<int>(argmax_row(logits, r));
+    }
   }
   return out;
 }

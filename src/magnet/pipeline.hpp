@@ -80,16 +80,36 @@ class MagNetPipeline {
   const Reformer* reformer() const { return reformer_.get(); }
 
   /// Calibrates every detector's threshold at `fpr` on clean validation
-  /// images (MagNet's procedure).
+  /// images (MagNet's procedure). The whole bank scores through one
+  /// PassMemo, so each shared pass over the validation set runs once;
+  /// thresholds are bitwise those of per-detector Detector::calibrate.
   void calibrate(const Tensor& clean_validation, float fpr);
 
   /// Runs the defense. Detectors must be calibrated when the scheme uses
   /// them; a Full/ReformerOnly scheme without a reformer degrades to the
-  /// respective detector-only/no-defense behaviour. Every model pass is a
-  /// forward-only pass over read-only layers (the shared per-model
-  /// Workspace arena is internally synchronized), so concurrent calls on
-  /// one pipeline are safe and each returns exactly what a lone call
-  /// would.
+  /// respective detector-only/no-defense behaviour.
+  ///
+  /// Each call builds one PassMemo over `batch` that lives for the call
+  /// and is shared by the detectors, the reformer (its output is
+  /// memo.reconstruction(reformer AE)) and the classifier (`predicted` is
+  /// the row argmax of memo.logits(classifier, reformer AE or null)). So
+  /// every distinct model pass runs once per call: on the CIFAR default
+  /// (recon L1/L2 and JSD T10/T40 plus the reformer on one AE) Full and
+  /// DetectorOnly run 3 forwards (AE(x), F(x), F(AE(x))), ReformerOnly 2,
+  /// None 1; the MNIST default (deep + shallow AE, reformer = deep) runs 3
+  /// under Full. Every value is bitwise what independent nn::predict calls
+  /// per detector, Reformer::reform and nn::predict_labels compute.
+  ///
+  /// The obs stage timers magnet/stage/{detectors,reformer,classifier}
+  /// are recorded once per call when the scheme runs that stage (the
+  /// classifier stage always). A stage times the passes it is the first
+  /// to need: on the CIFAR default under Full the detectors stage runs all
+  /// three passes and the reformer and classifier stages read close to 0.
+  ///
+  /// Every model pass is a forward-only pass over read-only layers (the
+  /// shared per-model Workspace arena is internally synchronized), so
+  /// concurrent calls on one pipeline are safe and each returns exactly
+  /// what a lone call would.
   DefenseOutcome classify(const Tensor& batch,
                           DefenseScheme scheme = DefenseScheme::Full) const;
 

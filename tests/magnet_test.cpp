@@ -21,7 +21,8 @@ namespace {
 /// tested against hand-computable quantiles.
 class MeanDetector final : public Detector {
  public:
-  std::vector<float> scores(const Tensor& batch) const override {
+  std::vector<float> scores_from(PassMemo& memo) const override {
+    const Tensor& batch = memo.batch();
     const std::size_t n = batch.dim(0);
     const std::size_t row = batch.numel() / n;
     std::vector<float> out(n);
