@@ -227,7 +227,7 @@ void Conv2d::forward_im2col(const Tensor& input, Tensor& out, std::size_t h,
              h, w, cfg_.kernel, cfg_.stride, cfg_.padding, col);
       float* dst = out.data() + s * cfg_.out_channels * plane;
       gemm_raw(weight_.data(), col, dst, cfg_.out_channels, k2, plane,
-               {.accumulate = false, .parallel = false});
+               {.accumulate = false});
       for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
         const float b = bias_[oc];
         float* p = dst + oc * plane;
@@ -324,7 +324,7 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
         im2col(input.data() + s * cfg_.in_channels * h * w, cfg_.in_channels,
                h, w, cfg_.kernel, cfg_.stride, cfg_.padding, col);
         gemm_a_bt_raw(gout, col, dw_parts[chunk].data(), cfg_.out_channels,
-                      plane, k2, {.accumulate = true, .parallel = false});
+                      plane, k2, {.accumulate = true});
       }
       float* gi = grad_input.data() + s * cfg_.in_channels * h * w;
       if (direct) {
@@ -338,7 +338,7 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
         // dcol = W^T [k2, out_c] * gout [out_c, plane] (A stored [out_c, k2])
         gemm_at_b_raw(weight_.data(), gout, dcol, k2,
                       cfg_.out_channels, plane,
-                      {.accumulate = false, .parallel = false});
+                      {.accumulate = false});
         col2im(dcol, cfg_.in_channels, h, w, cfg_.kernel, cfg_.stride,
                cfg_.padding, gi);
       }

@@ -89,7 +89,9 @@ class Conv2d final : public Layer {
 
   /// Overrides the pool used by forward/backward (nullptr restores the
   /// global pool). Test seam: ADV_THREADS pins only the global pool, so
-  /// thread-count identity tests pass dedicated pools instead.
+  /// thread-count identity tests pass dedicated pools instead, calling
+  /// the layer directly: inside a pool task (e.g. one of Sequential's row
+  /// blocks) every pool call runs inline.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
  private:

@@ -1,10 +1,12 @@
 #include "nn/sequential.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "tensor/serialize.hpp"
+#include "tensor/thread_pool.hpp"
 
 namespace adv::nn {
 
@@ -51,16 +53,84 @@ const Sequential::LayerTimers* Sequential::obs_timers() const {
   return obs_->timers.data();
 }
 
+namespace {
+
+// Rows [begin, end) of `t`'s leading dimension, in an arena buffer (not
+// Tensor::slice_rows: steady-state passes allocate nothing).
+Tensor rows_of(const Tensor& t, std::size_t begin, std::size_t end,
+               Workspace* ws) {
+  std::vector<std::size_t> dims = t.shape().dims();
+  const std::size_t stride = t.numel() / dims[0];
+  dims[0] = end - begin;
+  Tensor out = ws->acquire(Shape(dims));
+  std::copy(t.data() + begin * stride, t.data() + end * stride, out.data());
+  return out;
+}
+
+// Stacks per-block results, in block order, into one [n, ...] tensor and
+// hands the parts back to the arena.
+Tensor stack_rows(std::vector<Tensor>& parts, std::size_t n, Workspace* ws) {
+  std::vector<std::size_t> dims = parts.front().shape().dims();
+  dims[0] = n;
+  Tensor out = ws->acquire(Shape(dims));
+  std::size_t row = 0;
+  for (Tensor& part : parts) {
+    out.set_rows(row, part);
+    row += part.dim(0);
+    ws->release(std::move(part));
+  }
+  return out;
+}
+
+// Block b of a pass split into `blocks` covers rows
+// [b * n / blocks, (b + 1) * n / blocks).
+std::size_t block_row(std::size_t b, std::size_t n, std::size_t blocks) {
+  return b * n / blocks;
+}
+
+}  // namespace
+
 Tensor Sequential::forward(const Tensor& input, Mode mode, Tape* tape) const {
   if (mode == Mode::Infer) tape = nullptr;  // records nothing
   if (layers_.empty()) return input;
-  if (tape) tape->entries.resize(layers_.size());
   const LayerTimers* timers = obs_timers();
   if (timers) {
     static obs::Counter& calls =
         obs::MetricsRegistry::global().counter("model/forward_calls");
     calls.add(1);
   }
+  // Rows are independent outside Train (no dropout), so an Eval/Infer
+  // pass runs as row blocks, one per pool chunk; max_chunks() is 1 inside
+  // a pool task, where the pass stays whole.
+  ThreadPool& pool = ThreadPool::global();
+  const std::size_t n = input.rank() == 0 ? 0 : input.dim(0);
+  const std::size_t blocks =
+      is_training(mode) ? 1 : std::min(n, pool.max_chunks());
+  if (blocks <= 1) {
+    if (tape) tape->blocks.clear();
+    return forward_rows(input, mode, tape, timers);
+  }
+  if (tape) {
+    tape->entries.clear();
+    tape->blocks.resize(blocks);
+  }
+  Workspace* ws = ws_.get();
+  std::vector<Tensor> outs(blocks);
+  pool.parallel_for(0, blocks, [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t b = b0; b < b1; ++b) {
+      Tensor rows = rows_of(input, block_row(b, n, blocks),
+                            block_row(b + 1, n, blocks), ws);
+      outs[b] = forward_rows(rows, mode, tape ? &tape->blocks[b] : nullptr,
+                             timers);
+      ws->release(std::move(rows));
+    }
+  });
+  return stack_rows(outs, n, ws);
+}
+
+Tensor Sequential::forward_rows(const Tensor& input, Mode mode, Tape* tape,
+                                const LayerTimers* timers) const {
+  if (tape) tape->entries.resize(layers_.size());
   const auto entry = [tape](std::size_t i) {
     return tape ? &tape->entries[i] : nullptr;
   };
@@ -95,7 +165,13 @@ Tensor Sequential::forward(const Tensor& input, Mode mode, Tape* tape) const {
 Tensor Sequential::backward(const Tensor& grad_output, const Tape& tape,
                             GradSlots grads) const {
   if (layers_.empty()) return grad_output;
-  if (tape.entries.size() != layers_.size() ||
+  const auto recorded_here = [this](const Tape& t) {
+    return t.entries.size() == layers_.size();
+  };
+  if (!(tape.blocks.empty()
+            ? recorded_here(tape)
+            : std::all_of(tape.blocks.begin(), tape.blocks.end(),
+                          recorded_here)) ||
       (!grads.empty() && grads.size() != parameters().size())) {
     throw std::invalid_argument(
         "Sequential::backward: tape or gradients do not match this model");
@@ -108,6 +184,35 @@ Tensor Sequential::backward(const Tensor& grad_output, const Tape& tape,
         obs::MetricsRegistry::global().counter("model/backward_calls");
     calls.add(1);
   }
+  if (tape.blocks.empty()) {
+    return backward_rows(grad_output, tape, grads, timers);
+  }
+  // A split tape: each block pulls its own rows back. Weight gradients
+  // accumulate into shared slots, so those walks run one block at a time,
+  // in block order (their kernels still use the pool).
+  Workspace* ws = ws_.get();
+  const std::size_t blocks = tape.blocks.size();
+  const std::size_t n = grad_output.dim(0);
+  std::vector<Tensor> outs(blocks);
+  const auto run = [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t b = b0; b < b1; ++b) {
+      Tensor rows = rows_of(grad_output, block_row(b, n, blocks),
+                            block_row(b + 1, n, blocks), ws);
+      outs[b] = backward_rows(rows, tape.blocks[b], grads, timers);
+      ws->release(std::move(rows));
+    }
+  };
+  if (grads.empty()) {
+    ThreadPool::global().parallel_for(0, blocks, run);
+  } else {
+    run(0, blocks);
+  }
+  return stack_rows(outs, n, ws);
+}
+
+Tensor Sequential::backward_rows(const Tensor& grad_output, const Tape& tape,
+                                 GradSlots grads,
+                                 const LayerTimers* timers) const {
   Workspace* ws = ws_.get();
   Tensor g;
   std::size_t slot_end = grads.size();  // slots are handed out back to front

@@ -4,6 +4,17 @@
 // Forward and backward are const (the per-call state is the caller's
 // Tape, see nn/layer.hpp), so concurrent passes may share one model.
 //
+// Row blocks: rows are independent outside Mode::Train, so an Eval or
+// Infer pass over N >= 2 rows, called outside a pool task while the
+// global ThreadPool has T > 1 threads, is cut into B = min(T, N)
+// contiguous row blocks [b*N/B, (b+1)*N/B). Each block runs the whole
+// layer stack on one pool chunk (its kernels inline, see
+// tensor/thread_pool.hpp) and records into its own sub-tape
+// (Tape::blocks); the outputs are stacked back in row order. Every layer
+// computes each row independently of the others, so the result is
+// bitwise what a row-by-row pass computes. A Train pass never splits, so
+// training and its weights do not depend on the split.
+//
 // Each model owns a Workspace (an arena of reusable buffers, see
 // tensor/workspace.hpp, internally synchronized) that its passes hand to
 // the layers: intermediate activations/gradients are released back to the
@@ -54,15 +65,21 @@ class Sequential {
   const Layer& layer(std::size_t i) const { return *layers_.at(i); }
 
   /// Forward pass over all layers. A Train/Eval pass records one entry
-  /// per layer into `tape` when given, so backward() may follow; an Infer
-  /// pass records nothing and leaves `tape` as it was.
+  /// per layer into `tape` when given (or, when split into row blocks, one
+  /// sub-tape per block), so backward() may follow; an Infer pass records
+  /// nothing and leaves `tape` as it was. Counts one model/forward_calls
+  /// per call, split or not.
   Tensor forward(const Tensor& input, Mode mode = Mode::Eval,
                  Tape* tape = nullptr) const;
 
   /// Backpropagates d(loss)/d(output) through the layers using `tape`
   /// (read-only, so one recording forward may seed many backwards) and
   /// returns d(loss)/d(input). Parameter gradients accumulate into
-  /// `grads` (aligned with parameters()) when non-empty.
+  /// `grads` (aligned with parameters()) when non-empty. Over a split
+  /// tape, the blocks' input gradients run in parallel; with `grads`, the
+  /// blocks run one after another, in block order, into the same slots
+  /// (deterministic, but a different float summation order than one
+  /// unsplit pass).
   Tensor backward(const Tensor& grad_output, const Tape& tape,
                   GradSlots grads = {}) const;
 
@@ -108,6 +125,12 @@ class Sequential {
     std::vector<LayerTimers> timers;
   };
   const LayerTimers* obs_timers() const;  // null while obs is off
+  // One unsplit pass over `input`'s rows (forward records into
+  // tape->entries; backward reads them).
+  Tensor forward_rows(const Tensor& input, Mode mode, Tape* tape,
+                      const LayerTimers* timers) const;
+  Tensor backward_rows(const Tensor& grad_output, const Tape& tape,
+                       GradSlots grads, const LayerTimers* timers) const;
   // Rebuilds the fusion plan and the timer table; the layer list never
   // changes during a pass.
   void layers_changed();

@@ -17,9 +17,12 @@ struct TapeEntry {
   std::vector<std::size_t> index;
 };
 
-/// One entry per layer of the model whose forward recorded it.
+/// One entry per layer of the model whose forward recorded it; or, when
+/// that forward ran as row blocks (see nn/sequential.hpp), one sub-tape
+/// per block, in row order, and no entries.
 struct Tape {
   std::vector<TapeEntry> entries;
+  std::vector<Tape> blocks;
 };
 
 /// Gradient slots aligned with parameters(); empty: input gradient only.

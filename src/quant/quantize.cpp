@@ -363,11 +363,10 @@ Tensor QuantConv2d::forward_impl(const Tensor& input, nn::Mode mode,
   // same exact int32 results, fewer barriers, better locality.
   std::vector<std::int32_t> acc(n * out_hw * oc);  // [N * out_hw, out_c]
   Tensor out = make_buffer(ws, {n, oc, oh, ow});
-  const bool outer_parallel = pool.thread_count() > 1 && n > 1;
-  const auto run_samples = [&](std::size_t s0, std::size_t s1) {
-    GemmOpts opts;
-    opts.pool = pool_;
-    opts.parallel = !outer_parallel;  // no nested pool handoff
+  // Per-sample GEMMs inside the pool's chunks run inline; a lone sample
+  // runs as the caller's only chunk, so its GEMM may still use the pool.
+  pool.parallel_for(0, n, [&](std::size_t s0, std::size_t s1) {
+    const GemmOpts opts{.pool = pool_};
     for (std::size_t s = s0; s < s1; ++s) {
       {
         obs::ScopedTimer t_rows("quant/conv/im2row");
@@ -382,12 +381,7 @@ Tensor QuantConv2d::forward_impl(const Tensor& input, nn::Mode mode,
                                 out_hw, oc, out.data() + s * oc * out_hw);
       }
     }
-  };
-  if (outer_parallel) {
-    pool.parallel_for(0, n, run_samples);
-  } else {
-    run_samples(0, n);
-  }
+  });
   return out;
 }
 

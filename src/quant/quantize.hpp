@@ -64,6 +64,8 @@ class QuantLayer {
 
   /// Pool used by this layer's int8 GEMM; nullptr restores the global
   /// pool. Results are identical for any pool (exact int32 accumulation).
+  /// A layer called inside a pool task (e.g. within one of Sequential's
+  /// row blocks) runs its pool calls inline, whatever pool is set here.
   virtual void set_pool(ThreadPool* pool) = 0;
 
   /// Calibrated per-tensor input scale (s_a).

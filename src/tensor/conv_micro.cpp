@@ -140,7 +140,7 @@ void conv_tile(std::size_t k2, std::size_t strip, const float* wpanel,
 
 void pad_image(const float* src, std::size_t c, std::size_t h, std::size_t w,
                std::size_t pad, float* dst) {
-  const std::size_t ph = h + 2 * pad, pw = w + 2 * pad;
+  const std::size_t pw = w + 2 * pad;
   if (pad == 0) {
     std::memcpy(dst, src, c * h * w * sizeof(float));
     std::memset(dst + c * h * w, 0, NR * sizeof(float));

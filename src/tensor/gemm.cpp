@@ -166,13 +166,15 @@ void micro_kernel(std::size_t kc, const float* ap, const float* bp, float* c,
 }
 #endif
 
-// Computes rows [r0, r1) of C from packed B, packing A blocks into
-// `a_scratch` on the fly. Each KC strip accumulates into C in a fixed
-// order, so any row partition yields bit-identical results.
+// Computes rows [r0, r1) of C from packed B, packing A blocks into a
+// per-thread scratch buffer on the fly (pool chunks each run on their own
+// thread, and workers are persistent, so it allocates once per thread).
+// Each KC strip accumulates into C in a fixed order, so any row partition
+// yields bit-identical results.
 void gemm_rows_blocked(const OperandView& a, const float* bpacked,
                        float* c, std::size_t r0, std::size_t r1,
-                       std::size_t k, std::size_t n, bool accumulate,
-                       std::vector<float>& a_scratch) {
+                       std::size_t k, std::size_t n, bool accumulate) {
+  static thread_local std::vector<float> a_scratch;
   const std::size_t npanels = (n + NR - 1) / NR;
   if (a_scratch.size() < MC * KC) a_scratch.resize(MC * KC);
   for (std::size_t pc = 0, kb = 0; pc < k; pc += KC, ++kb) {
@@ -211,26 +213,21 @@ void gemm_core(const OperandView& a, const OperandView& b, float* c,
   std::chrono::steady_clock::time_point obs_t0;
   if (observe) obs_t0 = std::chrono::steady_clock::now();
   // Pack B once into the calling thread's persistent buffer; worker
-  // chunks read it shared. Per-chunk A scratch comes from the pool so the
-  // buffers survive across calls (no steady-state allocation).
+  // chunks read it shared.
   static thread_local std::vector<float> b_scratch;
   const std::size_t npanels = (n + NR - 1) / NR;
   if (b_scratch.size() < k * npanels * NR) b_scratch.resize(k * npanels * NR);
   pack_b(b, k, n, b_scratch.data());
 
   ThreadPool& pool = opts.pool ? *opts.pool : ThreadPool::global();
-  if (opts.parallel && m * k * n >= kParallelMinWork &&
-      pool.thread_count() > 1) {
+  // Inside a pool task max_chunks() is 1: stay on this thread.
+  if (m * k * n >= kParallelMinWork && pool.max_chunks() > 1) {
     const float* bp = b_scratch.data();
-    pool.parallel_for_indexed(
-        0, m, [&, bp](std::size_t chunk, std::size_t r0, std::size_t r1) {
-          gemm_rows_blocked(a, bp, c, r0, r1, k, n, opts.accumulate,
-                            pool.chunk_scratch(chunk));
-        });
+    pool.parallel_for(0, m, [&, bp](std::size_t r0, std::size_t r1) {
+      gemm_rows_blocked(a, bp, c, r0, r1, k, n, opts.accumulate);
+    });
   } else {
-    static thread_local std::vector<float> a_scratch;
-    gemm_rows_blocked(a, b_scratch.data(), c, 0, m, k, n, opts.accumulate,
-                      a_scratch);
+    gemm_rows_blocked(a, b_scratch.data(), c, 0, m, k, n, opts.accumulate);
   }
 
   if (observe) {

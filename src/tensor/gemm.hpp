@@ -25,12 +25,11 @@ struct GemmOpts {
   /// If true, C += A*B instead of C = A*B. Tensor-level entry points then
   /// require c to be pre-shaped [M, N].
   bool accumulate = false;
-  /// If false, stay on the calling thread (required when already inside a
-  /// ThreadPool task — parallel_for does not nest).
-  bool parallel = true;
   /// Pool used for the parallel path; nullptr means ThreadPool::global().
   /// Output is bit-identical for any pool size (static row partitioning,
-  /// fixed per-element accumulation order).
+  /// fixed per-element accumulation order). Called from inside a pool
+  /// task (e.g. per-sample conv chunks, nn::Sequential row blocks), the
+  /// GEMM runs on the calling thread: nested pool calls run inline.
   ThreadPool* pool = nullptr;
 };
 

@@ -274,8 +274,8 @@ void gemm_u8s8_packed(const std::uint8_t* a, const std::int8_t* b_packed,
   if (observe) obs_t0 = std::chrono::steady_clock::now();
 
   ThreadPool& pool = opts.pool ? *opts.pool : ThreadPool::global();
-  if (opts.parallel && m * k * n >= kParallelMinWork &&
-      pool.thread_count() > 1) {
+  // Inside a pool task max_chunks() is 1: stay on this thread.
+  if (m * k * n >= kParallelMinWork && pool.max_chunks() > 1) {
     pool.parallel_for_indexed(
         0, m, [&](std::size_t, std::size_t r0, std::size_t r1) {
           gemm_rows_blocked_i8(a, k, b_packed, c, r0, r1, k, n,

@@ -10,6 +10,10 @@
 namespace adv {
 namespace {
 
+// True while this thread runs a pool task: always on a worker, and on a
+// caller for the duration of its own chunk. Nested calls run inline.
+thread_local bool t_in_task = false;
+
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -22,7 +26,6 @@ ThreadPool::ThreadPool(unsigned threads) {
   unsigned n = threads ? threads : std::thread::hardware_concurrency();
   if (n == 0) n = 1;
   tasks_.resize(n - 1);
-  scratch_.resize(n);
   workers_.reserve(n - 1);
   for (std::size_t i = 0; i + 1 < n; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -52,14 +55,13 @@ void ThreadPool::parallel_for_indexed(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
-  // Also covers the inline path: fn may use chunk_scratch(0).
-  std::lock_guard call_lock(call_mutex_);
   const std::size_t total = end - begin;
-  const std::size_t nthreads = std::min(thread_count(), total);
+  const std::size_t nthreads = std::min(max_chunks(), total);
   if (nthreads <= 1) {
-    fn(0, begin, end);
+    fn(0, begin, end);  // nested, or one chunk: inline, no pool state
     return;
   }
+  std::lock_guard call_lock(call_mutex_);
   const std::size_t chunk = (total + nthreads - 1) / nthreads;
 
   const bool observe = obs::enabled();
@@ -90,11 +92,13 @@ void ThreadPool::parallel_for_indexed(
     tasks.add(dispatched + 1);  // workers + the caller's own chunk
   }
 
+  t_in_task = true;
   try {
     fn(0, begin, std::min(end, begin + chunk));
   } catch (...) {
     record_exception(std::current_exception());
   }
+  t_in_task = false;
 
   std::unique_lock lock(mutex_);
   if (observe && pending_ != 0) {
@@ -111,12 +115,17 @@ void ThreadPool::parallel_for_indexed(
   if (exc) std::rethrow_exception(exc);
 }
 
+std::size_t ThreadPool::max_chunks() const {
+  return t_in_task ? 1 : thread_count();
+}
+
 void ThreadPool::record_exception(std::exception_ptr e) {
   std::lock_guard lock(mutex_);
   if (!first_exception_) first_exception_ = std::move(e);
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
+  t_in_task = true;  // a worker runs nothing but tasks
   std::uint64_t seen_generation = 0;
   for (;;) {
     Task task;

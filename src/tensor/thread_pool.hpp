@@ -5,8 +5,16 @@
 // (range, thread count) — results of per-chunk reductions can be combined
 // in a fixed order, keeping multi-threaded runs bit-identical.
 //
-// Concurrent callers are serialized: each parallel_for holds the pool for
-// its whole duration, so task slots and chunk scratch are never shared.
+// Nesting runs inline: a parallel_for issued from inside a pool task (a
+// worker, or a caller while it runs its own chunk — of any pool) runs its
+// whole range on the calling thread as chunk 0, and max_chunks() reads 1
+// there. So an outer loop may split work across the pool (nn::Sequential
+// runs row blocks this way) while the kernels inside each block stay on
+// the block's thread, and no task ever waits on the pool it runs in.
+//
+// Concurrent top-level callers are serialized: each dispatching
+// parallel_for holds the pool for its whole duration, so task slots are
+// never shared. Inline runs (nested, or a range of one chunk) take no lock.
 //
 // Exception safety: a task that throws no longer terminates the process.
 // The first exception (from any chunk, including the caller's own) is
@@ -38,9 +46,9 @@ class ThreadPool {
 
   /// Runs `fn(chunk_begin, chunk_end)` over a static partition of
   /// [begin, end). Blocks until all chunks finish. The calling thread
-  /// executes one chunk itself. `fn` must not call parallel_for on the
-  /// same pool (no nesting). If any chunk throws, the first exception is
-  /// rethrown here after every other chunk has drained.
+  /// executes one chunk itself. Called from inside a pool task, it runs
+  /// fn(begin, end) inline instead (see top). If any chunk throws, the
+  /// first exception is rethrown here after every other chunk has drained.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -53,17 +61,11 @@ class ThreadPool {
       const std::function<void(std::size_t chunk, std::size_t, std::size_t)>&
           fn);
 
-  /// Upper bound on the chunk index parallel_for_indexed will pass.
-  std::size_t max_chunks() const { return thread_count(); }
-
-  /// Persistent per-chunk scratch buffer. A chunk index is owned by exactly
-  /// one task at a time, so the body of a parallel_for_indexed may use
-  /// chunk_scratch(chunk) freely; the buffer keeps its capacity across
-  /// parallel_for calls, so steady-state hot loops (e.g. GEMM panel
-  /// packing) allocate only once per pool lifetime.
-  std::vector<float>& chunk_scratch(std::size_t chunk) {
-    return scratch_.at(chunk);
-  }
+  /// Upper bound on the chunk count parallel_for_indexed will use from
+  /// the calling thread: thread_count(), or 1 inside a pool task (where
+  /// calls run inline). Chunks each run on their own thread, so per-thread
+  /// (thread_local) scratch is never shared within one call.
+  std::size_t max_chunks() const;
 
   /// Process-wide pool, created on first use with default_thread_count()
   /// threads. Thread count can be pinned with the ADV_THREADS environment
@@ -98,12 +100,11 @@ class ThreadPool {
   void record_exception(std::exception_ptr e);
 
   std::vector<std::thread> workers_;
-  std::mutex call_mutex_;  // held by each parallel_for call (see top)
+  std::mutex call_mutex_;  // held by each dispatching call (see top)
   std::mutex mutex_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
   std::vector<Task> tasks_;        // one slot per worker
-  std::vector<std::vector<float>> scratch_;  // one buffer per chunk slot
   std::uint64_t generation_ = 0;   // bumped per parallel_for call
   std::size_t pending_ = 0;
   bool shutdown_ = false;

@@ -127,8 +127,9 @@ TEST(BlockedGemm, SerialOptOutMatchesParallel) {
   const Tensor a = random_matrix(129, 300, 21);
   const Tensor b = random_matrix(300, 129, 22);
   Tensor par, ser;
-  gemm(a, b, par, {.parallel = true});
-  gemm(a, b, ser, {.parallel = false});
+  ThreadPool one(1);
+  gemm(a, b, par);
+  gemm(a, b, ser, {.pool = &one});
   ASSERT_EQ(par.shape(), ser.shape());
   EXPECT_EQ(0, std::memcmp(par.data(), ser.data(),
                            par.numel() * sizeof(float)));
@@ -144,7 +145,7 @@ TEST(BlockedGemm, BitIdenticalAcrossThreadCounts) {
     const Tensor a = random_matrix(m, k, m + 1000 * k);
     const Tensor b = random_matrix(k, n, k + 1000 * n);
     Tensor serial;
-    gemm(a, b, serial, {.parallel = false});
+    gemm(a, b, serial, {.pool = &pool1});
     for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
       Tensor c;
       gemm(a, b, c, {.pool = pool});
@@ -156,7 +157,7 @@ TEST(BlockedGemm, BitIdenticalAcrossThreadCounts) {
       // Transposed variants must be deterministic too (they share the
       // packing core, but check anyway: they are the backward pass).
       Tensor serial_at, c_at;
-      gemm_at_b(transposed(a), b, serial_at, {.parallel = false});
+      gemm_at_b(transposed(a), b, serial_at, {.pool = &pool1});
       gemm_at_b(transposed(a), b, c_at, {.pool = pool});
       EXPECT_EQ(0, std::memcmp(c_at.data(), serial_at.data(),
                                c_at.numel() * sizeof(float)));
@@ -170,7 +171,8 @@ TEST(BlockedGemm, AccumulateBitIdenticalAcrossThreadCounts) {
   const Tensor b = random_matrix(k, n, 6);
   const Tensor bias = random_matrix(m, n, 7);
   Tensor serial = bias;
-  gemm(a, b, serial, {.accumulate = true, .parallel = false});
+  ThreadPool one(1);
+  gemm(a, b, serial, {.accumulate = true, .pool = &one});
   ThreadPool pool8(8);
   Tensor par = bias;
   gemm(a, b, par, {.accumulate = true, .pool = &pool8});

@@ -6,6 +6,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "tensor/thread_pool.hpp"
 
 namespace adv {
 namespace {
@@ -112,11 +113,12 @@ TEST(Gemm, RawAccumulateAddsIntoC) {
   Tensor a = Tensor::from_data(Shape({1, 2}), {1, 2});
   Tensor b = Tensor::from_data(Shape({2, 1}), {3, 4});
   Tensor c({1, 1}, 10.0f);
+  ThreadPool one(1);
   gemm_raw(a.data(), b.data(), c.data(), 1, 2, 1,
-           {.accumulate = true, .parallel = false});
+           {.accumulate = true, .pool = &one});
   EXPECT_FLOAT_EQ(c[0], 21.0f);
   gemm_raw(a.data(), b.data(), c.data(), 1, 2, 1,
-           {.accumulate = false, .parallel = false});
+           {.accumulate = false, .pool = &one});
   EXPECT_FLOAT_EQ(c[0], 11.0f);
 }
 

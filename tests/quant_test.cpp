@@ -11,7 +11,8 @@
 //  * Thread-count determinism: int32 accumulation is associative, so
 //    1-thread and 4-thread pools must agree BITWISE. ADV_THREADS only
 //    pins the global pool, so the test passes dedicated pools through
-//    quant::set_pool — the same seam the serving layer uses.
+//    quant::set_pool and runs the layers one by one (a Sequential pass
+//    would run them inside its row blocks, where pool calls run inline).
 //  * Serialization: save_quantized/load_quantized round-trips through the
 //    CRC'd tensor format and must reproduce forwards bitwise; mismatched
 //    architectures and truncated files must throw.
@@ -229,11 +230,20 @@ TEST(QuantDeterminism, BitwiseIdenticalAcrossThreadCounts) {
   fill_uniform(x, rng, 0.0f, 1.0f);
   nn::Sequential qmodel = quant::quantize(model, x);
 
+  // Layer by layer, not qmodel.forward: Sequential splits an Infer pass
+  // into row blocks on the global pool, and inside a block every pool
+  // call (pool4's included) runs inline, so both arms would be serial.
+  const auto forward_layers = [&](ThreadPool* pool) {
+    quant::set_pool(qmodel, pool);
+    Tensor y = x;
+    for (std::size_t i = 0; i < qmodel.size(); ++i) {
+      y = qmodel.layer(i).forward(y, nn::Mode::Infer);
+    }
+    return y;
+  };
   ThreadPool pool1(1), pool4(4);
-  quant::set_pool(qmodel, &pool1);
-  const Tensor y1 = qmodel.forward(x, nn::Mode::Infer);
-  quant::set_pool(qmodel, &pool4);
-  const Tensor y4 = qmodel.forward(x, nn::Mode::Infer);
+  const Tensor y1 = forward_layers(&pool1);
+  const Tensor y4 = forward_layers(&pool4);
   quant::set_pool(qmodel, nullptr);
 
   ASSERT_EQ(y1.shape(), y4.shape());

@@ -1,10 +1,12 @@
-// Tests for ThreadPool: exact coverage, chunk indexing, determinism.
+// Tests for ThreadPool: exact coverage, chunk indexing, determinism, and
+// nested calls running inline.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "tensor/thread_pool.hpp"
@@ -175,6 +177,98 @@ TEST(ThreadPool, SingleThreadPoolPropagatesToo) {
     for (std::size_t i = b; i < e; ++i) total += i;
   });
   EXPECT_EQ(total, 45u);
+}
+
+// A parallel_for issued from inside a task — by a worker, or by the
+// caller while it runs its own chunk 0 — runs its whole range inline on
+// that thread as chunk 0, covering every index exactly once.
+TEST(ThreadPool, NestedCallRunsInlineAsChunkZero) {
+  ThreadPool pool(4);
+  constexpr std::size_t kOuter = 4, kInner = 100;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> not_inline{0};
+  pool.parallel_for(0, kOuter, [&](std::size_t b, std::size_t e) {
+    for (std::size_t o = b; o < e; ++o) {
+      const std::thread::id outer_thread = std::this_thread::get_id();
+      pool.parallel_for_indexed(
+          0, kInner, [&](std::size_t chunk, std::size_t ib, std::size_t ie) {
+            if (chunk != 0 || ib != 0 || ie != kInner ||
+                std::this_thread::get_id() != outer_thread) {
+              not_inline.fetch_add(1);
+            }
+            for (std::size_t i = ib; i < ie; ++i) {
+              hits[o * kInner + i].fetch_add(1);
+            }
+          });
+    }
+  });
+  EXPECT_EQ(not_inline.load(), 0);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, MaxChunksIsOneInsideATask) {
+  ThreadPool pool(4);
+  ThreadPool other(3);
+  EXPECT_EQ(pool.max_chunks(), 4u);
+  std::vector<std::size_t> inside(4, 0), inside_other(4, 0);
+  pool.parallel_for_indexed(0, 4,
+                            [&](std::size_t c, std::size_t, std::size_t) {
+                              inside[c] = pool.max_chunks();
+                              inside_other[c] = other.max_chunks();
+                            });
+  for (std::size_t c = 0; c < 4; ++c) {
+    EXPECT_EQ(inside[c], 1u) << "chunk " << c;
+    EXPECT_EQ(inside_other[c], 1u) << "chunk " << c;  // any pool
+  }
+  EXPECT_EQ(pool.max_chunks(), 4u);  // the caller left its task
+}
+
+TEST(ThreadPool, ExceptionFromNestedCallReachesOuterCaller) {
+  ThreadPool pool(4);
+  // Index 900 of the outer range lands in a worker's chunk, index 10 in
+  // the caller's; both throw from inside their nested call.
+  for (const std::size_t bad : {std::size_t{900}, std::size_t{10}}) {
+    try {
+      pool.parallel_for(0, 1000, [&](std::size_t b, std::size_t e) {
+        pool.parallel_for(b, e, [&](std::size_t ib, std::size_t ie) {
+          for (std::size_t i = ib; i < ie; ++i) {
+            if (i == bad) throw std::runtime_error("nested " +
+                                                   std::to_string(i));
+          }
+        });
+      });
+      FAIL() << "expected the nested exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "nested " + std::to_string(bad));
+    }
+  }
+  std::atomic<std::size_t> total{0};
+  pool.parallel_for(0, 64, [&](std::size_t b, std::size_t e) {
+    total.fetch_add(e - b);
+  });
+  EXPECT_EQ(total.load(), 64u);  // still usable
+}
+
+TEST(ThreadPool, ExternalThreadsIssuingNestedWorkNeverDeadlock) {
+  ThreadPool pool(4);
+  constexpr int kRounds = 50;
+  std::atomic<std::size_t> total{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        pool.parallel_for(0, 8, [&](std::size_t b, std::size_t e) {
+          for (std::size_t o = b; o < e; ++o) {
+            pool.parallel_for(0, 16, [&](std::size_t ib, std::size_t ie) {
+              total.fetch_add(ie - ib);
+            });
+          }
+        });
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(total.load(), 2u * kRounds * 8u * 16u);
 }
 
 // Saves/restores one environment variable around a test body.

@@ -330,24 +330,37 @@ fi
 
 echo "== thread sanitizer (concurrency tests) =="
 # Concurrent passes over shared models (classify threads, row-parallel
-# attacks), daemon start/stop under connecting clients, the serve
-# watchdog's retired executors, the thread pool and the obs atomics,
-# rebuilt with -fsanitize=thread in a tree of their own. Any report
-# fails the gate (halt_on_error turns the first one into a nonzero exit).
+# attacks), row-block passes (nn::Sequential splitting Eval/Infer batches
+# across the pool, kernels nested inline), daemon start/stop under
+# connecting clients, the serve watchdog's retired executors, the thread
+# pool and the obs atomics, rebuilt with -fsanitize=thread in a tree of
+# their own. Any report fails the gate (halt_on_error turns the first one
+# into a nonzero exit). The pool-heavy binaries run a second time at
+# ADV_THREADS=3, which cuts batches into uneven row blocks.
 tsan_dir="$repo_root/${build_dir}-tsan"
 cmake -B "$tsan_dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS=-fsanitize=thread > /dev/null
 cmake --build "$tsan_dir" -j"$jobs" \
-      --target concurrency_test thread_pool_test obs_test serve_test
-for t in concurrency_test thread_pool_test obs_test \
-         "serve_test --gtest_filter=*Watchdog*"; do
-  # shellcheck disable=SC2086  # $t carries the binary plus its filter
-  if TSAN_OPTIONS=halt_on_error=1 "$tsan_dir"/tests/$t > "$tsan_dir/tsan.out" 2>&1; then
-    echo "ok: $t clean under ThreadSanitizer"
+      --target concurrency_test thread_pool_test obs_test serve_test \
+               row_block_test
+# tsan_run <ADV_THREADS, empty for the caller's pool size> <binary [filter]>
+tsan_run() {
+  local label="$2${1:+ at ADV_THREADS=$1}"
+  # shellcheck disable=SC2086  # $2 carries the binary plus its filter
+  if env ${1:+ADV_THREADS=$1} TSAN_OPTIONS=halt_on_error=1 \
+       "$tsan_dir"/tests/$2 > "$tsan_dir/tsan.out" 2>&1; then
+    echo "ok: $label clean under ThreadSanitizer"
   else
-    echo "FAIL: $t under ThreadSanitizer (see $tsan_dir/tsan.out)" >&2
+    echo "FAIL: $label under ThreadSanitizer (see $tsan_dir/tsan.out)" >&2
     cat "$tsan_dir/tsan.out" >&2
     fail=1
   fi
+}
+for t in concurrency_test thread_pool_test obs_test row_block_test \
+         "serve_test --gtest_filter=*Watchdog*"; do
+  tsan_run "" "$t"
+done
+for t in concurrency_test thread_pool_test row_block_test; do
+  tsan_run 3 "$t"
 done
 exit "$fail"
