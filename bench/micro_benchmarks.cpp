@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -25,9 +24,7 @@
 #include "nn/structural.hpp"
 #include "obs/emit.hpp"
 #include "obs/metrics.hpp"
-#include "quant/quantize.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/gemm_int8.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "tensor/thread_pool.hpp"
@@ -297,14 +294,22 @@ void write_gemm_json(const char* path) {
   std::printf("wrote %s\n", path);
 }
 
+/// Reports one gate of the A/Bs below: an "ok:" line on stdout, or a
+/// "FAIL:" line on stderr, which makes main exit non-zero.
+bool gate(bool ok, const char* what, double reading, const char* bound) {
+  std::fprintf(ok ? stdout : stderr, "%s: %s = %.2f (gate: %s)\n",
+               ok ? "ok" : "FAIL", what, reading, bound);
+  return ok;
+}
+
 /// Per-shape direct-vs-im2col conv A/B over the MagNet model shapes.
 /// Each case times forward and backward on both paths (best of `reps`
 /// after warmup) and checks bitwise identity of the forward output, the
 /// input gradient and the weight/bias gradients. Writes per-case times,
 /// speedups and identity flags plus the aggregate "identity" and
-/// "min_same3x3_fwd_speedup" fields to BENCH_conv.json; tools/ci.sh
-/// gates on identity == 1 and min_same3x3_fwd_speedup >= 2.
-void write_conv_json(const char* path) {
+/// "min_same3x3_fwd_speedup" fields to BENCH_conv.json. Gates: identity
+/// == 1 and min_same3x3_fwd_speedup >= 2; returns false when one fails.
+bool write_conv_json(const char* path) {
   struct Case {
     const char* name;
     nn::Conv2dConfig cfg;
@@ -330,7 +335,7 @@ void write_conv_json(const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
     std::fprintf(stderr, "micro_benchmarks: cannot write %s\n", path);
-    return;
+    return true;
   }
   std::fprintf(f, "{\n  \"unit\": \"ms\",\n  \"threads\": %zu,\n",
                ThreadPool::global().thread_count());
@@ -458,141 +463,13 @@ void write_conv_json(const char* path) {
                rows.c_str());
   std::fclose(f);
   std::printf("wrote %s\n", path);
-}
-
-/// Float-vs-int8 A/B (BENCH_int8.json): the quantized GEMM kernel against
-/// the float one on the attacked classifier's forward shapes (the im2row
-/// products and the fc head — the shapes a quantized classifier runs),
-/// plus a whole-model quantized-vs-float forward. Records which int8
-/// kernel the build dispatched to. tools/ci.sh gates
-/// min_clf_gemm_speedup >= 2.
-void write_int8_json(const char* path) {
-  struct Case {
-    const char* name;
-    std::size_t m, k, n;
-    // Cases in min_clf_gemm_speedup (the ci.sh >= 2x gate). conv1's k = 9
-    // panel is memory-bound — 288 multiply-adds per 64-byte C row leave
-    // the dot-product units idle, so its ratio hovers right at 2x and
-    // would make the gate a coin flip. It stays reported (same precedent
-    // as the im2col-fallback conv rows above) but only the compute-bound
-    // shapes are gated.
-    bool gated;
-  };
-  const Case cases[] = {
-      {"clf_conv1_as_gemm", 25088, 9, 16, false},  // 32 x [1,28,28] im2row
-      {"clf_conv2_as_gemm", 6272, 144, 32, true},  // 32 x [16,14,14] im2row
-      {"clf_fc", 256, 3136, 10, true},             // serving-batch fc head
-  };
-  constexpr int kReps = 5;
-
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "micro_benchmarks: cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"unit\": \"GFLOP/s\",\n  \"threads\": %zu,\n"
-               "  \"kernel\": \"%s\",\n",
-               ThreadPool::global().thread_count(), gemm_int8_kernel_name());
-
-  double min_speedup = 1e30;
-  std::string rows;
-  for (const Case& c : cases) {
-    const double f32 = gemm_gflops(c.m, c.k, c.n, kReps);
-
-    // Value patterns are irrelevant to int8 throughput; a cheap
-    // deterministic fill keeps the A/B reproducible without an RNG pass.
-    std::vector<std::uint8_t> a(c.m * c.k);
-    std::vector<std::int8_t> b(c.k * c.n);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      a[i] = static_cast<std::uint8_t>((i * 37 + 11) & 0xFF);
-    }
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      b[i] = static_cast<std::int8_t>(static_cast<int>((i * 53 + 7) % 255) -
-                                      127);
-    }
-    std::vector<std::int8_t> packed(packed_b_int8_size(c.k, c.n));
-    pack_b_s8(b.data(), c.k, c.n, packed.data());
-    std::vector<std::int32_t> acc(c.m * c.n);
-
-    gemm_u8s8_packed(a.data(), packed.data(), acc.data(), c.m, c.k, c.n);
-    double best_s = 1e30;
-    for (int r = 0; r < kReps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      gemm_u8s8_packed(a.data(), packed.data(), acc.data(), c.m, c.k, c.n);
-      const auto t1 = std::chrono::steady_clock::now();
-      best_s =
-          std::min(best_s, std::chrono::duration<double>(t1 - t0).count());
-    }
-    benchmark::DoNotOptimize(acc.data());
-    const double i8 = 2.0 * static_cast<double>(c.m) *
-                      static_cast<double>(c.k) * static_cast<double>(c.n) /
-                      best_s / 1e9;
-    const double speedup = i8 / f32;
-    if (c.gated) min_speedup = std::min(min_speedup, speedup);
-
-    char row[384];
-    std::snprintf(row, sizeof(row),
-                  "%s    {\"name\": \"%s\", \"m\": %zu, \"k\": %zu, "
-                  "\"n\": %zu, \"gflops_f32\": %.2f, \"gops_int8\": %.2f, "
-                  "\"speedup\": %.2f, \"gated\": %s}",
-                  rows.empty() ? "" : ",\n", c.name, c.m, c.k, c.n, f32, i8,
-                  speedup, c.gated ? "true" : "false");
-    rows += row;
-    std::printf("BENCH_int8 %-18s %6zux%5zux%3zu  f32 %7.2f  int8 %7.2f  "
-                "%.2fx%s\n",
-                c.name, c.m, c.k, c.n, f32, i8, speedup,
-                c.gated ? "" : "  (reported, not gated)");
-  }
-
-  // Whole-model A/B: the small classifier quantized against itself. The
-  // int8 arm pays quantize/dequantize at every boundary, so its speedup
-  // is a lower bound on what the GEMM ratio promises.
-  Rng mrng(10);
-  nn::Sequential model = small_classifier(mrng);
-  Rng xrng(13);
-  Tensor x({64, 1, 28, 28});
-  fill_uniform(x, xrng, 0.0f, 1.0f);
-  nn::Sequential qmodel = quant::quantize(model, x);
-  const auto best_ms = [&](nn::Sequential& m) {
-    m.forward(x, nn::Mode::Infer);  // warmup
-    double best_s = 1e30;
-    for (int r = 0; r < kReps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      Tensor y = m.forward(x, nn::Mode::Infer);
-      const auto t1 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(y.data());
-      best_s =
-          std::min(best_s, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best_s * 1e3;
-  };
-  const double fwd_f32 = best_ms(model);
-  const double fwd_i8 = best_ms(qmodel);
-  const Tensor yf = model.forward(x, nn::Mode::Infer);
-  const Tensor yq = qmodel.forward(x, nn::Mode::Infer);
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < yf.numel(); ++i) {
-    max_err = std::max(
-        max_err, static_cast<double>(std::abs(yf.data()[i] - yq.data()[i])));
-  }
-
-  std::fprintf(f,
-               "  \"min_clf_gemm_speedup\": %.2f,\n"
-               "  \"model_fwd_ms_float\": %.4f,\n"
-               "  \"model_fwd_ms_int8\": %.4f,\n"
-               "  \"model_fwd_speedup\": %.2f,\n"
-               "  \"model_logit_max_abs_err\": %.5f,\n"
-               "  \"cases\": [\n%s\n  ]\n}\n",
-               min_speedup, fwd_f32, fwd_i8, fwd_f32 / fwd_i8, max_err,
-               rows.c_str());
-  std::fclose(f);
-  std::printf(
-      "BENCH_int8 model fwd  f32 %.3f ms  int8 %.3f ms  %.2fx  "
-      "max |dlogit| %.4f  (min gemm speedup %.2fx, kernel %s)\n",
-      fwd_f32, fwd_i8, fwd_f32 / fwd_i8, max_err, min_speedup,
-      gemm_int8_kernel_name());
-  std::printf("wrote %s\n", path);
+  const bool identity_ok =
+      gate(all_identical, "direct conv identity with im2col (all shapes)",
+           all_identical ? 1.0 : 0.0, "== 1");
+  const bool speed_ok =
+      gate(min_same3x3_fwd >= 2.0, "min_same3x3_fwd_speedup",
+           min_same3x3_fwd, ">= 2");
+  return identity_ok && speed_ok;
 }
 
 /// End-to-end active-set engine A/B: one full EAD run (kappa = 15, the
@@ -601,8 +478,9 @@ void write_int8_json(const char* path) {
 /// in BOTH arms, so the optimization schedule is identical and the ratio
 /// isolates the engine: compacted model passes and recycled activations.
 /// Writes images/sec per arm, the speedup, and passes_saved to
-/// BENCH_attack_engine.json; tools/ci.sh gates on speedup >= 2.
-void write_attack_engine_json(const char* path) {
+/// BENCH_attack_engine.json. Gate: speedup >= 2; returns false when it
+/// fails.
+bool write_attack_engine_json(const char* path) {
   constexpr std::size_t kImages = 32;
   Rng rng(9);
   Tensor x({kImages, 1, 28, 28});
@@ -664,11 +542,13 @@ void write_attack_engine_json(const char* path) {
   const double ips_on = static_cast<double>(kImages) / t_on;
   const double ips_off = static_cast<double>(kImages) / t_off;
   const double speedup = t_off / t_on;
+  const bool speedup_ok =
+      gate(speedup >= 2.0, "attack engine speedup", speedup, ">= 2");
 
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
     std::fprintf(stderr, "micro_benchmarks: cannot write %s\n", path);
-    return;
+    return speedup_ok;
   }
   std::fprintf(f,
                "{\n"
@@ -688,6 +568,7 @@ void write_attack_engine_json(const char* path) {
       static_cast<double>(cfg.kappa), ips_on, ips_off,
       static_cast<unsigned long long>(passes_saved), speedup);
   std::printf("wrote %s\n", path);
+  return speedup_ok;
 }
 
 /// Drives a few instrumented forward/backward passes of the small
@@ -738,9 +619,10 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   write_gemm_json("BENCH_gemm.json");
-  write_conv_json("BENCH_conv.json");
-  write_int8_json("BENCH_int8.json");
-  write_attack_engine_json("BENCH_attack_engine.json");
+  // Every A/B runs and writes its artifact before the verdict, so one
+  // failed gate still leaves the others' readings behind.
+  const bool conv_ok = write_conv_json("BENCH_conv.json");
+  const bool engine_ok = write_attack_engine_json("BENCH_attack_engine.json");
   emit_layer_metrics("BENCH_layers.json");
-  return 0;
+  return conv_ok && engine_ok ? 0 : 1;
 }

@@ -27,7 +27,6 @@ class LeakyReLU final : public Layer {
   explicit LeakyReLU(float negative_slope = 0.01f)
       : negative_slope_(negative_slope) {}
   std::string name() const override { return "LeakyReLU"; }
-  float negative_slope() const { return negative_slope_; }
 
  private:
   Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,

@@ -73,8 +73,6 @@ class Conv2d final : public Layer {
   std::string name() const override { return "Conv2d"; }
 
   const Conv2dConfig& config() const { return cfg_; }
-  const Tensor& weight() const { return weight_; }
-  const Tensor& bias() const { return bias_; }
 
   /// Output size along one spatial dim. Throws std::invalid_argument when
   /// the kernel exceeds the padded input (the subtraction would wrap).

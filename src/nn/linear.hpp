@@ -18,11 +18,6 @@ class Linear final : public Layer {
   }
   std::string name() const override { return "Linear"; }
 
-  std::size_t in_features() const { return in_; }
-  std::size_t out_features() const { return out_; }
-  const Tensor& weight() const { return weight_; }
-  const Tensor& bias() const { return bias_; }
-
  private:
   // Tape entry: the input batch. Backward's `grads`, when non-empty, is
   // {dW [in, out], db [out]}.

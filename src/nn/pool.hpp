@@ -13,7 +13,6 @@ class AvgPool2d final : public Layer {
  public:
   explicit AvgPool2d(std::size_t window = 2) : window_(window) {}
   std::string name() const override { return "AvgPool2d"; }
-  std::size_t window() const { return window_; }
 
  private:
   Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
@@ -28,7 +27,6 @@ class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(std::size_t window = 2) : window_(window) {}
   std::string name() const override { return "MaxPool2d"; }
-  std::size_t window() const { return window_; }
 
  private:
   Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
@@ -44,7 +42,6 @@ class Upsample2d final : public Layer {
  public:
   explicit Upsample2d(std::size_t factor = 2) : factor_(factor) {}
   std::string name() const override { return "Upsample2d"; }
-  std::size_t factor() const { return factor_; }
 
  private:
   Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,

@@ -66,6 +66,7 @@ struct ByteReader {
     pos += n;
     return s;
   }
+  std::size_t remaining() const { return data.size() - pos; }
   bool exhausted() const { return pos == data.size(); }
 };
 
@@ -219,12 +220,23 @@ ClassifyResponse decode_response(std::span<const std::uint8_t> body) {
   resp.status = Status::Ok;
   if (resp.type == MessageType::Ping) return resp;
 
+  // Counts are checked against the bytes left before anything is sized by
+  // them: a row takes 5 bytes (flag + label), a reading at least 8 + 4n
+  // (name length, threshold, n scores).
   const std::uint32_t n = r.u32();
+  if (n > r.remaining() / 5) {
+    throw ProtocolError("response rows " + std::to_string(n) +
+                        " exceed body");
+  }
   resp.outcome.rejected.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) resp.outcome.rejected[i] = r.u8() != 0;
   resp.outcome.predicted.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) resp.outcome.predicted[i] = r.i32();
   const std::uint32_t dets = r.u32();
+  if (dets > r.remaining() / (8 + 4ull * n)) {
+    throw ProtocolError("response detectors " + std::to_string(dets) +
+                        " exceed body");
+  }
   resp.outcome.readings.resize(dets);
   for (std::uint32_t d = 0; d < dets; ++d) {
     auto& reading = resp.outcome.readings[d];

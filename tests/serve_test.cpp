@@ -183,6 +183,15 @@ TEST_F(ServeTest, DecodeRejectsMalformedBodies) {
   // Empty body.
   EXPECT_THROW(decode_request(std::span<const std::uint8_t>{}),
                ProtocolError);
+  // Ok classify responses whose counts no body this short can hold:
+  // 2^32 - 1 rows, then 0 rows and 2^32 - 1 detectors. Both must fail
+  // before anything is sized by the count.
+  EXPECT_THROW(decode_response(std::vector<std::uint8_t>{
+                   0, 1, 0xFF, 0xFF, 0xFF, 0xFF}),
+               ProtocolError);
+  EXPECT_THROW(decode_response(std::vector<std::uint8_t>{
+                   0, 1, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}),
+               ProtocolError);
 }
 
 // --- micro-batching bitwise identity ------------------------------------
