@@ -14,23 +14,8 @@
 #include "core/evaluation.hpp"
 #include "core/magnet_factory.hpp"
 #include "core/model_zoo.hpp"
-#include "core/shard.hpp"
 
 namespace adv::bench {
-
-/// Warm phase shared by the sharded benches: trains/publishes (through
-/// the zoo cache) the classifier and the MagNet variants the body needs,
-/// so fanned-out workers only craft attacks. Idempotent — everything is
-/// cached by ScaleConfig::cache_tag().
-inline void warm_variants(
-    core::ModelZoo& zoo, core::DatasetId id,
-    std::initializer_list<core::MagnetVariant> variants,
-    magnet::ReconLoss ae_loss = magnet::ReconLoss::Mse) {
-  zoo.classifier(id);
-  for (const core::MagnetVariant v : variants) {
-    core::build_magnet(zoo, id, v, ae_loss);
-  }
-}
 
 /// The paper quotes some table rows at specific confidences (e.g. kappa =
 /// 15 on MNIST). Under REPRO_SCALE=full we use them exactly; the fast

@@ -1,8 +1,7 @@
 // Shared driver for the supplementary EAD ablation figures (Figs. 6-11):
 // for one dataset and one MagNet variant, sweep beta x decision rule and
 // print the defense-scheme ablation curves for each combination. Each
-// figure binary is one ead_ablation_main call, which also wires it
-// through the process-sharding driver (--shards N).
+// figure binary builds a zoo and makes one run_ead_ablation_figure call.
 #pragma once
 
 #include "bench_common.hpp"
@@ -31,20 +30,6 @@ inline void run_ead_ablation_figure(core::ModelZoo& zoo, const char* figure,
       emit(title, csv, curves);
     }
   }
-}
-
-inline int ead_ablation_main(int argc, char** argv, const char* bench_name,
-                             const char* figure, core::DatasetId id,
-                             core::MagnetVariant variant) {
-  core::ShardedBench sb;
-  sb.name = bench_name;
-  sb.warm = [id, variant](core::ModelZoo& zoo) {
-    warm_variants(zoo, id, {variant});
-  };
-  sb.body = [figure, id, variant](core::ModelZoo& zoo) {
-    run_ead_ablation_figure(zoo, figure, id, variant);
-  };
-  return core::shard_main(argc, argv, sb);
 }
 
 }  // namespace adv::bench

@@ -1,8 +1,8 @@
 // Figure 10: EAD vs the robust MNIST MagNet with widened auto-encoders
 // AND two extra JSD detectors.
 #include "ead_ablation_common.hpp"
-int main(int argc, char** argv) {
-  return adv::bench::ead_ablation_main(argc, argv, "fig10_mnist_ead_256_jsd", "10",
-                                       adv::core::DatasetId::Mnist,
-                                       adv::core::MagnetVariant::WideJsd);
+int main() {
+  adv::core::ModelZoo zoo(adv::core::scale_from_env());
+  adv::bench::run_ead_ablation_figure(zoo, "10", adv::core::DatasetId::Mnist,
+                                      adv::core::MagnetVariant::WideJsd);
 }

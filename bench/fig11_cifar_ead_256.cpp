@@ -1,7 +1,7 @@
 // Figure 11: EAD vs the robust CIFAR MagNet with widened auto-encoders.
 #include "ead_ablation_common.hpp"
-int main(int argc, char** argv) {
-  return adv::bench::ead_ablation_main(argc, argv, "fig11_cifar_ead_256", "11",
-                                       adv::core::DatasetId::Cifar,
-                                       adv::core::MagnetVariant::Wide);
+int main() {
+  adv::core::ModelZoo zoo(adv::core::scale_from_env());
+  adv::bench::run_ead_ablation_figure(zoo, "11", adv::core::DatasetId::Cifar,
+                                      adv::core::MagnetVariant::Wide);
 }

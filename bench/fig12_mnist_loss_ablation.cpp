@@ -36,29 +36,20 @@ std::vector<core::SweepCurve> loss_panel(core::ModelZoo& zoo,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const auto id = core::DatasetId::Mnist;
-  core::ShardedBench sb;
-  sb.name = "fig12_mnist_loss_ablation";
-  sb.warm = [id](core::ModelZoo& zoo) {
-    for (const auto loss : {magnet::ReconLoss::Mse, magnet::ReconLoss::Mae}) {
-      bench::warm_variants(zoo, id, {core::MagnetVariant::Default}, loss);
-    }
+  core::ModelZoo zoo(core::scale_from_env());
+  std::printf("== Figure 12: AE reconstruction-loss ablation on MNIST ==\n");
+  std::printf("scale: %s\n", bench::scale_banner(zoo.scale()));
+  const std::pair<magnet::ReconLoss, const char*> panels[] = {
+      {magnet::ReconLoss::Mse, "a_mse"},
+      {magnet::ReconLoss::Mae, "b_mae"},
   };
-  sb.body = [id](core::ModelZoo& zoo) {
-    std::printf("== Figure 12: AE reconstruction-loss ablation on MNIST ==\n");
-    std::printf("scale: %s\n", bench::scale_banner(zoo.scale()));
-    const std::pair<magnet::ReconLoss, const char*> panels[] = {
-        {magnet::ReconLoss::Mse, "a_mse"},
-        {magnet::ReconLoss::Mae, "b_mae"},
-    };
-    for (const auto& [loss, tag] : panels) {
-      auto pipe =
-          core::build_magnet(zoo, id, core::MagnetVariant::Default, loss);
-      bench::emit(std::string("Fig 12 (") + tag + ") (accuracy %)",
-                  std::string("fig12_") + tag + ".csv",
-                  loss_panel(zoo, id, *pipe));
-    }
-  };
-  return core::shard_main(argc, argv, sb);
+  for (const auto& [loss, tag] : panels) {
+    auto pipe =
+        core::build_magnet(zoo, id, core::MagnetVariant::Default, loss);
+    bench::emit(std::string("Fig 12 (") + tag + ") (accuracy %)",
+                std::string("fig12_") + tag + ".csv",
+                loss_panel(zoo, id, *pipe));
+  }
 }

@@ -4,28 +4,20 @@
 
 using namespace adv;
 
-int main(int argc, char** argv) {
+int main() {
   const auto id = core::DatasetId::Cifar;
-  core::ShardedBench sb;
-  sb.name = "fig3_cifar_defense_curves";
-  sb.warm = [id](core::ModelZoo& zoo) {
-    bench::warm_variants(
-        zoo, id, {core::MagnetVariant::Default, core::MagnetVariant::Wide});
+  core::ModelZoo zoo(core::scale_from_env());
+  std::printf("== Figure 3: CIFAR defense performance vs confidence ==\n");
+  std::printf("scale: %s\n", bench::scale_banner(zoo.scale()));
+  const std::pair<core::MagnetVariant, const char*> panels[] = {
+      {core::MagnetVariant::Default, "a_default"},
+      {core::MagnetVariant::Wide, "b_256"},
   };
-  sb.body = [id](core::ModelZoo& zoo) {
-    std::printf("== Figure 3: CIFAR defense performance vs confidence ==\n");
-    std::printf("scale: %s\n", bench::scale_banner(zoo.scale()));
-    const std::pair<core::MagnetVariant, const char*> panels[] = {
-        {core::MagnetVariant::Default, "a_default"},
-        {core::MagnetVariant::Wide, "b_256"},
-    };
-    for (const auto& [variant, tag] : panels) {
-      auto pipe = core::build_magnet(zoo, id, variant);
-      const auto curves = bench::headline_curves(zoo, id, *pipe);
-      bench::emit(std::string("Fig 3 (") + tag + ") — MagNet " +
-                      core::to_string(variant) + " (accuracy %)",
-                  std::string("fig3_") + tag + ".csv", curves);
-    }
-  };
-  return core::shard_main(argc, argv, sb);
+  for (const auto& [variant, tag] : panels) {
+    auto pipe = core::build_magnet(zoo, id, variant);
+    const auto curves = bench::headline_curves(zoo, id, *pipe);
+    bench::emit(std::string("Fig 3 (") + tag + ") — MagNet " +
+                    core::to_string(variant) + " (accuracy %)",
+                std::string("fig3_") + tag + ".csv", curves);
+  }
 }

@@ -4,33 +4,23 @@
 
 using namespace adv;
 
-int main(int argc, char** argv) {
+int main() {
   const auto id = core::DatasetId::Mnist;
-  core::ShardedBench sb;
-  sb.name = "fig4_mnist_cw_ablation";
-  sb.warm = [id](core::ModelZoo& zoo) {
-    bench::warm_variants(zoo, id,
-                         {core::MagnetVariant::Default, core::MagnetVariant::Jsd,
-                          core::MagnetVariant::Wide,
-                          core::MagnetVariant::WideJsd});
+  core::ModelZoo zoo(core::scale_from_env());
+  std::printf("== Figure 4: C&W ablation on MNIST ==\n");
+  std::printf("scale: %s\n", bench::scale_banner(zoo.scale()));
+  const std::pair<core::MagnetVariant, const char*> panels[] = {
+      {core::MagnetVariant::Default, "a_default"},
+      {core::MagnetVariant::Jsd, "b_jsd"},
+      {core::MagnetVariant::Wide, "c_256"},
+      {core::MagnetVariant::WideJsd, "d_256_jsd"},
   };
-  sb.body = [id](core::ModelZoo& zoo) {
-    std::printf("== Figure 4: C&W ablation on MNIST ==\n");
-    std::printf("scale: %s\n", bench::scale_banner(zoo.scale()));
-    const std::pair<core::MagnetVariant, const char*> panels[] = {
-        {core::MagnetVariant::Default, "a_default"},
-        {core::MagnetVariant::Jsd, "b_jsd"},
-        {core::MagnetVariant::Wide, "c_256"},
-        {core::MagnetVariant::WideJsd, "d_256_jsd"},
-    };
-    for (const auto& [variant, tag] : panels) {
-      auto pipe = core::build_magnet(zoo, id, variant);
-      const auto curves = bench::scheme_ablation_curves(
-          zoo, id, *pipe, [&](float k) { return zoo.cw(id, k); });
-      bench::emit(std::string("Fig 4 (") + tag + ") — C&W vs MagNet " +
-                      core::to_string(variant) + " (accuracy %)",
-                  std::string("fig4_") + tag + ".csv", curves);
-    }
-  };
-  return core::shard_main(argc, argv, sb);
+  for (const auto& [variant, tag] : panels) {
+    auto pipe = core::build_magnet(zoo, id, variant);
+    const auto curves = bench::scheme_ablation_curves(
+        zoo, id, *pipe, [&](float k) { return zoo.cw(id, k); });
+    bench::emit(std::string("Fig 4 (") + tag + ") — C&W vs MagNet " +
+                    core::to_string(variant) + " (accuracy %)",
+                std::string("fig4_") + tag + ".csv", curves);
+  }
 }

@@ -1,8 +1,8 @@
 // Figure 6: EAD (beta x decision rule) vs the DEFAULT MagNet on MNIST,
 // with the defense-scheme ablation.
 #include "ead_ablation_common.hpp"
-int main(int argc, char** argv) {
-  return adv::bench::ead_ablation_main(argc, argv, "fig6_mnist_ead_ablation", "6",
-                                       adv::core::DatasetId::Mnist,
-                                       adv::core::MagnetVariant::Default);
+int main() {
+  adv::core::ModelZoo zoo(adv::core::scale_from_env());
+  adv::bench::run_ead_ablation_figure(zoo, "6", adv::core::DatasetId::Mnist,
+                                      adv::core::MagnetVariant::Default);
 }

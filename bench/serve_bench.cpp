@@ -14,11 +14,12 @@
 // coalescing actually happens) and compares every response against the
 // pipeline run serially one-request-at-a-time: the gate passes only on
 // BITWISE identical predictions, rejections, thresholds and detector
-// scores (see batcher.hpp for why this must hold). ci.sh asserts
-// serve/bench/identity == 1.
+// scores (see batcher.hpp for why this must hold).
 //
 // Emits BENCH_serve.json (every metric under serve/, including the
-// daemon's own counters and timers).
+// daemon's own counters and timers). The binary holds its own gates: it
+// prints a FAIL: line and exits 1 when the identity gate fails or the
+// overload phase breaks its invariants (see run_overload).
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -176,10 +177,11 @@ DepthStats run_depth(const std::filesystem::path& socket,
 /// batches, 8-row admission queue, watchdog armed) under a
 /// `serve.batch_forward:delay` failpoint and 16 closed-loop clients —
 /// half carrying a deadline, a quarter retrying sheds with deterministic
-/// backoff. Emits serve/bench/overload/* gauges; ci.sh asserts shed and
-/// deadline_expired are NONZERO and that the batcher's accounting
-/// invariant (requests == ok + errors + shed + deadline_expired) held.
-/// Returns false if the accounting check fails.
+/// backoff. Emits serve/bench/overload/* gauges. Returns false, after a
+/// FAIL: line per broken gate, unless shed and deadline_expired are both
+/// NONZERO (a zero means the overload never bit) and the batcher's
+/// accounting invariant (requests == ok + errors + shed +
+/// deadline_expired) held.
 bool run_overload(const std::filesystem::path& socket, const Tensor& images,
                   std::size_t requests_per_client) {
   auto& reg = obs::MetricsRegistry::global();
@@ -257,7 +259,20 @@ bool run_overload(const std::filesystem::path& socket, const Tensor& images,
       "errors (%.0f client retries), served p99 %.1f ms, accounting %s\n",
       requests, ok, shed, expired, errors, retries, p99,
       accounted ? "OK" : "BROKEN");
-  return accounted;
+  bool pass = true;
+  if (!accounted) {
+    std::fprintf(stderr, "FAIL: serve/bench/overload/accounted != 1\n");
+    pass = false;
+  }
+  if (shed == 0) {
+    std::fprintf(stderr, "FAIL: overload phase shed nothing\n");
+    pass = false;
+  }
+  if (expired == 0) {
+    std::fprintf(stderr, "FAIL: overload phase expired no deadline\n");
+    pass = false;
+  }
+  return pass;
 }
 
 }  // namespace
@@ -303,6 +318,7 @@ int main() {
   reg.gauge("serve/bench/identity").set(identical ? 1.0 : 0.0);
   std::printf("batched-vs-serial bitwise identity (%zu requests): %s\n",
               kIdentityRequests, identical ? "OK" : "FAILED");
+  if (!identical) std::fprintf(stderr, "FAIL: serve/bench/identity != 1\n");
 
   const std::size_t per_client =
       zoo.scale().smoke ? 30 : (zoo.scale().full ? 600 : 150);
@@ -336,7 +352,7 @@ int main() {
   overload_daemon.start();
   fault::arm("serve.batch_forward:delay=25");
   const std::size_t overload_per_client = zoo.scale().smoke ? 8 : 20;
-  const bool accounted =
+  const bool overload_ok =
       run_overload(ocfg.socket_path, images, overload_per_client);
   fault::reset();
   overload_daemon.stop();
@@ -344,5 +360,5 @@ int main() {
   if (obs::write_json("BENCH_serve.json", "serve/")) {
     std::printf("wrote BENCH_serve.json\n");
   }
-  return identical && accounted ? 0 : 1;
+  return identical && overload_ok ? 0 : 1;
 }

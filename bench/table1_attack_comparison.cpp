@@ -71,36 +71,25 @@ void dataset_block(core::ModelZoo& zoo, core::DatasetId id,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   // Per-attack metrics (iterations, gradient queries, time-to-success) are
   // part of this driver's output; ADV_OBS=0 in the environment pins them off.
-  // Workers re-enter main, so the fanned-out processes inherit the same
-  // obs policy.
   if (!obs::enabled_pinned_by_env()) obs::set_enabled(true);
-  core::ShardedBench sb;
-  sb.name = "table1_attack_comparison";
-  sb.warm = [](core::ModelZoo& zoo) {
-    for (const auto id : {core::DatasetId::Mnist, core::DatasetId::Cifar}) {
-      bench::warm_variants(zoo, id, {core::MagnetVariant::Default});
-    }
-  };
-  sb.body = [](core::ModelZoo& zoo) {
-    std::printf("== Table I: attacks vs default MagNet ==\n");
-    std::printf("scale: %s\n", bench::scale_banner(zoo.scale()));
-    std::printf("(paper: MNIST C&W ASR 10%% vs EAD ~90%%; CIFAR C&W 52%% vs "
-                "EAD ~80%%)\n");
-    dataset_block(zoo, core::DatasetId::Mnist, 15.0f, 15.0f);
-    dataset_block(zoo, core::DatasetId::Cifar, 20.0f, 15.0f);
-    if (obs::kCompiledIn && obs::enabled() &&
-        obs::write_json("BENCH_attacks.json", "attack/")) {
-      std::printf("wrote BENCH_attacks.json\n");
-    }
-    // Self-healing counters (fault/cache_quarantined, fault/cache_rebuilt,
-    // fault/train_diverged) are recorded unconditionally — emit them even
-    // when the per-attack instrumentation is pinned off.
-    if (obs::write_json("BENCH_fault.json", "fault/")) {
-      std::printf("wrote BENCH_fault.json\n");
-    }
-  };
-  return core::shard_main(argc, argv, sb);
+  core::ModelZoo zoo(core::scale_from_env());
+  std::printf("== Table I: attacks vs default MagNet ==\n");
+  std::printf("scale: %s\n", bench::scale_banner(zoo.scale()));
+  std::printf("(paper: MNIST C&W ASR 10%% vs EAD ~90%%; CIFAR C&W 52%% vs "
+              "EAD ~80%%)\n");
+  dataset_block(zoo, core::DatasetId::Mnist, 15.0f, 15.0f);
+  dataset_block(zoo, core::DatasetId::Cifar, 20.0f, 15.0f);
+  if (obs::kCompiledIn && obs::enabled() &&
+      obs::write_json("BENCH_attacks.json", "attack/")) {
+    std::printf("wrote BENCH_attacks.json\n");
+  }
+  // Self-healing counters (fault/cache_quarantined, fault/cache_rebuilt,
+  // fault/train_diverged) are recorded unconditionally — emit them even
+  // when the per-attack instrumentation is pinned off.
+  if (obs::write_json("BENCH_fault.json", "fault/")) {
+    std::printf("wrote BENCH_fault.json\n");
+  }
 }

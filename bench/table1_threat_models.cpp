@@ -9,10 +9,10 @@
 // Emits BENCH_threatmodel.json (gauges under threat/): per
 // attack x threat-model cell the crafting success rate and mean L1/L2
 // over successful rows, per scheme the attack success rate against the
-// defended pipeline, plus threat/oblivious_identity — 1 when the new
-// ObliviousTarget path reproduced the legacy nn::Sequential& attack path
-// bitwise for every attack (the API-redesign regression gate; ci.sh
-// asserts it).
+// defended pipeline, plus threat/oblivious_identity — 1 when one
+// unsliced run through an ObliviousTarget reproduced the sliced
+// nn::Sequential& attack path (attacks::craft_oblivious_slices) bitwise
+// for every attack. The binary exits 1 when it is 0.
 #include <cstring>
 
 #include "bench_common.hpp"
@@ -73,7 +73,8 @@ bool bitwise_equal(const attacks::AttackResult& a,
          a.linf == b.linf;
 }
 
-void dataset_block(core::ModelZoo& zoo, core::DatasetId id, float kappa) {
+// Returns the oblivious identity verdict.
+bool dataset_block(core::ModelZoo& zoo, core::DatasetId id, float kappa) {
   auto& reg = obs::MetricsRegistry::global();
   const auto& labels = zoo.attack_set(id).labels;
   auto eval_pipe = core::build_magnet(zoo, id, core::MagnetVariant::Default);
@@ -94,15 +95,15 @@ void dataset_block(core::ModelZoo& zoo, core::DatasetId id, float kappa) {
           zoo.run_attack(id, *attack, *bundle.target);
 
       if (tm == attacks::ThreatModel::Oblivious) {
-        // Regression gate: the oblivious target must reproduce the legacy
-        // nn::Sequential& path bitwise (uncached, straight through the
-        // old overload).
+        // Regression gate: the unsliced target run must reproduce the
+        // sliced nn::Sequential& path bitwise (uncached, straight through
+        // that overload).
         const auto& s = zoo.attack_set(id);
-        const attacks::AttackResult legacy =
+        const attacks::AttackResult sliced =
             attack->run(*bundle.classifier, s.images, s.labels);
-        if (!bitwise_equal(r, legacy)) {
+        if (!bitwise_equal(r, sliced)) {
           identity = false;
-          std::printf("!! oblivious/%s diverges from the legacy path\n",
+          std::printf("!! oblivious/%s diverges from the sliced path\n",
                       name);
         }
       }
@@ -127,36 +128,34 @@ void dataset_block(core::ModelZoo& zoo, core::DatasetId id, float kappa) {
     }
   }
   reg.gauge("threat/oblivious_identity").set(identity ? 1.0 : 0.0);
-  std::printf("oblivious-vs-legacy bitwise identity: %s\n",
+  std::printf("oblivious sliced-vs-unsliced bitwise identity: %s\n",
               identity ? "OK" : "FAILED");
+  return identity;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   if (!obs::enabled_pinned_by_env()) obs::set_enabled(true);
-  core::ShardedBench sb;
-  sb.name = "table1_threat_models";
-  sb.warm = [](core::ModelZoo& zoo) {
-    bench::warm_variants(zoo, core::DatasetId::Mnist,
-                         {core::MagnetVariant::Default});
-  };
-  sb.body = [](core::ModelZoo& zoo) {
-    std::printf("== Table I extension: threat-model axis ==\n");
-    std::printf("scale: %s\n", bench::scale_banner(zoo.scale()));
-    // Low confidence is the operating point where the threat models
-    // separate (Carlini & Wagner's setting): oblivious kappa=0 examples
-    // sit on the decision boundary and the reformer snaps them back,
-    // while gray-box examples craft THROUGH the reformer and survive it
-    // with far smaller (detector-evading) distortion. At the paper's
-    // kappa=15 the oblivious EAD rows already beat the reformer — that
-    // story belongs to table1_attack_comparison.
-    const float kappa =
-        bench::snap_kappa(zoo.scale(), core::DatasetId::Mnist, 0.0f);
-    dataset_block(zoo, core::DatasetId::Mnist, kappa);
-    if (obs::write_json("BENCH_threatmodel.json", "threat/")) {
-      std::printf("wrote BENCH_threatmodel.json\n");
-    }
-  };
-  return core::shard_main(argc, argv, sb);
+  core::ModelZoo zoo(core::scale_from_env());
+  std::printf("== Table I extension: threat-model axis ==\n");
+  std::printf("scale: %s\n", bench::scale_banner(zoo.scale()));
+  // Low confidence is the operating point where the threat models
+  // separate (Carlini & Wagner's setting): oblivious kappa=0 examples
+  // sit on the decision boundary and the reformer snaps them back,
+  // while gray-box examples craft THROUGH the reformer and survive it
+  // with far smaller (detector-evading) distortion. At the paper's
+  // kappa=15 the oblivious EAD rows already beat the reformer — that
+  // story belongs to table1_attack_comparison.
+  const float kappa =
+      bench::snap_kappa(zoo.scale(), core::DatasetId::Mnist, 0.0f);
+  const bool identity = dataset_block(zoo, core::DatasetId::Mnist, kappa);
+  if (obs::write_json("BENCH_threatmodel.json", "threat/")) {
+    std::printf("wrote BENCH_threatmodel.json\n");
+  }
+  if (!identity) {
+    std::fprintf(stderr, "FAIL: threat/oblivious_identity != 1\n");
+    return 1;
+  }
+  return 0;
 }

@@ -94,8 +94,20 @@ AttackResult Attack::run(AttackTarget& target, const Tensor& images,
 
 AttackResult Attack::run(nn::Sequential& model, const Tensor& images,
                          const std::vector<int>& labels) const {
-  ObliviousTarget target(model);
-  return run(target, images, labels);
+  // One scope over all slices: runs/images/iterations/successes count
+  // the call once, forward_passes/grad_queries count every slice's passes.
+  AttackMetricsScope scope(name(), configured_iterations(),
+                           images.rank() ? images.dim(0) : 0);
+  std::vector<AttackResult> out = craft_oblivious_slices(
+      model, images, labels,
+      [this](AttackTarget& target, const Tensor& x,
+             const std::vector<int>& y) {
+        std::vector<AttackResult> r;
+        r.push_back(run_impl(target, x, y));
+        return r;
+      });
+  scope.record_outcome(out[0]);
+  return std::move(out[0]);
 }
 
 std::string FgsmAttack::name() const { return name_; }

@@ -7,8 +7,8 @@
 // to the corresponding free function, so a registry-built attack produces
 // results identical to a direct call. Attacks run against an AttackTarget
 // (attacks/target.hpp) — the threat-model seam; the nn::Sequential&
-// overload is the oblivious special case and routes through an
-// ObliviousTarget (bitwise-identical results).
+// overload is the oblivious special case and crafts as image slices, each
+// through an ObliviousTarget of its own (bitwise-identical results).
 #pragma once
 
 #include <chrono>
@@ -114,9 +114,10 @@ class Attack {
   AttackResult run(AttackTarget& target, const Tensor& images,
                    const std::vector<int>& labels) const;
 
-  /// Oblivious convenience overload (the pre-AttackTarget API): runs
-  /// against an ObliviousTarget over `model`, bitwise-identical to the
-  /// old direct-Sequential path.
+  /// Oblivious overload: crafts as contiguous image slices across the
+  /// global pool, each against an ObliviousTarget of its own over `model`
+  /// (craft_oblivious_slices), bitwise-identical to run(ObliviousTarget)
+  /// over the whole batch. One metrics scope covers every slice.
   AttackResult run(nn::Sequential& model, const Tensor& images,
                    const std::vector<int>& labels) const;
 

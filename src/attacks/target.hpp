@@ -32,8 +32,19 @@
 //      own tapes, leaving the target's intact.
 // Targets and aux terms own their tapes (reused across iterations) and
 // share the models read-only: concurrent attacks each build their own.
+//
+// Oblivious slices: the oblivious attacks have no RNG and treat every
+// image on its own (per-row losses, per-image binary search over c,
+// per-row early abort), so an image's trajectory does not depend on the
+// batch it is crafted in. craft_oblivious_slices uses that to spread one
+// attack across the global ThreadPool: it cuts the images into min(T, N)
+// contiguous slices, crafts each on one pool chunk against its own
+// ObliviousTarget over the shared classifier, and concatenates the
+// results in slice order — bitwise what one unsliced run computes.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,6 +53,8 @@
 #include "tensor/tensor.hpp"
 
 namespace adv::attacks {
+
+struct AttackResult;  // attacks/common.hpp
 
 /// Threat-model axis of an attack run. Encoded in cache tags (see
 /// AttackTarget::tag_suffix) so artifacts crafted under different threat
@@ -109,9 +122,9 @@ class AttackTarget {
 };
 
 /// The paper's oblivious threat model: the bare (undefended) classifier.
-/// The legacy nn::Sequential& attack entry points route through this
-/// target (gated bitwise in attack_target_test and the threat-model
-/// bench).
+/// The nn::Sequential& attack entry points route through this target;
+/// Attack::run builds one per image slice (gated bitwise in
+/// attack_target_test, oblivious_slice_test and the threat-model bench).
 class ObliviousTarget final : public AttackTarget {
  public:
   explicit ObliviousTarget(const nn::Sequential& classifier)
@@ -185,5 +198,40 @@ class DetectorAwareTarget final : public AttackTarget {
   std::string tag_;
   nn::Tape ae_tape_, classifier_tape_;
 };
+
+/// Half-open row range [begin, end).
+struct IndexRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t size() const { return end - begin; }
+};
+
+/// Contiguous slice `index` of `count` over `total` rows:
+/// [total*k/K, total*(k+1)/K). The slices tile [0, total) exactly and
+/// differ in size by at most one. Throws std::invalid_argument unless
+/// index < count.
+IndexRange slice_range(std::size_t total, std::size_t index,
+                       std::size_t count);
+
+/// Concatenates per-slice results in the given order: merging the
+/// slice_range slices of a result reproduces it bitwise.
+AttackResult merge_attack_results(const std::vector<AttackResult>& parts);
+
+/// One oblivious craft over a slice of images and labels. Returns one
+/// result per output (one per decision rule for ead_attack_multi); every
+/// call must return the same number.
+using SliceCraft = std::function<std::vector<AttackResult>(
+    AttackTarget& target, const Tensor& images,
+    const std::vector<int>& labels)>;
+
+/// Runs `craft` over min(T, N) contiguous slices of `images`/`labels`
+/// (T = ThreadPool::global().max_chunks(), so a call from inside a pool
+/// task is one slice), each on one pool chunk against an ObliviousTarget
+/// of its own over `classifier`, whose passes then run inline. Returns,
+/// per output, the slices' results concatenated in slice order. An
+/// exception thrown by any slice is rethrown here once all have finished.
+std::vector<AttackResult> craft_oblivious_slices(
+    const nn::Sequential& classifier, const Tensor& images,
+    const std::vector<int>& labels, const SliceCraft& craft);
 
 }  // namespace adv::attacks

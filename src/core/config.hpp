@@ -22,9 +22,9 @@ const char* to_string(DatasetId id);
 struct ScaleConfig {
   bool full = false;
   /// REPRO_SCALE=smoke: counts shrunk far below the fast profile so a
-  /// whole table run finishes in seconds. Used by CI's sharded-vs-
-  /// unsharded identity gate and the shard tests — curve shapes are NOT
-  /// preserved at this scale, only determinism.
+  /// whole table run finishes in seconds. Used by CI's thread-count
+  /// identity gate — curve shapes are NOT preserved at this scale, only
+  /// determinism.
   bool smoke = false;
 
   // Synthetic dataset sizes.

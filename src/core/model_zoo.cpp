@@ -5,7 +5,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/shard.hpp"
 #include "data/syn_digits.hpp"
 #include "data/syn_objects.hpp"
 #include "nn/activations.hpp"
@@ -59,23 +58,6 @@ ModelZoo::ModelZoo(ScaleConfig cfg) : cfg_(std::move(cfg)) {
 
 std::filesystem::path ModelZoo::path_for(const std::string& key) const {
   return cfg_.cache_dir / (key + ".bin");
-}
-
-std::filesystem::path ModelZoo::attack_path_for(const std::string& key) const {
-  return cfg_.cache_dir /
-         (key + shard_suffix(shard_index_, shard_count_) + ".bin");
-}
-
-void ModelZoo::set_shard(std::size_t index, std::size_t count) {
-  if (count == 0 || index >= count) {
-    throw std::invalid_argument("ModelZoo::set_shard: need index < count");
-  }
-  if (!attack_sets_.empty() || !attack_memo_.empty()) {
-    throw std::logic_error(
-        "ModelZoo::set_shard must be called before any attack runs");
-  }
-  shard_index_ = index;
-  shard_count_ = count;
 }
 
 ModelZoo::CacheLoad ModelZoo::try_load_cached(
@@ -261,16 +243,6 @@ const ModelZoo::AttackSet& ModelZoo::attack_set(DatasetId id) {
         "(wanted %zu)\n",
         chosen.size(), to_string(id), cfg_.attack_count);
   }
-  // Shard slicing happens AFTER the full-set selection so every worker
-  // sees the same candidate list; each then keeps its contiguous range.
-  // Attacks process images independently, so the per-image results are
-  // bitwise identical to the unsharded run's corresponding rows.
-  if (shard_count_ > 1) {
-    const IndexRange r = shard_range(chosen.size(), shard_index_,
-                                     shard_count_);
-    chosen = std::vector<std::size_t>(chosen.begin() + r.begin,
-                                      chosen.begin() + r.end);
-  }
   const data::Dataset subset = ds.test.filter(chosen);
   AttackSet s;
   s.images = subset.images;
@@ -278,6 +250,11 @@ const ModelZoo::AttackSet& ModelZoo::attack_set(DatasetId id) {
   return attack_sets_.emplace(id, std::move(s)).first->second;
 }
 
+namespace {
+
+// Persists an AttackResult (adversarial tensor + per-image
+// success/l1/l2/linf metadata) in the repo's CRC'd tensor format via
+// tmp+rename, and reads it back.
 void save_attack_result(const std::filesystem::path& path,
                         const attacks::AttackResult& r) {
   std::vector<Tensor> ts;
@@ -315,28 +292,14 @@ attacks::AttackResult load_attack_result(const std::filesystem::path& path) {
   return r;
 }
 
+}  // namespace
+
 attacks::AttackResult ModelZoo::cached_attack(
     const std::string& key,
     const std::function<attacks::AttackResult()>& compute) {
   auto it = attack_memo_.find(key);
   if (it != attack_memo_.end()) return it->second;
-  const auto path = attack_path_for(key);
-  // A sharded worker still warm-starts from the canonical (unsharded)
-  // artifact when a prior full run produced one; slicing a full result is
-  // cheaper than recrafting and bitwise-equal by the argument above.
-  if (shard_count_ > 1 && !std::filesystem::exists(path) &&
-      std::filesystem::exists(path_for(key))) {
-    std::optional<attacks::AttackResult> full;
-    if (try_load_cached(path_for(key),
-                        [&] { full = load_attack_result(path_for(key)); }) ==
-        CacheLoad::Hit) {
-      const std::size_t total = full->success.size();
-      const IndexRange range = shard_range(total, shard_index_, shard_count_);
-      attacks::AttackResult sliced = slice_attack_result(*full, range);
-      save_attack_result(path, sliced);
-      return attack_memo_.emplace(key, std::move(sliced)).first->second;
-    }
-  }
+  const auto path = path_for(key);
   std::optional<attacks::AttackResult> loaded;
   const CacheLoad cl =
       try_load_cached(path, [&] { loaded = load_attack_result(path); });
@@ -353,17 +316,16 @@ attacks::AttackResult ModelZoo::cached_attack(
 
 attacks::AttackResult ModelZoo::run_attack(DatasetId id,
                                            const attacks::Attack& attack) {
-  // The classifier is only needed on a cache miss, so the oblivious
-  // target is built inside the compute lambda — a warm cache never
-  // triggers classifier training.
+  // The classifier is only needed on a cache miss, so it is fetched
+  // inside the compute lambda — a warm cache never triggers classifier
+  // training.
   const std::string key = std::string("atk_") + to_string(id) + "_" +
                           cfg_.cache_tag() + "_" + attack.tag();
   bool computed = false;
   const attacks::AttackResult& r = cached_attack(key, [&] {
     computed = true;
     const AttackSet& s = attack_set(id);
-    attacks::ObliviousTarget target(*classifier(id));
-    return attack.run(target, s.images, s.labels);
+    return attack.run(*classifier(id), s.images, s.labels);
   });
   if (!computed && obs::enabled()) {
     obs::MetricsRegistry::global()
@@ -429,8 +391,8 @@ attacks::AttackResult ModelZoo::ead(DatasetId id, float beta, float kappa,
     return it->second;
   }
   std::optional<attacks::AttackResult> loaded;
-  const CacheLoad cl = try_load_cached(attack_path_for(want), [&] {
-    loaded = load_attack_result(attack_path_for(want));
+  const CacheLoad cl = try_load_cached(path_for(want), [&] {
+    loaded = load_attack_result(path_for(want));
   });
   if (cl == CacheLoad::Hit) {
     hit();
@@ -450,13 +412,18 @@ attacks::AttackResult ModelZoo::ead(DatasetId id, float beta, float kappa,
                                           attacks::DecisionRule::L1};
   // The shared EN/L1 run bypasses Attack::run, so instrument it directly;
   // both rules share one optimization, hence one scope and one outcome.
+  // Like Attack::run, it crafts as image slices across the pool.
   attacks::AttackMetricsScope scope("ead", c.iterations,
                                     s.images.rank() ? s.images.dim(0) : 0);
-  std::vector<attacks::AttackResult> rs =
-      attacks::ead_attack_multi(*classifier(id), s.images, s.labels, c, rules);
+  std::vector<attacks::AttackResult> rs = attacks::craft_oblivious_slices(
+      *classifier(id), s.images, s.labels,
+      [&](attacks::AttackTarget& target, const Tensor& images,
+          const std::vector<int>& labels) {
+        return attacks::ead_attack_multi(target, images, labels, c, rules);
+      });
   scope.record_outcome(rs[0]);
   for (std::size_t i = 0; i < 2; ++i) {
-    save_attack_result(attack_path_for(key(rules[i])), rs[i]);
+    save_attack_result(path_for(key(rules[i])), rs[i]);
     attack_memo_[key(rules[i])] = rs[i];
   }
   note_rebuilt(cl);

@@ -34,30 +34,11 @@ namespace adv::core {
 nn::Sequential build_classifier(DatasetId id, std::size_t image_hw,
                                 Rng& rng);
 
-/// Persists an AttackResult (adversarial tensor + per-image
-/// success/l1/l2/linf metadata) in the repo's CRC'd tensor format via
-/// tmp+rename, and reads it back. Exposed so the shard driver can merge
-/// per-shard attack artifacts into canonical cache entries without a zoo.
-void save_attack_result(const std::filesystem::path& path,
-                        const attacks::AttackResult& r);
-attacks::AttackResult load_attack_result(const std::filesystem::path& path);
-
 class ModelZoo {
  public:
   explicit ModelZoo(ScaleConfig cfg);
 
   const ScaleConfig& scale() const { return cfg_; }
-
-  /// Restricts this zoo to shard `index` of `count`: attack_set() returns
-  /// only that contiguous slice of the (full-set-selected) attack images,
-  /// and attack artifacts are cached under shard-suffixed filenames
-  /// (`<key>.shard<k>of<K>.bin`) so concurrent workers sharing one
-  /// cache_dir never collide on partial results. Models and datasets are
-  /// unaffected — every shard trains/loads the same ones. Must be called
-  /// before the first attack_set()/attack use.
-  void set_shard(std::size_t index, std::size_t count);
-  std::size_t shard_index() const { return shard_index_; }
-  std::size_t shard_count() const { return shard_count_; }
 
   struct Splits {
     data::Dataset train, val, test;
@@ -93,12 +74,14 @@ class ModelZoo {
 
   /// Runs any attacks::Attack (typically built by name through the
   /// AttackRegistry) against the fixed attack set, caching the result on
-  /// disk keyed by the attack's tag().
+  /// disk keyed by the attack's tag(). Crafts through
+  /// attack.run(classifier), i.e. as image slices across the global pool.
   attacks::AttackResult run_attack(DatasetId id,
                                    const attacks::Attack& attack);
 
   /// Threat-model-aware variant: crafts through `target` instead of the
-  /// bare classifier. The cache key gains target.tag_suffix(), so
+  /// bare classifier, unsliced (a target owns its tapes; its passes run
+  /// as row blocks). The cache key gains target.tag_suffix(), so
   /// gray-box/detector-aware artifacts never collide with oblivious ones
   /// (whose empty suffix preserves every pre-existing cache key).
   attacks::AttackResult run_attack(DatasetId id,
@@ -112,7 +95,8 @@ class ModelZoo {
 
   // Named convenience wrappers over run_attack, kept for the bench
   // binaries. ead() additionally shares one optimization run across the
-  // EN and L1 decision rules (ead_attack_multi), which run_attack cannot.
+  // EN and L1 decision rules (ead_attack_multi, crafted as image slices
+  // like run_attack), which run_attack cannot.
   attacks::AttackResult cw(DatasetId id, float kappa);
   attacks::AttackResult ead(DatasetId id, float beta, float kappa,
                             attacks::DecisionRule rule);
@@ -124,9 +108,6 @@ class ModelZoo {
   enum class CacheLoad { Hit, Miss, Corrupt };
 
   std::filesystem::path path_for(const std::string& key) const;
-  /// Cache path for attack artifacts: path_for(key) when unsharded, else
-  /// the shard-suffixed variant (see set_shard).
-  std::filesystem::path attack_path_for(const std::string& key) const;
   /// Runs `do_load` if `path` exists. Any load exception quarantines the
   /// file to `<path>.corrupt` (counter: fault/cache_quarantined) and
   /// returns Corrupt so the caller recomputes; callers bump
@@ -139,8 +120,6 @@ class ModelZoo {
       const std::function<attacks::AttackResult()>& compute);
 
   ScaleConfig cfg_;
-  std::size_t shard_index_ = 0;
-  std::size_t shard_count_ = 1;
   std::map<DatasetId, Splits> datasets_;
   std::map<DatasetId, std::shared_ptr<nn::Sequential>> classifiers_;
   std::map<std::string, std::shared_ptr<nn::Sequential>> autoencoders_;

@@ -25,8 +25,7 @@ std::string to_json(const MetricsRegistry& registry,
                     std::string_view prefix = {});
 
 /// Serializes an explicit sample list in the same format as to_json, in
-/// the order given. The shard merge stage uses this to re-emit merged
-/// dumps byte-compatible with worker-written ones.
+/// the order given.
 std::string samples_to_json(
     const std::vector<MetricsRegistry::Sample>& samples);
 

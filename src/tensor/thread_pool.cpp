@@ -1,6 +1,7 @@
 #include "tensor/thread_pool.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <utility>
@@ -13,6 +14,9 @@ namespace {
 // True while this thread runs a pool task: always on a worker, and on a
 // caller for the duration of its own chunk. Nested calls run inline.
 thread_local bool t_in_task = false;
+
+// Largest ADV_THREADS value accepted; anything above is malformed.
+constexpr long kMaxEnvThreads = 1024;
 
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -164,8 +168,12 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
 unsigned ThreadPool::env_thread_override() {
   if (const char* env = std::getenv("ADV_THREADS")) {
     char* end = nullptr;
+    errno = 0;
     const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<unsigned>(v);
+    if (end != env && *end == '\0' && errno != ERANGE && v > 0 &&
+        v <= kMaxEnvThreads) {
+      return static_cast<unsigned>(v);
+    }
   }
   return 0;
 }

@@ -69,19 +69,20 @@ class ThreadPool {
 
   /// Process-wide pool, created on first use with default_thread_count()
   /// threads. Thread count can be pinned with the ADV_THREADS environment
-  /// variable (CI and shard workers use it to budget cores without code
-  /// changes).
+  /// variable (CI uses it to budget cores, and to check that results do
+  /// not depend on the thread count, without code changes).
   static ThreadPool& global();
 
   /// Thread count the global pool is created with: the ADV_THREADS
-  /// environment variable when set to a positive integer (it takes
-  /// precedence over the detected core count), else
+  /// environment variable when set to a valid value (it takes precedence
+  /// over the detected core count), else
   /// std::thread::hardware_concurrency(), else 1.
   static unsigned default_thread_count();
 
-  /// The ADV_THREADS override alone: a positive integer when the variable
-  /// is set and valid, 0 when unset or malformed. Split out so tests and
-  /// the shard driver can evaluate the policy without building a pool.
+  /// The ADV_THREADS override alone: an integer in [1, 1024] when the
+  /// variable is set and valid, 0 when unset or malformed (anything
+  /// larger, including values out of range of long). Split out so tests
+  /// can evaluate the policy without building a pool.
   static unsigned env_thread_override();
 
  private:

@@ -305,7 +305,8 @@ TEST(ThreadPool, EnvOverrideParsesPositiveIntegers) {
 
 TEST(ThreadPool, EnvOverrideRejectsMalformedValues) {
   EnvGuard guard("ADV_THREADS");
-  for (const char* bad : {"", "0", "-2", "abc", "2x", "  "}) {
+  for (const char* bad : {"", "0", "-2", "abc", "2x", "  ", "4294967297",
+                          "5000000000", "99999999999999999999", "1025"}) {
     ::setenv("ADV_THREADS", bad, 1);
     EXPECT_EQ(ThreadPool::env_thread_override(), 0u) << "value: '" << bad
                                                      << "'";

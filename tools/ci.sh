@@ -2,13 +2,15 @@
 # One-command verification gate: fresh configure, build, full test suite,
 # a short instrumented benchmark pass that must emit the metrics
 # artifacts (BENCH_gemm.json, BENCH_layers.json) and pass its A/B gates
-# (the binary's exit status), a sharded-vs-
-# unsharded identity gate (REPRO_SCALE=smoke, --shards 2) proving the
-# process fan-out reproduces the single-process attack artifacts and
-# success counters bit for bit, a ThreadSanitizer pass over the
-# concurrency tests (its own build tree, <build-dir>-tsan), and an
-# AddressSanitizer + UBSan pass over the parsers, the daemon, row-block
-# passes and the thread pool (<build-dir>-asan).
+# (the binary's exit status), a thread-count identity gate
+# (REPRO_SCALE=smoke, ADV_THREADS=1 vs 3) proving that crafting oblivious
+# attacks as per-thread image slices reproduces the single-slice attack
+# artifacts and success counters bit for bit, the threat-model and
+# serving benches (each holds its own gates: a FAIL: line and a nonzero
+# exit), a ThreadSanitizer pass over the concurrency tests (its own build
+# tree, <build-dir>-tsan), and an AddressSanitizer + UBSan pass over the
+# parsers, the daemon, row-block passes, sliced attacks and the thread
+# pool (<build-dir>-asan).
 #
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 # Env:   ADV_OBS=0 pins the instrumentation off (overhead A/B runs);
@@ -64,90 +66,77 @@ for artifact in BENCH_gemm.json BENCH_layers.json BENCH_attack_engine.json \
   fi
 done
 
-echo "== sharded attack identity (REPRO_SCALE=smoke, --shards 2) =="
-# Baseline: one unsharded smoke-scale table1 run trains the tiny models
-# into a private cache and writes the canonical attack artifacts.
-shard_cache="$repo_root/$build_dir/shard_ci/cache"
-base_dir="$repo_root/$build_dir/shard_ci/unsharded"
-shard_dir="$repo_root/$build_dir/shard_ci/sharded"
+echo "== thread-count attack identity (REPRO_SCALE=smoke, ADV_THREADS=1 vs 3) =="
+# Oblivious attacks craft as image slices, one per pool thread
+# (attacks::craft_oblivious_slices). Baseline: a smoke-scale table1 run at
+# ADV_THREADS=1 (one slice) trains the tiny models into a private cache
+# and writes the attack artifacts. The second run, at ADV_THREADS=3, cuts
+# the 16 attack images into uneven 5/5/6 slices; it shares the model
+# cache, with the attack artifacts moved aside so it recrafts them.
+ident_cache="$repo_root/$build_dir/ident_ci/cache"
+t1_dir="$repo_root/$build_dir/ident_ci/threads1"
+t3_dir="$repo_root/$build_dir/ident_ci/threads3"
 table1="$repo_root/$build_dir/bench/table1_attack_comparison"
-rm -rf "$repo_root/$build_dir/shard_ci"
-mkdir -p "$shard_cache" "$base_dir" "$shard_dir"
+rm -rf "$repo_root/$build_dir/ident_ci"
+mkdir -p "$ident_cache" "$t1_dir" "$t3_dir"
 
-(cd "$base_dir" &&
- REPRO_SCALE=smoke REPRO_CACHE_DIR="$shard_cache" ADV_THREADS=1 \
-   "$table1" > table1.out)
+(cd "$t1_dir" &&
+ REPRO_SCALE=smoke REPRO_CACHE_DIR="$ident_cache" ADV_THREADS=1 \
+   "$table1" > table1.out) || fail=1
 
-# Stash the canonical attack artifacts and drop them from the cache, so
-# the sharded run recomputes its slices instead of warm-starting from
-# the baseline's answers (models stay cached — only attacks re-run).
-mkdir -p "$shard_cache/baseline"
-mv "$shard_cache"/atk_*.bin "$shard_cache/baseline/"
+mkdir -p "$ident_cache/baseline"
+mv "$ident_cache"/atk_*.bin "$ident_cache/baseline/"
 
-(cd "$shard_dir" &&
- REPRO_SCALE=smoke REPRO_CACHE_DIR="$shard_cache" ADV_THREADS=1 \
-   "$table1" --shards 2 > table1.out)
+(cd "$t3_dir" &&
+ REPRO_SCALE=smoke REPRO_CACHE_DIR="$ident_cache" ADV_THREADS=3 \
+   "$table1" > table1.out) || fail=1
 
-# Gate 1: every merged artifact is bitwise identical to the baseline's.
-for f in "$shard_cache/baseline"/atk_*.bin; do
+# Gate 1: every attack artifact is bitwise identical across thread counts.
+for f in "$ident_cache/baseline"/atk_*.bin; do
   name="$(basename "$f")"
-  if cmp -s "$f" "$shard_cache/$name"; then
-    echo "ok: $name identical (2 shards vs unsharded)"
+  if cmp -s "$f" "$ident_cache/$name"; then
+    echo "ok: $name identical (3 slices vs 1)"
   else
-    echo "FAIL: $name differs between sharded and unsharded runs" >&2
+    echo "FAIL: $name differs between ADV_THREADS=1 and ADV_THREADS=3" >&2
     fail=1
   fi
 done
 
-# Gate 2: the merged per-attack success/image counters in
-# BENCH_attacks.json match the unsharded dump exactly. (Run-shaped
-# counters like runs/iterations legitimately double with two workers.)
+# Gate 2: the per-attack success/image counters in BENCH_attacks.json
+# match exactly.
 extract_counts() {
   grep -E '"key": "attack/[^"]*/(successes|images)"' "$1" | sort
 }
-if diff <(extract_counts "$base_dir/BENCH_attacks.json") \
-        <(extract_counts "$shard_dir/BENCH_attacks.json"); then
-  echo "ok: merged attack success/image counters match unsharded"
+if diff <(extract_counts "$t1_dir/BENCH_attacks.json") \
+        <(extract_counts "$t3_dir/BENCH_attacks.json"); then
+  echo "ok: attack success/image counters match across thread counts"
 else
-  echo "FAIL: merged BENCH_attacks.json counters diverge" >&2
+  echo "FAIL: BENCH_attacks.json counters diverge across thread counts" >&2
   fail=1
 fi
 
-# Gate 3: on hosts with cores to spare, two workers must actually run in
-# parallel — BENCH_shard.json's speedup (worker CPU over driver wall for
-# the fan-out phase) has to reach 1.6x.
-if [ -s "$shard_dir/BENCH_shard.json" ]; then
-  shard_speedup=$(sed -n 's/.*"speedup": *\([0-9.]*\).*/\1/p' \
-                  "$shard_dir/BENCH_shard.json")
-  if [ "$(nproc)" -ge 4 ]; then
-    if awk -v s="${shard_speedup:-0}" 'BEGIN { exit !(s >= 1.6) }'; then
-      echo "ok: shard speedup ${shard_speedup}x (>= 1.6x at 2 shards)"
-    else
-      echo "FAIL: shard speedup ${shard_speedup:-?}x < 1.6x" >&2
-      fail=1
-    fi
-  else
-    echo "info: shard speedup ${shard_speedup:-?}x (< 4 cores; gate skipped)"
-  fi
-else
-  echo "MISSING: $shard_dir/BENCH_shard.json" >&2
-  fail=1
-fi
-
-echo "== threat-model bench (REPRO_SCALE=smoke) =="
+echo "== threat-model bench (REPRO_SCALE=smoke, ADV_THREADS=3) =="
 # table1_threat_models crafts every registry attack under all three
-# threat models (sharing the shard_ci cache so models are already
-# trained) and writes BENCH_threatmodel.json. Gates: the dump covers all
-# three threat models, and threat/oblivious_identity is 1 — the new
-# AttackTarget path reproduced the legacy nn::Sequential& attack API
-# bitwise.
+# threat models (sharing the ident_ci model cache; attack artifacts are
+# removed first so every oblivious cell is crafted fresh) and writes
+# BENCH_threatmodel.json. The binary exits 1 unless
+# threat/oblivious_identity is 1: one unsliced run through an
+# ObliviousTarget reproduced the sliced nn::Sequential& path bitwise (at
+# ADV_THREADS=3, so there are slices). Here: the dump covers all three
+# threat models.
 threat_dir="$repo_root/$build_dir/threat_ci"
 threat_bench="$repo_root/$build_dir/bench/table1_threat_models"
 rm -rf "$threat_dir"
 mkdir -p "$threat_dir"
-(cd "$threat_dir" &&
- REPRO_SCALE=smoke REPRO_CACHE_DIR="$shard_cache" ADV_THREADS=1 \
-   "$threat_bench" > threat.out)
+rm -f "$ident_cache"/atk_*.bin
+if (cd "$threat_dir" &&
+    REPRO_SCALE=smoke REPRO_CACHE_DIR="$ident_cache" ADV_THREADS=3 \
+      "$threat_bench" > threat.out); then
+  echo "ok: oblivious sliced path bitwise-identical to the unsliced target"
+else
+  echo "FAIL: table1_threat_models exited nonzero (see $threat_dir/threat.out)" >&2
+  fail=1
+fi
 
 if [ -s "$threat_dir/BENCH_threatmodel.json" ]; then
   for tm in oblivious gray-box detector-aware; do
@@ -158,13 +147,6 @@ if [ -s "$threat_dir/BENCH_threatmodel.json" ]; then
       fail=1
     fi
   done
-  if grep -A1 '"key": "threat/oblivious_identity"' \
-       "$threat_dir/BENCH_threatmodel.json" | grep -q '"value": 1'; then
-    echo "ok: oblivious target bitwise-identical to legacy attack API"
-  else
-    echo "FAIL: threat/oblivious_identity != 1" >&2
-    fail=1
-  fi
 else
   echo "MISSING: $threat_dir/BENCH_threatmodel.json" >&2
   fail=1
@@ -187,34 +169,30 @@ ADV_FAULT='serve.batch_forward:delay=1,serve.model_load:delay=1,ci.smoke:stall_a
   ctest --test-dir "$build_dir" -L serve --output-on-failure -j"$jobs"
 
 echo "== serving bench (REPRO_SCALE=smoke) =="
-# serve_bench builds the default MNIST MagNet (sharing the shard_ci
+# serve_bench builds the default MNIST MagNet (sharing the ident_ci
 # cache, so models are already trained), starts the daemon, replays a
 # fixed request set through concurrent clients and compares every
-# response bitwise against the serial one-request-at-a-time pipeline
-# (gauge serve/bench/identity), then load-tests in-flight depths
-# 1/2/4/8. Gates: the identity gauge is 1 and BENCH_serve.json carries
+# response bitwise against the serial one-request-at-a-time pipeline,
+# load-tests in-flight depths 1/2/4/8, then saturates a tiny daemon. The
+# binary exits 1, with a FAIL: line, unless the responses were identical
+# (gauge serve/bench/identity), the overload phase shed work AND expired
+# deadlines, and its accounting invariant held (requests == ok + errors
+# + shed + deadline_expired). Here: BENCH_serve.json carries
 # p50/p99/throughput for every depth.
 serve_dir="$repo_root/$build_dir/serve_ci"
 serve_bench="$repo_root/$build_dir/bench/serve_bench"
 rm -rf "$serve_dir"
 mkdir -p "$serve_dir"
 if (cd "$serve_dir" &&
-    REPRO_SCALE=smoke REPRO_CACHE_DIR="$shard_cache" ADV_THREADS=1 \
+    REPRO_SCALE=smoke REPRO_CACHE_DIR="$ident_cache" ADV_THREADS=1 \
       "$serve_bench" > serve.out); then
-  echo "ok: serve_bench completed (identity gate passed in-process)"
+  echo "ok: serve_bench gates passed (batched == serial, overload shed/expired/accounted)"
 else
-  echo "FAIL: serve_bench exited nonzero (batched-vs-serial divergence?)" >&2
+  echo "FAIL: serve_bench exited nonzero (see $serve_dir/serve.out)" >&2
   fail=1
 fi
 
 if [ -s "$serve_dir/BENCH_serve.json" ]; then
-  if grep -q '"key": "serve/bench/identity", "kind": "gauge", "value": 1}' \
-       "$serve_dir/BENCH_serve.json"; then
-    echo "ok: batched responses bitwise-identical to serial pipeline"
-  else
-    echo "FAIL: serve/bench/identity != 1" >&2
-    fail=1
-  fi
   serve_shape_ok=1
   for d in 1 2 4 8; do
     for m in p50_ms p99_ms throughput_rps mean_batch_rows; do
@@ -229,29 +207,6 @@ if [ -s "$serve_dir/BENCH_serve.json" ]; then
   if [ "$serve_shape_ok" = 1 ]; then
     echo "ok: BENCH_serve.json covers depths 1/2/4/8 (p50/p99/throughput/occupancy)"
   fi
-
-  # Overload phase gates: the saturating run must have actually shed
-  # work AND expired deadlines (a zero means the overload never bit),
-  # and the accounting invariant requests == ok + errors + shed +
-  # deadline_expired must hold exactly (gauge `accounted` is computed
-  # in-process from the counter deltas).
-  if grep -q '"key": "serve/bench/overload/accounted", "kind": "gauge", "value": 1}' \
-       "$serve_dir/BENCH_serve.json"; then
-    echo "ok: overload accounting invariant holds (requests == ok+errors+shed+expired)"
-  else
-    echo "FAIL: serve/bench/overload/accounted != 1" >&2
-    fail=1
-  fi
-  for m in shed deadline_expired; do
-    v=$(sed -n "s/.*\"key\": \"serve\/bench\/overload\/$m\", \"kind\": \"gauge\", \"value\": \([0-9.]*\).*/\1/p" \
-        "$serve_dir/BENCH_serve.json")
-    if awk -v x="${v:-0}" 'BEGIN { exit !(x >= 1) }'; then
-      echo "ok: overload phase $m = $v (> 0)"
-    else
-      echo "FAIL: overload phase $m = ${v:-missing} (expected > 0)" >&2
-      fail=1
-    fi
-  done
 else
   echo "MISSING: $serve_dir/BENCH_serve.json" >&2
   fail=1
@@ -267,13 +222,12 @@ sanitize_build() {
   cmake --build "$tree" -j"$jobs" --target "${@:3}"
 }
 # sanitize_run <tree suffix> <NAME_OPTIONS=...> <ADV_THREADS, empty for
-# the caller's pool size> <binary [filter]>: any sanitizer report fails
-# the gate (the options turn the first one into a nonzero exit).
+# the caller's pool size> <test binary>: any sanitizer report fails the
+# gate (the options turn the first one into a nonzero exit).
 sanitize_run() {
   local tree="$repo_root/${build_dir}-$1"
   local label="$4${3:+ at ADV_THREADS=$3}"
-  # shellcheck disable=SC2086  # $4 carries the binary plus its filter
-  if env ${3:+ADV_THREADS=$3} "$2" "$tree"/tests/$4 \
+  if env ${3:+"ADV_THREADS=$3"} "$2" "$tree/tests/$4" \
        > "$tree/sanitizer.out" 2>&1; then
     echo "ok: $label clean under $1"
   else
@@ -286,31 +240,37 @@ sanitize_run() {
 echo "== thread sanitizer (concurrency tests) =="
 # Concurrent passes over shared models (classify threads, row-parallel
 # attacks), row-block passes (nn::Sequential splitting Eval/Infer batches
-# across the pool, kernels nested inline), daemon start/stop under
-# connecting clients, the serve watchdog's retired executors, the thread
-# pool and the obs atomics, rebuilt with -fsanitize=thread. The
-# pool-heavy binaries run a second time at ADV_THREADS=3, which cuts
-# batches into uneven row blocks.
+# across the pool, kernels nested inline), sliced oblivious attacks (one
+# ObliviousTarget per pool chunk over a shared classifier), the daemon
+# (start/stop under connecting clients, the watchdog's retired
+# executors), the failpoint registry, the thread pool and the obs
+# atomics, rebuilt with -fsanitize=thread. The pool-heavy binaries run a
+# second time at ADV_THREADS=3, which cuts batches into uneven row blocks
+# and slices.
 sanitize_build tsan -fsanitize=thread \
-  concurrency_test thread_pool_test obs_test serve_test row_block_test
+  concurrency_test thread_pool_test obs_test serve_test row_block_test \
+  oblivious_slice_test fault_test
 for t in concurrency_test thread_pool_test obs_test row_block_test \
-         "serve_test --gtest_filter=*Watchdog*"; do
+         oblivious_slice_test serve_test fault_test; do
   sanitize_run tsan TSAN_OPTIONS=halt_on_error=1 "" "$t"
 done
-for t in concurrency_test thread_pool_test row_block_test; do
+for t in concurrency_test thread_pool_test row_block_test \
+         oblivious_slice_test; do
   sanitize_run tsan TSAN_OPTIONS=halt_on_error=1 3 "$t"
 done
 
 echo "== address + undefined-behaviour sanitizer =="
 # The byte parsers (tensor files, and the serve wire protocol with its
 # corpus of truncation and byte-flip sweeps), the daemon, row-block
-# passes and the thread pool, rebuilt with -fsanitize=address,undefined.
-# UB is fatal (-fno-sanitize-recover), and leak detection is on.
+# passes, sliced attacks and the thread pool, rebuilt with
+# -fsanitize=address,undefined. UB is fatal (-fno-sanitize-recover), and
+# leak detection is on.
 sanitize_build asan \
   "-fsanitize=address,undefined -fno-sanitize-recover=undefined" \
-  serialize_test protocol_test serve_test row_block_test thread_pool_test
+  serialize_test protocol_test serve_test row_block_test thread_pool_test \
+  oblivious_slice_test
 for t in serialize_test protocol_test serve_test row_block_test \
-         thread_pool_test; do
+         thread_pool_test oblivious_slice_test; do
   sanitize_run asan ASAN_OPTIONS=detect_leaks=1 "" "$t"
 done
 exit "$fail"
