@@ -1,7 +1,8 @@
 // Micro benchmarks (google-benchmark): throughput of the substrate
 // operations that dominate experiment wall-clock — GEMM, conv forward and
-// backward, auto-encoder inference, detector scoring, and single ISTA /
-// plain-GD attack steps (the paper's eq. (4) loop body).
+// backward, MaxPool2d forward and ReLU backward, auto-encoder inference,
+// detector scoring, and single ISTA / plain-GD attack steps (the paper's
+// eq. (4) loop body).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/ead.hpp"
@@ -28,6 +30,7 @@
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "tensor/thread_pool.hpp"
+#include "tensor/workspace.hpp"
 
 namespace {
 
@@ -111,6 +114,49 @@ void BM_ConvBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvBackward);
+
+// The element-wise layers at craft's CIFAR row-block shape (15 images of a
+// 16-channel 32x32 activation): MaxPool2d forward recording its argmax on
+// a ReLU'd input, and ReLU backward over normal pre-activations. Both draw
+// their outputs from a workspace, as nn::Sequential's passes do.
+void BM_MaxPool2dForward(benchmark::State& state) {
+  const nn::MaxPool2d pool(2);
+  Rng rng(4);
+  Tensor x({15, 16, 32, 32});
+  fill_normal(x, rng, 0.0f, 1.0f);
+  for (float& v : x.values()) v = std::max(v, 0.0f);
+  nn::TapeEntry saved;
+  Workspace ws;
+  for (auto _ : state) {
+    Tensor y = pool.forward(x, nn::Mode::Eval, &saved, &ws);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+    ws.release(std::move(y));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.numel()));
+}
+BENCHMARK(BM_MaxPool2dForward);
+
+void BM_ReLUBackward(benchmark::State& state) {
+  const nn::ReLU relu;
+  Rng rng(5);
+  Tensor x({15, 16, 32, 32}), g({15, 16, 32, 32});
+  fill_normal(x, rng, 0.0f, 1.0f);
+  fill_normal(g, rng, 0.0f, 1.0f);
+  nn::TapeEntry saved;
+  relu.forward(x, nn::Mode::Eval, &saved);
+  Workspace ws;
+  for (auto _ : state) {
+    Tensor dx = relu.backward(g, saved, {}, &ws);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+    ws.release(std::move(dx));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.numel()));
+}
+BENCHMARK(BM_ReLUBackward);
 
 nn::Sequential small_classifier(Rng& rng) {
   nn::Sequential m;

@@ -21,6 +21,23 @@ void require_poolable(const Tensor& input, std::size_t window,
   }
 }
 
+// The running maximum of one MaxPool2d window and its offset in the
+// channel plane, updated with selects instead of a data-dependent branch
+// (see DESIGN.md §6). The strict > keeps the first maximum in (di, dj)
+// order, and a NaN never wins. A window nothing beats (all NaN or -inf)
+// yields -inf at the window's first element, so backward stays inside it.
+struct WindowMax {
+  explicit WindowMax(std::size_t first) : idx(first) {}
+  void take(const float* src, std::size_t at) {
+    const float v = src[at];
+    const bool gt = v > value;
+    value = gt ? v : value;
+    idx += (at - idx) * gt;
+  }
+  float value = -std::numeric_limits<float>::infinity();
+  std::size_t idx;
+};
+
 }  // namespace
 
 Tensor AvgPool2d::forward_impl(const Tensor& input, Mode /*mode*/,
@@ -86,28 +103,39 @@ Tensor MaxPool2d::forward_impl(const Tensor& input, Mode /*mode*/,
   Tensor out = make_buffer(ws, {n, c, oh, ow});
   if (saved) {
     saved->shape = input.shape();
-    saved->index.assign(out.numel(), 0);
+    saved->index.resize(out.numel());  // every slot is written below
   }
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* src = input.data() + nc * h * w;
     float* dst = out.data() + nc * oh * ow;
     std::size_t* amax = saved ? saved->index.data() + nc * oh * ow : nullptr;
+    if (window_ == 2) {
+      // The paper's 2x2 pools: the four candidates unrolled.
+      for (std::size_t i = 0; i < oh; ++i) {
+        for (std::size_t j = 0; j < ow; ++j) {
+          const std::size_t first = 2 * i * w + 2 * j;
+          WindowMax m(first);
+          m.take(src, first);
+          m.take(src, first + 1);
+          m.take(src, first + w);
+          m.take(src, first + w + 1);
+          dst[i * ow + j] = m.value;
+          if (amax) amax[i * ow + j] = nc * h * w + m.idx;
+        }
+      }
+      continue;
+    }
     for (std::size_t i = 0; i < oh; ++i) {
       for (std::size_t j = 0; j < ow; ++j) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_idx = 0;
+        const std::size_t first = i * window_ * w + j * window_;
+        WindowMax m(first);
         for (std::size_t di = 0; di < window_; ++di) {
           for (std::size_t dj = 0; dj < window_; ++dj) {
-            const std::size_t idx =
-                (i * window_ + di) * w + j * window_ + dj;
-            if (src[idx] > best) {
-              best = src[idx];
-              best_idx = idx;
-            }
+            m.take(src, first + di * w + dj);
           }
         }
-        dst[i * ow + j] = best;
-        if (amax) amax[i * ow + j] = nc * h * w + best_idx;
+        dst[i * ow + j] = m.value;
+        if (amax) amax[i * ow + j] = nc * h * w + m.idx;
       }
     }
   }

@@ -9,7 +9,10 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -90,6 +93,55 @@ Tensor random_input(Shape shape, std::uint64_t seed, float lo = -1.0f,
   return t;
 }
 
+/// The bits of a float, so NaN payloads and signed zeros compare exactly.
+std::uint32_t bits(float v) {
+  std::uint32_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// Bitwise equality of two tensors (shape included), naming the first
+/// differing element.
+void expect_bitwise(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::size_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(bits(got[i]), bits(want[i]))
+        << what << " differs at " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+/// Every value an element-wise kernel must treat exactly: NaN, signed
+/// zeros, infinities, denormals and ordinary magnitudes.
+const std::vector<float>& special_values() {
+  static const std::vector<float> v = {
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      0.0f,
+      -0.0f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      1e-39f,
+      -1e-39f,
+      1.5f,
+      -2.25f};
+  return v;
+}
+
+/// Every (x, gin) pair of special_values() as two flat tensors.
+std::pair<Tensor, Tensor> special_pairs() {
+  const std::vector<float>& v = special_values();
+  Tensor x({v.size() * v.size()}), gin({v.size() * v.size()});
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    for (std::size_t j = 0; j < v.size(); ++j) {
+      x[i * v.size() + j] = v[i];
+      gin[i * v.size() + j] = v[j];
+    }
+  }
+  return {x, gin};
+}
+
 // --- activations -------------------------------------------------------
 
 TEST(ReLUTest, ForwardClampsNegatives) {
@@ -127,6 +179,31 @@ TEST(LeakyReLUTest, GradientCheck) {
     if (std::fabs(v) < 0.05f) v += 0.1f;
   }
   check_gradients(lrelu, x, 32);
+}
+
+TEST(ReLUTest, BackwardMatchesScalarReferenceBitwise) {
+  ReLU relu;
+  const auto [x, gin] = special_pairs();
+  TapeEntry saved;
+  relu.forward(x, nn::Mode::Eval, &saved);
+  Tensor want(x.shape());
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    want[i] = x[i] <= 0.0f ? 0.0f : gin[i];  // a NaN x passes gin through
+  }
+  expect_bitwise(relu.backward(gin, saved), want, "ReLU backward");
+}
+
+TEST(LeakyReLUTest, BackwardMatchesScalarReferenceBitwise) {
+  const float slope = 0.2f;
+  LeakyReLU lrelu(slope);
+  const auto [x, gin] = special_pairs();
+  TapeEntry saved;
+  lrelu.forward(x, nn::Mode::Eval, &saved);
+  Tensor want(x.shape());
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    want[i] = x[i] < 0.0f ? gin[i] * slope : gin[i];
+  }
+  expect_bitwise(lrelu.backward(gin, saved), want, "LeakyReLU backward");
 }
 
 TEST(SigmoidTest, MapsToUnitInterval) {
@@ -482,6 +559,129 @@ TEST(MaxPool2dTest, GradientCheck) {
     x[i] = static_cast<float>(i % 7) + 0.3f * rng.uniform_f(0.0f, 1.0f);
   }
   check_gradients(pool, x, 94);
+}
+
+/// MaxPool2d by the textbook loop: the first strict maximum of each window
+/// in (di, dj) order, starting at -inf on the window's first element.
+/// Fills the output and the flat input index of each output.
+void max_pool_reference(const Tensor& x, std::size_t k, Tensor& out,
+                        std::vector<std::size_t>& index) {
+  const std::size_t nc = x.dim(0) * x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::size_t oh = h / k, ow = w / k;
+  out = Tensor({x.dim(0), x.dim(1), oh, ow});
+  index.assign(out.numel(), 0);
+  for (std::size_t p = 0; p < nc; ++p) {
+    for (std::size_t i = 0; i < oh; ++i) {
+      for (std::size_t j = 0; j < ow; ++j) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t at = p * h * w + i * k * w + j * k;
+        for (std::size_t di = 0; di < k; ++di) {
+          for (std::size_t dj = 0; dj < k; ++dj) {
+            const std::size_t idx = p * h * w + (i * k + di) * w + j * k + dj;
+            if (x[idx] > best) {
+              best = x[idx];
+              at = idx;
+            }
+          }
+        }
+        out[(p * oh + i) * ow + j] = best;
+        index[(p * oh + i) * ow + j] = at;
+      }
+    }
+  }
+}
+
+/// Forward output, recorded index and backward gradient of MaxPool2d(k)
+/// against max_pool_reference, bit for bit.
+void check_max_pool_bitwise(std::size_t k, const Tensor& x,
+                            std::uint64_t seed) {
+  MaxPool2d pool(k);
+  Tensor want_out;
+  std::vector<std::size_t> want_index;
+  max_pool_reference(x, k, want_out, want_index);
+
+  expect_bitwise(pool.forward(x, nn::Mode::Eval), want_out, "forward");
+  TapeEntry saved;
+  expect_bitwise(pool.forward(x, nn::Mode::Eval, &saved), want_out,
+                 "recording forward");
+  EXPECT_EQ(saved.index, want_index);
+
+  Tensor g(want_out.shape());
+  Rng rng(seed);
+  fill_uniform(g, rng, -1.0f, 1.0f);
+  Tensor want_dx(x.shape(), 0.0f);
+  for (std::size_t i = 0; i < g.numel(); ++i) want_dx[want_index[i]] += g[i];
+  expect_bitwise(pool.backward(g, saved), want_dx, "backward");
+}
+
+/// An input for window k: small integers (so windows tie), NaN, -inf,
+/// +inf and signed zeros, plus one all-NaN and one all -inf window in
+/// the second channel, away from its plane's element (0, 0).
+Tensor tricky_pool_input(std::size_t k, std::uint64_t seed) {
+  const std::size_t h = 2 * k, w = 3 * k;
+  Tensor x({2, 2, h, w});
+  const float pool_of[] = {0.0f,
+                           -0.0f,
+                           1.0f,
+                           1.0f,
+                           2.0f,
+                           -1.0f,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           -std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::infinity()};
+  Rng rng(seed);
+  for (float& v : x.values()) {
+    v = pool_of[rng.next_u64() % (sizeof(pool_of) / sizeof(float))];
+  }
+  for (std::size_t di = 0; di < k; ++di) {
+    for (std::size_t dj = 0; dj < k; ++dj) {
+      x.at(0, 1, di, k + dj) = std::numeric_limits<float>::quiet_NaN();
+      x.at(0, 1, k + di, 2 * k + dj) =
+          -std::numeric_limits<float>::infinity();
+    }
+  }
+  return x;
+}
+
+TEST(MaxPool2dTest, Window2MatchesScalarReferenceBitwise) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    check_max_pool_bitwise(2, tricky_pool_input(2, seed), seed + 100);
+  }
+}
+
+TEST(MaxPool2dTest, GeneralWindowMatchesScalarReferenceBitwise) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    check_max_pool_bitwise(3, tricky_pool_input(3, seed), seed + 200);
+  }
+}
+
+// A window that nothing beats (all NaN, or all -inf) pools to -inf at its
+// own first element, so backward keeps that output's gradient inside it.
+TEST(MaxPool2dTest, UnbeatableWindowRoutesToItsFirstElement) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  for (const std::size_t k : {std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE(k);
+    for (const float fill : {nan, ninf}) {
+      MaxPool2d pool(k);
+      Tensor x({1, 2, k, 2 * k}, 5.0f);
+      for (std::size_t di = 0; di < k; ++di) {
+        for (std::size_t dj = 0; dj < k; ++dj) x.at(0, 1, di, k + dj) = fill;
+      }
+      TapeEntry saved;
+      const Tensor y = pool.forward(x, nn::Mode::Eval, &saved);
+      EXPECT_EQ(y[3], ninf);
+      const std::size_t first = k * 2 * k + k;  // plane 1, column k
+      EXPECT_EQ(saved.index[3], first);
+      Tensor g({1, 2, 1, 2}, 0.0f);
+      g[3] = 7.0f;
+      const Tensor dx = pool.backward(g, saved);
+      EXPECT_EQ(dx[first], 7.0f);
+      EXPECT_EQ(dx[k * 2 * k], 0.0f);  // plane 1's (0, 0), outside the window
+    }
+  }
 }
 
 TEST(Upsample2dTest, RepeatsPixels) {

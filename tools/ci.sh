@@ -244,14 +244,16 @@ echo "== thread sanitizer (concurrency tests) =="
 # ObliviousTarget per pool chunk over a shared classifier), the daemon
 # (start/stop under connecting clients, the watchdog's retired
 # executors), the failpoint registry, the thread pool and the obs
-# atomics, rebuilt with -fsanitize=thread. The pool-heavy binaries run a
-# second time at ADV_THREADS=3, which cuts batches into uneven row blocks
-# and slices.
+# atomics, plus the rest of the serve and fault test binaries (the wire
+# protocol, tensor files and the trainer's checkpoints), rebuilt with
+# -fsanitize=thread. The pool-heavy binaries run a second time at
+# ADV_THREADS=3, which cuts batches into uneven row blocks and slices.
 sanitize_build tsan -fsanitize=thread \
   concurrency_test thread_pool_test obs_test serve_test row_block_test \
-  oblivious_slice_test fault_test
+  oblivious_slice_test fault_test protocol_test serialize_test trainer_test
 for t in concurrency_test thread_pool_test obs_test row_block_test \
-         oblivious_slice_test serve_test fault_test; do
+         oblivious_slice_test serve_test fault_test protocol_test \
+         serialize_test trainer_test; do
   sanitize_run tsan TSAN_OPTIONS=halt_on_error=1 "" "$t"
 done
 for t in concurrency_test thread_pool_test row_block_test \
