@@ -1,8 +1,6 @@
 #include "nn/activations.hpp"
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
 
 namespace adv::nn {
@@ -67,15 +65,8 @@ Tensor LeakyReLU::backward_impl(const Tensor& grad_output,
   const float* x = saved.tensor.data();
   const float* gin = grad_output.data();
   float* g = grad.data();
-  // A ternary over gin[i] * slope would get the product sunk back under a
-  // branch (it may trap, -ftrapping-math), so the pick is a bit mask.
-  const float slope = negative_slope_;
   for (std::size_t i = 0, n = grad.numel(); i < n; ++i) {
-    const float gi = gin[i];
-    const std::uint32_t neg = 0u - static_cast<std::uint32_t>(x[i] < 0.0f);
-    g[i] = std::bit_cast<float>(
-        (std::bit_cast<std::uint32_t>(gi * slope) & neg) |
-        (std::bit_cast<std::uint32_t>(gi) & ~neg));
+    g[i] = x[i] < 0.0f ? gin[i] * negative_slope_ : gin[i];
   }
   return grad;
 }

@@ -93,20 +93,17 @@ Tensor random_input(Shape shape, std::uint64_t seed, float lo = -1.0f,
   return t;
 }
 
-/// The bits of a float, so NaN payloads and signed zeros compare exactly.
-std::uint32_t bits(float v) {
-  std::uint32_t b;
-  std::memcpy(&b, &v, sizeof b);
-  return b;
-}
-
-/// Bitwise equality of two tensors (shape included), naming the first
-/// differing element.
-void expect_bitwise(const Tensor& got, const Tensor& want, const char* what) {
-  ASSERT_EQ(got.shape(), want.shape()) << what;
-  for (std::size_t i = 0; i < got.numel(); ++i) {
-    ASSERT_EQ(bits(got[i]), bits(want[i]))
-        << what << " differs at " << i << ": " << got[i] << " vs " << want[i];
+/// Bitwise equality of two tensors, so NaN payloads and signed zeros
+/// compare exactly; names the first differing element.
+void expect_bitwise_equal(const Tensor& a, const Tensor& b,
+                          const std::string& what) {
+  ASSERT_TRUE(a.same_shape(b)) << what << ": shape mismatch";
+  for (std::size_t i = 0; i < a.numel(); ++i) {
+    std::uint32_t ba = 0, bb = 0;
+    std::memcpy(&ba, a.data() + i, sizeof(ba));
+    std::memcpy(&bb, b.data() + i, sizeof(bb));
+    ASSERT_EQ(ba, bb) << what << " differs at " << i << ": " << a[i]
+                      << " vs " << b[i];
   }
 }
 
@@ -190,7 +187,7 @@ TEST(ReLUTest, BackwardMatchesScalarReferenceBitwise) {
   for (std::size_t i = 0; i < x.numel(); ++i) {
     want[i] = x[i] <= 0.0f ? 0.0f : gin[i];  // a NaN x passes gin through
   }
-  expect_bitwise(relu.backward(gin, saved), want, "ReLU backward");
+  expect_bitwise_equal(relu.backward(gin, saved), want, "ReLU backward");
 }
 
 TEST(LeakyReLUTest, BackwardMatchesScalarReferenceBitwise) {
@@ -203,7 +200,7 @@ TEST(LeakyReLUTest, BackwardMatchesScalarReferenceBitwise) {
   for (std::size_t i = 0; i < x.numel(); ++i) {
     want[i] = x[i] < 0.0f ? gin[i] * slope : gin[i];
   }
-  expect_bitwise(lrelu.backward(gin, saved), want, "LeakyReLU backward");
+  expect_bitwise_equal(lrelu.backward(gin, saved), want, "LeakyReLU backward");
 }
 
 TEST(SigmoidTest, MapsToUnitInterval) {
@@ -404,18 +401,6 @@ TEST(Conv2dTest, OutputDimRejectsKernelBeyondPaddedInput) {
 
 // --- direct-vs-im2col bitwise identity ----------------------------------
 
-void expect_bitwise_equal(const Tensor& a, const Tensor& b,
-                          const std::string& what) {
-  ASSERT_TRUE(a.same_shape(b)) << what << ": shape mismatch";
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    std::uint32_t ba = 0, bb = 0;
-    std::memcpy(&ba, a.data() + i, sizeof(ba));
-    std::memcpy(&bb, b.data() + i, sizeof(bb));
-    ASSERT_EQ(ba, bb) << what << " differs at " << i << ": " << a[i]
-                      << " vs " << b[i];
-  }
-}
-
 struct DirectIdCase {
   Conv2dConfig cfg;
   Shape in;
@@ -600,10 +585,10 @@ void check_max_pool_bitwise(std::size_t k, const Tensor& x,
   std::vector<std::size_t> want_index;
   max_pool_reference(x, k, want_out, want_index);
 
-  expect_bitwise(pool.forward(x, nn::Mode::Eval), want_out, "forward");
+  expect_bitwise_equal(pool.forward(x, nn::Mode::Eval), want_out, "forward");
   TapeEntry saved;
-  expect_bitwise(pool.forward(x, nn::Mode::Eval, &saved), want_out,
-                 "recording forward");
+  expect_bitwise_equal(pool.forward(x, nn::Mode::Eval, &saved), want_out,
+                       "recording forward");
   EXPECT_EQ(saved.index, want_index);
 
   Tensor g(want_out.shape());
@@ -611,7 +596,7 @@ void check_max_pool_bitwise(std::size_t k, const Tensor& x,
   fill_uniform(g, rng, -1.0f, 1.0f);
   Tensor want_dx(x.shape(), 0.0f);
   for (std::size_t i = 0; i < g.numel(); ++i) want_dx[want_index[i]] += g[i];
-  expect_bitwise(pool.backward(g, saved), want_dx, "backward");
+  expect_bitwise_equal(pool.backward(g, saved), want_dx, "backward");
 }
 
 /// An input for window k: small integers (so windows tie), NaN, -inf,
