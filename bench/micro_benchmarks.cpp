@@ -138,6 +138,30 @@ void BM_MaxPool2dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxPool2dForward);
 
+// MaxPool2d backward routing a normal gradient through the argmax its
+// recording forward took on the same ReLU'd input.
+void BM_MaxPool2dBackward(benchmark::State& state) {
+  const nn::MaxPool2d pool(2);
+  Rng rng(6);
+  Tensor x({15, 16, 32, 32});
+  fill_normal(x, rng, 0.0f, 1.0f);
+  for (float& v : x.values()) v = std::max(v, 0.0f);
+  nn::TapeEntry saved;
+  const Tensor y = pool.forward(x, nn::Mode::Eval, &saved);
+  Tensor g(y.shape());
+  fill_normal(g, rng, 0.0f, 1.0f);
+  Workspace ws;
+  for (auto _ : state) {
+    Tensor dx = pool.backward(g, saved, {}, &ws);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+    ws.release(std::move(dx));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.numel()));
+}
+BENCHMARK(BM_MaxPool2dBackward);
+
 void BM_ReLUBackward(benchmark::State& state) {
   const nn::ReLU relu;
   Rng rng(5);

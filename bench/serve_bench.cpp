@@ -5,16 +5,17 @@
 // clients at several in-flight depths (each client submits one-image
 // requests back to back — the paper's serving case). Per depth it reports
 // request latency (p50/p99), throughput, the mean rows per forward batch
-// the micro-batcher achieved, and the process CPU/wall ratio (the CI host
-// is single-core, so the ratio doubles as a sanity check that batching,
-// not parallelism, provides the speedup).
+// the micro-batcher achieved, and the process CPU/wall ratio. The load
+// daemon runs the derived number of batch executors (batcher.hpp),
+// recorded as serve/bench/executors.
 //
 // Before any load runs, an identity gate replays a fixed request set
-// through the daemon (max_batch_rows = 8, concurrent submitters, so
-// coalescing actually happens) and compares every response against the
-// pipeline run serially one-request-at-a-time: the gate passes only on
-// BITWISE identical predictions, rejections, thresholds and detector
-// scores (see batcher.hpp for why this must hold).
+// through a daemon (max_batch_rows = 8, concurrent submitters, so
+// coalescing actually happens) with one batch executor and again with
+// three, and compares every response against the pipeline run serially
+// one-request-at-a-time: the gate passes only on BITWISE identical
+// predictions, rejections, thresholds and detector scores (see
+// batcher.hpp for why this must hold).
 //
 // Emits BENCH_serve.json (every metric under serve/, including the
 // daemon's own counters and timers). The binary holds its own gates: it
@@ -289,8 +290,7 @@ int main() {
                                  core::MagnetVariant::Default);
   const Tensor& images = zoo.attack_set(core::DatasetId::Mnist).images;
 
-  // Serial identity baseline — computed BEFORE the daemon exists because
-  // classify() may not run concurrently with the batcher thread.
+  // Serial identity baseline: one classify per request, no daemon.
   const std::size_t kIdentityRequests = std::min<std::size_t>(
       24, images.dim(0));
   std::vector<magnet::DefenseOutcome> baseline;
@@ -300,25 +300,40 @@ int main() {
                                       magnet::DefenseScheme::Full));
   }
 
+  const serve::MicroBatcher::PipelineFactory factory =
+      [pipe]() -> std::shared_ptr<const magnet::MagNetPipeline> {
+    return pipe;
+  };
   serve::ServeConfig cfg;
   cfg.socket_path = std::filesystem::temp_directory_path() /
                     ("adv_serve_bench_" + std::to_string(::getpid()) +
                      ".sock");
   cfg.batch.max_batch_rows = 8;
   cfg.batch.flush_deadline = std::chrono::microseconds(200);
-  serve::ServeDaemon daemon(
-      [pipe]() -> std::shared_ptr<const magnet::MagNetPipeline> {
-        return pipe;
-      },
-      cfg);
-  daemon.start();
 
   auto& reg = obs::MetricsRegistry::global();
-  const bool identical = identity_gate(cfg.socket_path, images, baseline);
+  bool identical = true;
+  for (const std::size_t executors : {std::size_t{1}, std::size_t{3}}) {
+    serve::ServeConfig icfg = cfg;
+    icfg.batch.executors = executors;
+    serve::ServeDaemon identity_daemon(factory, icfg);
+    identity_daemon.start();
+    const bool same = identity_gate(icfg.socket_path, images, baseline);
+    identity_daemon.stop();
+    std::printf(
+        "batched-vs-serial bitwise identity (%zu requests, %zu "
+        "executors): %s\n",
+        kIdentityRequests, executors, same ? "OK" : "FAILED");
+    identical = identical && same;
+  }
   reg.gauge("serve/bench/identity").set(identical ? 1.0 : 0.0);
-  std::printf("batched-vs-serial bitwise identity (%zu requests): %s\n",
-              kIdentityRequests, identical ? "OK" : "FAILED");
   if (!identical) std::fprintf(stderr, "FAIL: serve/bench/identity != 1\n");
+
+  serve::ServeDaemon daemon(factory, cfg);
+  daemon.start();
+  const std::size_t executors = daemon.batcher().config().executors;
+  reg.gauge("serve/bench/executors").set(static_cast<double>(executors));
+  std::printf("load phases: %zu batch executors\n", executors);
 
   const std::size_t per_client =
       zoo.scale().smoke ? 30 : (zoo.scale().full ? 600 : 150);
@@ -333,9 +348,12 @@ int main() {
   }
   daemon.stop();
 
-  // Overload study on a fresh, deliberately tiny daemon: 2-row batches
-  // behind an 8-row admission queue, watchdog armed, and every forward
-  // pass slowed by a latency failpoint so saturation is guaranteed.
+  // Overload study on a fresh, deliberately tiny daemon: one executor
+  // running 2-row batches behind an 8-row admission queue, watchdog
+  // armed, and every forward pass slowed by a latency failpoint so
+  // saturation is guaranteed. One executor keeps the queue wait (8 rows
+  // at 2 rows per 25 ms, about 100 ms) well past the 40 ms deadlines; at
+  // three executors it is about 33 ms, and expiries become rare.
   serve::ServeConfig ocfg;
   ocfg.socket_path = std::filesystem::temp_directory_path() /
                      ("adv_serve_bench_ovl_" + std::to_string(::getpid()) +
@@ -344,11 +362,8 @@ int main() {
   ocfg.batch.flush_deadline = std::chrono::microseconds(200);
   ocfg.batch.max_queue_rows = 8;
   ocfg.batch.watchdog_timeout = std::chrono::milliseconds(5000);
-  serve::ServeDaemon overload_daemon(
-      [pipe]() -> std::shared_ptr<const magnet::MagNetPipeline> {
-        return pipe;
-      },
-      ocfg);
+  ocfg.batch.executors = 1;
+  serve::ServeDaemon overload_daemon(factory, ocfg);
   overload_daemon.start();
   fault::arm("serve.batch_forward:delay=25");
   const std::size_t overload_per_client = zoo.scale().smoke ? 8 : 20;

@@ -7,6 +7,31 @@
 #include "tensor/tensor_ops.hpp"
 
 namespace adv::magnet {
+namespace {
+
+// Per-stage serving latency (adv::obs; null unless enabled). A stage
+// times the passes it is the first to need. Handles resolve once, so a
+// traced pass takes no registry lock.
+obs::Timer* detectors_timer() {
+  if (!obs::enabled()) return nullptr;
+  static auto& t =
+      obs::MetricsRegistry::global().timer("magnet/stage/detectors");
+  return &t;
+}
+obs::Timer* reformer_timer() {
+  if (!obs::enabled()) return nullptr;
+  static auto& t =
+      obs::MetricsRegistry::global().timer("magnet/stage/reformer");
+  return &t;
+}
+obs::Timer* classifier_timer() {
+  if (!obs::enabled()) return nullptr;
+  static auto& t =
+      obs::MetricsRegistry::global().timer("magnet/stage/classifier");
+  return &t;
+}
+
+}  // namespace
 
 const char* to_string(DefenseScheme s) {
   switch (s) {
@@ -87,9 +112,7 @@ DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
   // model pass they have in common (see classify's contract).
   PassMemo memo(batch);
   if (use_detectors) {
-    // Per-stage serving latency (adv::obs; no-op unless enabled). A stage
-    // times the passes it is the first to need.
-    obs::ScopedTimer t("magnet/stage/detectors");
+    obs::ScopedTimer t(detectors_timer());
     out.readings.reserve(detectors_.size());
     for (const auto& d : detectors_) {
       DetectorReading reading;
@@ -105,12 +128,12 @@ DefenseOutcome MagNetPipeline::classify(const Tensor& batch,
 
   const nn::Sequential* reformer_ae = nullptr;
   if (use_reformer) {
-    obs::ScopedTimer t("magnet/stage/reformer");
+    obs::ScopedTimer t(reformer_timer());
     reformer_ae = reformer_->autoencoder().get();
     memo.reconstruction(*reformer_ae);
   }
   {
-    obs::ScopedTimer t("magnet/stage/classifier");
+    obs::ScopedTimer t(classifier_timer());
     // Row argmax of the logits, exactly as nn::predict_labels.
     const Tensor& logits = memo.logits(*classifier_, reformer_ae);
     out.predicted.resize(logits.dim(0));

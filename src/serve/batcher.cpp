@@ -1,11 +1,13 @@
 #include "serve/batcher.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "fault/failpoint.hpp"
 #include "obs/metrics.hpp"
+#include "tensor/thread_pool.hpp"
 
 namespace adv::serve {
 namespace {
@@ -58,6 +60,25 @@ obs::Counter& watchdog_trips_counter() {
       obs::MetricsRegistry::global().counter("serve/watchdog_trips");
   return c;
 }
+obs::Gauge& queue_depth_gauge() {
+  static auto& g = obs::MetricsRegistry::global().gauge("serve/queue_depth");
+  return g;
+}
+obs::Timer& batch_forward_timer() {
+  static auto& t =
+      obs::MetricsRegistry::global().timer("serve/batch_forward");
+  return t;
+}
+
+// One core stays with the accept, handler and transport threads; each
+// executor's pass may use the whole pool. hardware_concurrency() is 0
+// when unknown: count one core.
+std::size_t derived_executors() {
+  const std::size_t cores =
+      std::max(1u, std::thread::hardware_concurrency());
+  return std::max<std::size_t>(
+      1, (cores - 1) / ThreadPool::global().thread_count());
+}
 
 bool same_row_shape(const Tensor& a, const Tensor& b) {
   if (a.rank() != b.rank()) return false;
@@ -80,6 +101,9 @@ bool same_row_shape(const Tensor& a, const Tensor& b) {
 struct MicroBatcher::PipelineSlot {
   std::mutex mu;
   std::shared_ptr<const magnet::MagNetPipeline> pipeline;
+  /// Held across a load, so executors starting their first batch
+  /// together call the factory once; the others wait and share it.
+  std::mutex load_mu;
 };
 
 struct MicroBatcher::BatchTicket {
@@ -96,9 +120,9 @@ struct MicroBatcher::DrainState {
   std::size_t retired_live = 0;  // retired executors still running
 };
 
-/// One long-lived execution thread. The batcher assigns it a ticket and
-/// waits (bounded by the watchdog); on a trip the executor is retire()d —
-/// detached, counted in DrainState — and replaced. The thread keeps
+/// One long-lived execution thread. Its executor loop assigns it a ticket
+/// and waits (bounded by the watchdog); on a trip the thread is retire()d
+/// — detached, counted in DrainState — and replaced. The thread keeps
 /// itself alive via the self shared_ptr captured in its loop.
 class MicroBatcher::Executor {
  public:
@@ -209,10 +233,22 @@ MicroBatcher::MicroBatcher(PipelineFactory factory, BatchConfig cfg)
   if (cfg_.max_queue_rows == 0) {
     throw std::invalid_argument("MicroBatcher: max_queue_rows must be >= 1");
   }
-  if (cfg_.watchdog_timeout.count() > 0) {
-    executor_ = Executor::spawn(factory_, slot_, drain_);
+  if (cfg_.executors == 0) cfg_.executors = derived_executors();
+  try {
+    if (cfg_.watchdog_timeout.count() > 0) {
+      for (std::size_t lane = 0; lane < cfg_.executors; ++lane) {
+        executors_.push_back(Executor::spawn(factory_, slot_, drain_));
+      }
+    }
+    for (std::size_t lane = 0; lane < cfg_.executors; ++lane) {
+      loops_.emplace_back([this, lane] { run(lane); });
+    }
+  } catch (...) {
+    // A thread failed to start: join the ones that did.
+    stop();
+    for (const auto& ex : executors_) ex->shutdown();
+    throw;
   }
-  thread_ = std::thread([this] { run(); });
 }
 
 MicroBatcher::~MicroBatcher() { stop(); }
@@ -262,9 +298,7 @@ std::future<ServeResult> MicroBatcher::submit(
     }
     queue_.push_back(std::move(p));
     if (obs::enabled()) {
-      obs::MetricsRegistry::global()
-          .gauge("serve/queue_depth")
-          .set(static_cast<double>(queue_.size()));
+      queue_depth_gauge().set(static_cast<double>(queue_.size()));
     }
   }
   cv_.notify_all();
@@ -272,17 +306,19 @@ std::future<ServeResult> MicroBatcher::submit(
 }
 
 void MicroBatcher::stop() {
+  std::vector<std::thread> loops;
   {
     std::lock_guard lk(mu_);
-    if (stop_ && !thread_.joinable()) return;
     stop_ = true;
+    loops.swap(loops_);
   }
+  if (loops.empty()) return;  // stopped already
   cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  if (executor_) {
-    executor_->shutdown();
-    executor_.reset();
-  }
+  // Each loop finishes its in-flight batch; the first to see stop_ sheds
+  // the queue.
+  for (std::thread& t : loops) t.join();
+  for (const auto& ex : executors_) ex->shutdown();
+  executors_.clear();
   // Give watchdog-retired executors a bounded chance to unwind (a test
   // that disarmed its stall wants no thread left behind); a truly wedged
   // one only holds refcounted state, so walking away is safe.
@@ -359,7 +395,7 @@ std::vector<MicroBatcher::Pending> MicroBatcher::take_group_locked() {
   return group;
 }
 
-void MicroBatcher::run() {
+void MicroBatcher::run(std::size_t lane) {
   std::unique_lock lk(mu_);
   for (;;) {
     cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
@@ -383,35 +419,35 @@ void MicroBatcher::run() {
     expire_locked(std::chrono::steady_clock::now());
     std::vector<Pending> group = take_group_locked();
     if (obs::enabled()) {
-      obs::MetricsRegistry::global()
-          .gauge("serve/queue_depth")
-          .set(static_cast<double>(queue_.size()));
+      queue_depth_gauge().set(static_cast<double>(queue_.size()));
     }
-    if (group.empty()) continue;  // everything expired
+    // Empty when everything expired, or another loop took the work.
+    if (group.empty()) continue;
     lk.unlock();
-    dispatch(std::move(group));
+    dispatch(lane, std::move(group));
     lk.lock();
   }
 }
 
-void MicroBatcher::dispatch(std::vector<Pending> group) {
+void MicroBatcher::dispatch(std::size_t lane, std::vector<Pending> group) {
   auto ticket = std::make_shared<BatchTicket>();
   ticket->group = std::move(group);
-  if (!executor_) {
-    // Watchdog off: execute inline on the batcher thread — exactly the
-    // pre-watchdog code path (and thread), so the identity tests cover
-    // it unchanged.
+  if (executors_.empty()) {
+    // Watchdog off: execute inline on the executor loop — exactly the
+    // pre-watchdog code path, so the identity tests cover it unchanged.
     execute_ticket(ticket, factory_, slot_);
     return;
   }
-  executor_->assign(ticket);
+  std::shared_ptr<Executor>& executor = executors_[lane];
+  executor->assign(ticket);
   std::unique_lock tlk(ticket->mu);
   if (ticket->cv.wait_for(tlk, cfg_.watchdog_timeout,
                           [&] { return ticket->done; })) {
     return;
   }
-  // Watchdog trip: fail this batch's requests, then replace the wedged
-  // executor. The pipeline stays: the wedged pass leaves no state in it.
+  // Watchdog trip: fail this batch's requests, then replace this loop's
+  // wedged execution thread. The pipeline stays: the wedged pass leaves
+  // no state in it.
   ticket->failed = true;
   const std::string msg =
       "watchdog: batch exceeded " +
@@ -427,8 +463,8 @@ void MicroBatcher::dispatch(std::vector<Pending> group) {
     p.promise.set_value({false, ResultStatus::Error, msg, {}});
   }
   tlk.unlock();
-  executor_->retire();
-  executor_ = Executor::spawn(factory_, slot_, drain_);
+  executor->retire();
+  executor = Executor::spawn(factory_, slot_, drain_);
 }
 
 std::shared_ptr<const magnet::MagNetPipeline> MicroBatcher::ensure_pipeline(
@@ -438,10 +474,15 @@ std::shared_ptr<const magnet::MagNetPipeline> MicroBatcher::ensure_pipeline(
   // factory is expected to route through the self-healing ModelZoo, so a
   // corrupt cached model quarantines and rebuilds here instead of
   // permanently wedging the daemon.
-  {
+  const auto loaded = [&] {
     std::lock_guard lk(slot->mu);
-    if (slot->pipeline) return slot->pipeline;
-  }
+    return slot->pipeline;
+  };
+  if (auto pipe = loaded()) return pipe;
+  // One load at a time: an executor that waited here finds the pipeline
+  // another one just loaded, or retries a load that failed.
+  std::lock_guard load_lk(slot->load_mu);
+  if (auto pipe = loaded()) return pipe;
   if (fault::check("serve.model_load") != fault::Action::None) {
     if (obs::enabled()) model_load_failures_counter().add(1);
     throw std::runtime_error("injected fault: serve.model_load");
@@ -458,8 +499,8 @@ std::shared_ptr<const magnet::MagNetPipeline> MicroBatcher::ensure_pipeline(
     throw std::runtime_error("pipeline factory returned null");
   }
   std::lock_guard lk(slot->mu);
-  if (!slot->pipeline) slot->pipeline = pipe;
-  return slot->pipeline;
+  slot->pipeline = pipe;
+  return pipe;
 }
 
 void MicroBatcher::execute_ticket(
@@ -516,7 +557,7 @@ void MicroBatcher::execute_ticket(
     }
     magnet::DefenseOutcome out;
     {
-      obs::ScopedTimer t("serve/batch_forward");
+      obs::ScopedTimer t(obs::enabled() ? &batch_forward_timer() : nullptr);
       out = pipe->classify(input, group.front().scheme);
     }
     std::lock_guard lk(ticket->mu);

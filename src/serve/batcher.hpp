@@ -1,10 +1,12 @@
 // MicroBatcher — continuous micro-batching for defended inference, with
 // overload protection (DESIGN.md §15).
 //
-// Concurrent callers submit() independent classify requests; one batcher
-// thread coalesces whatever is in flight into dense forward batches so
-// the blocked GEMM always sees multi-row work even when every client
-// sends single images. The coalescing window is bounded two ways:
+// Concurrent callers submit() independent classify requests into one
+// queue; N executor loops coalesce whatever is in flight into dense
+// forward batches so the blocked GEMM always sees multi-row work even
+// when every client sends single images. Each loop waits for work, holds
+// the coalescing window, takes the next group and executes it. The
+// window is bounded two ways:
 //
 //   * max_batch_rows — a batch closes as soon as the queue holds that
 //     many rows (a single oversized request still runs, alone);
@@ -22,10 +24,24 @@
 // response sliced back out is BITWISE IDENTICAL to running that request
 // alone. tests/serve_test.cpp and the serve_bench CI gate assert this.
 //
-// Batches execute one at a time, so coalescing pays. That is a throughput
-// choice: classify() is stateless over read-only layers, so the shared
-// pipeline is safe under concurrent callers too (e.g. a watchdog-retired
-// executor still finishing its pass).
+// EXECUTORS. N loops run batches concurrently over the one shared
+// pipeline: classify() is stateless over read-only layers, so concurrent
+// passes need no lock and each response stays bitwise the serial one.
+// Groups are still taken from the queue under one mutex in queue order,
+// so FIFO per (scheme, row shape) holds; only completion order can differ
+// between executors. N is derived, not configured:
+//
+//     N = max(1, (hardware_concurrency() - 1) / ADV_THREADS pool size)
+//
+// One core is left for the accept, handler and transport threads, and
+// each executor's pass may use the whole pool (row blocks). So the
+// default pool (one thread per core) keeps N = 1, and a daemon pinned at
+// ADV_THREADS=1 on 4 cores runs 3 batches at once. Keep N x ADV_THREADS
+// <= cores - 1: more executors only oversubscribe the cores. More
+// executors also mean less coalescing (fewer rows per batch) — the
+// throughput comes from overlap, not from bigger batches.
+// BatchConfig::executors pins N (tests); config().executors reports the
+// N in use.
 //
 // Overload semantics (time-shaped faults; crash-shaped ones below):
 //   * ADMISSION CONTROL — the queue is bounded by max_queue_rows. A
@@ -40,34 +56,37 @@
 //     ResultStatus::DeadlineExceeded without spending any forward-pass
 //     work on them. A request that starts executing inside its budget is
 //     finished even if the budget expires mid-pass.
-//   * WATCHDOG — with watchdog_timeout > 0, batches execute on a
-//     replaceable executor thread. If one batch (including a lazy model
-//     load) runs past the timeout, the watchdog fails that batch's
-//     requests with error results, retires the stuck executor and spawns
-//     a replacement, so the daemon keeps serving while the old thread is
-//     still wedged. The pipeline is kept: a pass leaves no state in the
-//     models, so the replacement shares it with the wedged thread. A
-//     retired executor that eventually wakes finds its batch already
-//     failed and exits without delivering anything.
-//   * DRAIN — stop() finishes the in-flight batch, then answers every
-//     still-queued request with an Overloaded shed result (stop
-//     accepting, finish in-flight, shed the rest — never serve a queue
-//     of unknown depth during shutdown), waits up to drain_grace for
-//     retired executors to unwind, and joins. Idempotent; the destructor
-//     calls it.
+//   * WATCHDOG — with watchdog_timeout > 0, each executor loop runs its
+//     batches on a replaceable execution thread of its own, under its
+//     own watchdog. If one batch (including a lazy model load) runs past
+//     the timeout, that loop's watchdog fails the batch's requests with
+//     error results, retires the stuck thread and spawns a replacement,
+//     so the daemon keeps serving while the old thread is still wedged;
+//     the other executors are not touched. The pipeline is kept: a pass
+//     leaves no state in the models, so the replacement shares it with
+//     the wedged thread. A retired thread that eventually wakes finds
+//     its batch already failed and exits without delivering anything.
+//   * DRAIN — stop() lets every executor finish its in-flight batch,
+//     then answers every still-queued request with an Overloaded shed
+//     result (stop accepting, finish in-flight, shed the rest — never
+//     serve a queue of unknown depth during shutdown), joins all N loops
+//     and waits up to drain_grace for retired executors to unwind.
+//     Idempotent; the destructor calls it.
 //
 // Failure containment for crash-shaped faults (tests label
 // `serve`/`fault`):
 //   * the pipeline is acquired LAZILY through the factory on the first
-//     batch (and re-acquired after a failed load). A factory that throws
-//     — e.g. the `serve.model_load` failpoint, or a ModelZoo rebuild that
-//     fails — turns into error responses for that batch only; the next
-//     batch retries the load. The factory is expected to go through the
+//     batch (and re-acquired after a failed load). The load runs once:
+//     one executor calls the factory while the others wait for it and
+//     share the result. A factory that throws — e.g. the
+//     `serve.model_load` failpoint, or a ModelZoo rebuild that fails —
+//     turns into error responses for that batch only; the next batch
+//     retries the load. The factory is expected to go through the
 //     self-healing ModelZoo layer so a corrupt cached model is
 //     quarantined and rebuilt rather than failing forever.
 //   * the `serve.batch_forward` failpoint (and any exception escaping
 //     classify) fails the requests of that batch with error results; the
-//     batcher thread and every queued request keep going. The `delay`
+//     executor and every queued request keep going. The `delay`
 //     and `stall` failpoint actions (fault/failpoint.hpp) inject latency
 //     at the same two sites — that is what the watchdog and the chaos
 //     soak in serve_test exercise.
@@ -91,6 +110,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "magnet/pipeline.hpp"
 #include "tensor/tensor.hpp"
@@ -106,15 +126,19 @@ struct BatchConfig {
   /// Admission bound: a submit that would push the queued row count past
   /// this is shed with ResultStatus::Overloaded instead of queued.
   std::size_t max_queue_rows = 1024;
-  /// 0 disables the watchdog (batches run inline on the batcher thread —
-  /// bitwise-identical to the pre-watchdog behaviour). > 0 runs batches
-  /// on a replaceable executor thread and fails any batch that exceeds
-  /// this bound.
+  /// 0 disables the watchdog (batches run inline on the executor loops —
+  /// bitwise-identical to the pre-watchdog behaviour). > 0 runs each
+  /// loop's batches on a replaceable execution thread and fails any
+  /// batch that exceeds this bound.
   std::chrono::milliseconds watchdog_timeout{0};
   /// How long stop() waits for watchdog-retired executors to unwind
   /// before giving up on them (they hold only refcounted state, so
   /// abandoning a truly-wedged one is safe, just untidy).
   std::chrono::milliseconds drain_grace{2000};
+  /// Executor loops running batches concurrently. 0 derives N =
+  /// max(1, (hardware_concurrency() - 1) / ThreadPool::global()
+  /// .thread_count()) (see top).
+  std::size_t executors = 0;
 };
 
 /// How a request left the batcher. Mirrors the wire Status codes
@@ -156,15 +180,16 @@ class MicroBatcher {
       Tensor rows, magnet::DefenseScheme scheme,
       std::chrono::milliseconds deadline = std::chrono::milliseconds{0});
 
-  /// Graceful drain: finishes the in-flight batch, sheds everything
-  /// still queued with Overloaded results, then joins the batcher
-  /// thread. Idempotent; the destructor calls it.
+  /// Graceful drain: finishes every in-flight batch, sheds everything
+  /// still queued with Overloaded results, then joins the executor
+  /// loops. Idempotent; the destructor calls it.
   void stop();
 
   /// Requests queued but not yet taken into a batch (tests: a drained
   /// soak run must end at 0).
   std::size_t pending() const;
   bool pipeline_loaded() const;
+  /// The configuration in use; `executors` holds the resolved N.
   const BatchConfig& config() const { return cfg_; }
 
  private:
@@ -177,18 +202,21 @@ class MicroBatcher {
     /// time_point::max() when the request carries no deadline.
     std::chrono::steady_clock::time_point deadline;
   };
-  /// Lazily-loaded pipeline shared between the batcher and executors;
-  /// outlives the MicroBatcher so a retired executor never dangles.
+  /// Lazily-loaded pipeline shared by every executor; outlives the
+  /// MicroBatcher so a retired execution thread never dangles.
   struct PipelineSlot;
-  /// One batch in flight between the batcher thread and an executor.
+  /// One batch in flight between an executor loop and its execution
+  /// thread.
   struct BatchTicket;
-  /// The replaceable execution thread the watchdog supervises.
+  /// The replaceable execution thread a loop's watchdog supervises.
   class Executor;
   /// Count of retired-but-still-running executors; shared so they can
   /// check out after the MicroBatcher itself is gone.
   struct DrainState;
 
-  void run();
+  /// Executor loop `lane`: wait for work, hold the coalescing window,
+  /// take a group, execute it.
+  void run(std::size_t lane);
   /// Pops the maximal in-order prefix-compatible group: every queued
   /// request matching the front one's (scheme, row shape)
   /// until max_batch_rows is reached; the rest keep their order.
@@ -199,8 +227,9 @@ class MicroBatcher {
   void expire_locked(std::chrono::steady_clock::time_point now);
   /// Resolves everything still queued with Overloaded (drain path).
   void shed_queue_locked(const char* reason);
-  /// Runs one group inline or through the executor under the watchdog.
-  void dispatch(std::vector<Pending> group);
+  /// Runs one group inline, or on loop `lane`'s execution thread under
+  /// its watchdog.
+  void dispatch(std::size_t lane, std::vector<Pending> group);
   static void execute_ticket(const std::shared_ptr<BatchTicket>& ticket,
                              const PipelineFactory& factory,
                              const std::shared_ptr<PipelineSlot>& slot);
@@ -212,13 +241,15 @@ class MicroBatcher {
   BatchConfig cfg_;
   std::shared_ptr<PipelineSlot> slot_;
   std::shared_ptr<DrainState> drain_;
-  std::shared_ptr<Executor> executor_;  // only when watchdog enabled
+  /// One per loop, only when the watchdog is enabled; entry `lane` is
+  /// touched by loop `lane` alone until stop() has joined the loops.
+  std::vector<std::shared_ptr<Executor>> executors_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Pending> queue_;
   bool stop_ = false;
-  std::thread thread_;
+  std::vector<std::thread> loops_;  // guarded by mu_; stop() takes them
 };
 
 }  // namespace adv::serve

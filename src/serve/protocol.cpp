@@ -5,6 +5,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 
 namespace adv::serve {
 namespace {
@@ -307,13 +309,27 @@ bool read_frame(int fd, std::uint32_t expected_magic,
   return true;
 }
 
+std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
+    std::uint32_t magic, std::size_t body_bytes) {
+  if (body_bytes > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("frame body " + std::to_string(body_bytes) +
+                            " bytes does not fit the u32 length field");
+  }
+  const std::uint32_t header[3] = {magic, kProtocolVersion,
+                                   static_cast<std::uint32_t>(body_bytes)};
+  std::array<std::uint8_t, kFrameHeaderBytes> out;
+  static_assert(sizeof(header) == kFrameHeaderBytes);
+  std::memcpy(out.data(), header, sizeof(header));
+  return out;
+}
+
 void write_frame(int fd, std::uint32_t magic,
                  std::span<const std::uint8_t> body) {
-  std::vector<std::uint8_t> frame(sizeof(std::uint32_t) * 3 + body.size());
-  const std::uint32_t header[3] = {
-      magic, kProtocolVersion, static_cast<std::uint32_t>(body.size())};
-  std::memcpy(frame.data(), header, sizeof(header));
-  std::memcpy(frame.data() + sizeof(header), body.data(), body.size());
+  const auto header = encode_frame_header(magic, body.size());
+  std::vector<std::uint8_t> frame;
+  frame.reserve(header.size() + body.size());
+  frame.insert(frame.end(), header.begin(), header.end());
+  frame.insert(frame.end(), body.begin(), body.end());
   std::size_t sent = 0;
   while (sent < frame.size()) {
     const ssize_t w =

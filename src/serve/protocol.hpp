@@ -51,6 +51,7 @@
 //     is dropped without touching the batcher.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -168,8 +169,18 @@ ClassifyResponse decode_response(std::span<const std::uint8_t> body);
 bool read_frame(int fd, std::uint32_t expected_magic,
                 std::size_t max_body_bytes, std::vector<std::uint8_t>& body);
 
-/// Writes one frame (header + body). Throws IoError if the peer is gone.
-/// Uses MSG_NOSIGNAL so a dead client yields EPIPE, not SIGPIPE.
+/// Frame header bytes: u32 magic, u32 version, u32 body length.
+inline constexpr std::size_t kFrameHeaderBytes = 12;
+
+/// Encodes the header of a frame carrying `body_bytes`. Throws
+/// std::length_error when the size does not fit the u32 length field.
+std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
+    std::uint32_t magic, std::size_t body_bytes);
+
+/// Writes one frame (header + body). Throws IoError if the peer is gone,
+/// std::length_error if the body does not fit a frame (see
+/// encode_frame_header). Uses MSG_NOSIGNAL so a dead client yields EPIPE,
+/// not SIGPIPE.
 void write_frame(int fd, std::uint32_t magic,
                  std::span<const std::uint8_t> body);
 

@@ -28,9 +28,9 @@ Tensor Workspace::acquire(const Shape& shape, bool zeroed) {
   if (buf.empty()) return Tensor(shape);  // zero-filled by construction
   if (zeroed) std::memset(buf.data(), 0, n * sizeof(float));
   if (obs::enabled()) {
-    obs::MetricsRegistry::global()
-        .counter("workspace/bytes_reused")
-        .add(n * sizeof(float));
+    static auto& reused =
+        obs::MetricsRegistry::global().counter("workspace/bytes_reused");
+    reused.add(n * sizeof(float));
   }
   return Tensor::from_data(shape, std::move(buf));
 }

@@ -594,6 +594,9 @@ void check_max_pool_bitwise(std::size_t k, const Tensor& x,
   Tensor g(want_out.shape());
   Rng rng(seed);
   fill_uniform(g, rng, -1.0f, 1.0f);
+  // -0 gradients: accumulating one onto zero gives +0, and backward must
+  // produce the same bits.
+  for (std::size_t i = 0; i < g.numel(); i += 5) g[i] = -0.0f;
   Tensor want_dx(x.shape(), 0.0f);
   for (std::size_t i = 0; i < g.numel(); ++i) want_dx[want_index[i]] += g[i];
   expect_bitwise_equal(pool.backward(g, saved), want_dx, "backward");

@@ -9,11 +9,16 @@
 #include <sstream>
 #include <thread>
 
+#include "magnet/detector.hpp"
+#include "magnet/pipeline.hpp"
 #include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
+#include "nn/structural.hpp"
 #include "obs/emit.hpp"
 #include "obs/metrics.hpp"
+#include "serve/batcher.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -286,6 +291,101 @@ TEST(Obs, EnabledPathRecordsModelAndPoolMetrics) {
   // Per-layer timers exist and saw the pass.
   EXPECT_GE(reg.timer("layer/0:Linear/forward").count(), 1u);
   EXPECT_GE(reg.timer("layer/1:ReLU/backward").count(), 1u);
+}
+
+// gemm resolves its per-shape "gemm/MxKxN" timer and flops counter once
+// per thread and shape; every call from every thread still lands in them,
+// under the same keys.
+TEST(Obs, GemmShapeMetricsCountEveryCallFromEveryThread) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "built with -DADV_OBS=OFF";
+  }
+  if (obs::enabled_pinned_by_env() && !obs::enabled()) {
+    GTEST_SKIP() << "ADV_OBS=0 pins instrumentation off";
+  }
+  obs::set_enabled(true);
+  auto& reg = MetricsRegistry::global();
+  const std::string wide = "gemm/3x5x7", tall = "gemm/7x5x3";
+  const std::uint64_t wide0 = reg.timer(wide).count();
+  const std::uint64_t tall0 = reg.timer(tall).count();
+  const std::uint64_t wide_flops0 = reg.counter(wide + "/flops").value();
+  const std::uint64_t tall_flops0 = reg.counter(tall + "/flops").value();
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      Rng rng(10 + t);
+      Tensor a({3, 5}), b({5, 7}), at({7, 5}), bt({5, 3}), c;
+      for (Tensor* x : {&a, &b, &at, &bt}) fill_uniform(*x, rng, -1.0f, 1.0f);
+      for (int i = 0; i < 3; ++i) gemm(a, b, c);
+      for (int i = 0; i < 2; ++i) gemm(at, bt, c);
+    });
+  }
+  for (auto& th : threads) th.join();
+  obs::set_enabled(false);
+
+  EXPECT_EQ(reg.timer(wide).count(), wide0 + 3 * kThreads);
+  EXPECT_EQ(reg.timer(tall).count(), tall0 + 2 * kThreads);
+  EXPECT_EQ(reg.counter(wide + "/flops").value(),
+            wide_flops0 + 3 * kThreads * 2 * 3 * 5 * 7);
+  EXPECT_EQ(reg.counter(tall + "/flops").value(),
+            tall_flops0 + 2 * kThreads * 2 * 7 * 5 * 3);
+}
+
+// The serving path's cached handles record under the names perfbench and
+// the emitters read: one timer sample per MagNet stage a scheme runs, one
+// serve/batch_forward and serve/queue_wait sample per batch, and the
+// serve/queue_depth gauge.
+TEST(Obs, ServingStageMetricsKeepTheirNames) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "built with -DADV_OBS=OFF";
+  }
+  if (obs::enabled_pinned_by_env() && !obs::enabled()) {
+    GTEST_SKIP() << "ADV_OBS=0 pins instrumentation off";
+  }
+  Rng rng(7);
+  auto clf = std::make_shared<nn::Sequential>();
+  clf->emplace<nn::Flatten>();
+  clf->emplace<nn::Linear>(1, 2, rng);
+  auto ae = std::make_shared<nn::Sequential>();
+  ae->emplace<nn::Conv2d>(nn::Conv2dConfig{1, 1, 1, 1, 0}, rng);
+  auto pipe = std::make_shared<magnet::MagNetPipeline>(clf);
+  auto det = std::make_shared<magnet::ReconstructionDetector>(ae, 1);
+  det->set_threshold(0.5f);
+  pipe->add_detector(det);
+  pipe->set_reformer(std::make_shared<magnet::Reformer>(ae));
+
+  obs::set_enabled(true);
+  auto& reg = MetricsRegistry::global();
+  const char* stages[] = {"magnet/stage/detectors", "magnet/stage/reformer",
+                          "magnet/stage/classifier", "serve/batch_forward",
+                          "serve/queue_wait"};
+  std::vector<std::uint64_t> before;
+  for (const char* k : stages) before.push_back(reg.timer(k).count());
+  {
+    serve::MicroBatcher batcher(
+        [pipe]() -> std::shared_ptr<const magnet::MagNetPipeline> {
+          return pipe;
+        },
+        {.executors = 1});
+    const auto r =
+        batcher.submit(Tensor({2, 1, 1, 1}, 0.3f), magnet::DefenseScheme::Full)
+            .get();
+    ASSERT_TRUE(r.ok) << r.error;
+  }
+  pipe->classify(Tensor({1, 1, 1, 1}, 0.3f), magnet::DefenseScheme::None);
+  obs::set_enabled(false);
+
+  // Two Full passes ran the detectors and the reformer; the classifier
+  // also ran in the None pass.
+  const std::uint64_t want[] = {1, 1, 2, 1, 1};
+  for (std::size_t i = 0; i < std::size(stages); ++i) {
+    EXPECT_EQ(reg.timer(stages[i]).count(), before[i] + want[i]) << stages[i];
+  }
+  const auto gauges = reg.snapshot("serve/queue_depth");
+  ASSERT_EQ(gauges.size(), 1u);
+  EXPECT_EQ(gauges[0].kind, MetricsRegistry::Sample::Kind::Gauge);
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -150,6 +153,24 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CorpusBody>& info) {
       return info.param.name;
     });
+
+/// The u32 length field holds bodies up to 2^32 - 1 bytes; one byte more
+/// must throw rather than wrap to a zero-length frame.
+TEST(FrameHeader, EncodesLengthAndRejectsBodiesPastU32) {
+  const auto header = encode_frame_header(kResponseMagic, 300);
+  std::uint32_t fields[3];
+  std::memcpy(fields, header.data(), sizeof(fields));
+  EXPECT_EQ(fields[0], kResponseMagic);
+  EXPECT_EQ(fields[1], kProtocolVersion);
+  EXPECT_EQ(fields[2], 300u);
+
+  const std::size_t u32_max = std::numeric_limits<std::uint32_t>::max();
+  std::memcpy(fields, encode_frame_header(kRequestMagic, u32_max).data(),
+              sizeof(fields));
+  EXPECT_EQ(fields[2], std::numeric_limits<std::uint32_t>::max());
+  EXPECT_THROW(encode_frame_header(kRequestMagic, u32_max + 1),
+               std::length_error);
+}
 
 }  // namespace
 }  // namespace adv::serve

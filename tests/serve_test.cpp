@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -25,6 +26,7 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "tensor/thread_pool.hpp"
 
 namespace adv::serve {
 namespace {
@@ -435,8 +437,7 @@ TEST_F(ServeTest, SoakMixedSizesDrainsCleanly) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 75;
   // Workload parameters are deterministic in (t, i); precompute every
-  // serial baseline BEFORE the batcher exists — classify() runs on the
-  // batcher thread during the soak, so workers must never call it.
+  // serial baseline once, before the soak.
   std::vector<std::vector<DefenseOutcome>> expected(3);  // [rows-1][mod29]
   for (std::size_t rows = 1; rows <= 3; ++rows) {
     for (std::size_t mod = 0; mod < 29; ++mod) {
@@ -496,9 +497,13 @@ struct DaemonFixture {
   ServeConfig cfg;
   std::unique_ptr<ServeDaemon> daemon;
 
-  explicit DaemonFixture(std::size_t max_body = 1 << 20) {
+  /// `executors` pins the batcher's N (0 derives it).
+  explicit DaemonFixture(std::size_t max_body = 1 << 20,
+                         std::size_t executors = 0) {
     cfg.socket_path = test_socket_path();
-    cfg.batch = {4, std::chrono::microseconds{100}};
+    cfg.batch = {.max_batch_rows = 4,
+                 .flush_deadline = std::chrono::microseconds{100},
+                 .executors = executors};
     cfg.max_body_bytes = max_body;
     auto p = pipe;
     daemon = std::make_unique<ServeDaemon>([p] { return p; }, cfg);
@@ -724,6 +729,22 @@ TEST_F(ServeTest, AbuseBarrageNeverWedgesBatcher) {
 
 // --- overload protection: admission, deadlines, watchdog, drain ---------
 
+/// Yields until `done()` holds, for at most 10 s. On giving up it releases
+/// every stall, so the batcher the failing test leaves behind can stop.
+template <class Done>
+bool eventually(Done done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > give_up) {
+      fault::reset();
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
 /// Wedges the batcher's first forward with a `stall` failpoint so the
 /// queue can be populated deterministically behind it; fault::reset()
 /// releases the wedge.
@@ -736,10 +757,11 @@ TEST_F(ServeTest, AdmissionQueueShedsWhenFull) {
   MicroBatcher batcher([pipe] { return pipe; },
                        {.max_batch_rows = 1,
                         .flush_deadline = std::chrono::microseconds{0},
-                        .max_queue_rows = 4});
+                        .max_queue_rows = 4,
+                        .executors = 1});
   fault::arm("serve.batch_forward:stall");
   auto wedged = batcher.submit(rows_tensor(1, 0.1f), DefenseScheme::Full);
-  while (batcher.pending() != 0) std::this_thread::yield();  // taken, wedged
+  ASSERT_TRUE(eventually([&] { return batcher.pending() == 0; }));  // wedged
 
   // Fill the admission queue exactly to its bound...
   std::vector<std::future<ServeResult>> admitted;
@@ -796,10 +818,11 @@ TEST_F(ServeTest, DeadlineExpiresInQueueWithoutForwardPass) {
   const std::uint64_t rows_before = counter_value("serve/batch_rows");
   MicroBatcher batcher([pipe] { return pipe; },
                        {.max_batch_rows = 1,
-                        .flush_deadline = std::chrono::microseconds{0}});
+                        .flush_deadline = std::chrono::microseconds{0},
+                        .executors = 1});
   fault::arm("serve.batch_forward:stall");
   auto wedged = batcher.submit(rows_tensor(1, 0.1f), DefenseScheme::Full);
-  while (batcher.pending() != 0) std::this_thread::yield();
+  ASSERT_TRUE(eventually([&] { return batcher.pending() == 0; }));
 
   auto doomed = batcher.submit(rows_tensor(1, 0.2f), DefenseScheme::Full,
                                std::chrono::milliseconds(20));
@@ -829,7 +852,8 @@ TEST_F(ServeTest, WatchdogTripFailsBatchAndKeepsServing) {
   MicroBatcher batcher([] { return build_pipeline(); },
                        {.max_batch_rows = 1,
                         .flush_deadline = std::chrono::microseconds{0},
-                        .watchdog_timeout = std::chrono::milliseconds{100}});
+                        .watchdog_timeout = std::chrono::milliseconds{100},
+                        .executors = 1});
   // Only the FIRST forward stalls; the replacement executor's batches
   // sail through without needing a disarm.
   fault::arm("serve.batch_forward:stall_once");
@@ -868,7 +892,8 @@ TEST_F(ServeTest, WatchdogTripKeepsSharedPipeline) {
       },
       {.max_batch_rows = 1,
        .flush_deadline = std::chrono::microseconds{0},
-       .watchdog_timeout = std::chrono::milliseconds{100}});
+       .watchdog_timeout = std::chrono::milliseconds{100},
+       .executors = 1});
   fault::arm("serve.batch_forward:stall_once");
   const ServeResult tripped =
       batcher.submit(rows_tensor(1, 0.1f), DefenseScheme::Full).get();
@@ -898,7 +923,8 @@ TEST_F(ServeTest, WatchdogIdleKeepsBitwiseIdentity) {
   MicroBatcher batcher([pipe] { return pipe; },
                        {.max_batch_rows = 4,
                         .flush_deadline = std::chrono::microseconds{500},
-                        .watchdog_timeout = std::chrono::seconds{30}});
+                        .watchdog_timeout = std::chrono::seconds{30},
+                        .executors = 1});
   std::vector<std::future<ServeResult>> futures;
   for (std::size_t i = 0; i < 12; ++i) {
     futures.push_back(batcher.submit(rows_tensor(1 + i % 2, 0.05f * i),
@@ -918,10 +944,11 @@ TEST_F(ServeTest, StopShedsQueuedRequests) {
   const std::uint64_t shed_before = counter_value("serve/shed");
   MicroBatcher batcher([pipe] { return pipe; },
                        {.max_batch_rows = 1,
-                        .flush_deadline = std::chrono::microseconds{0}});
+                        .flush_deadline = std::chrono::microseconds{0},
+                        .executors = 1});
   fault::arm("serve.batch_forward:stall");
   auto wedged = batcher.submit(rows_tensor(1, 0.1f), DefenseScheme::Full);
-  while (batcher.pending() != 0) std::this_thread::yield();
+  ASSERT_TRUE(eventually([&] { return batcher.pending() == 0; }));
   std::vector<std::future<ServeResult>> queued;
   for (std::size_t i = 0; i < 3; ++i) {
     queued.push_back(
@@ -967,6 +994,220 @@ TEST_F(ServeTest, DelayFaultPreservesBitwiseResults) {
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_TRUE(outcomes_bitwise_equal(r.outcome, serial[i])) << i;
   }
+}
+
+// --- concurrent executors ----------------------------------------------
+
+/// Unpinned, N follows the core count and the pool size; a pinned
+/// BatchConfig::executors is taken as given.
+TEST_F(ServeTest, ExecutorCountDerivesFromCoresAndPool) {
+  auto pipe = build_pipeline();
+  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t want = std::max<std::size_t>(
+      1, (cores - 1) / ThreadPool::global().thread_count());
+  MicroBatcher derived([pipe] { return pipe; });
+  EXPECT_EQ(derived.config().executors, want);
+  MicroBatcher pinned([pipe] { return pipe; }, {.executors = 2});
+  EXPECT_EQ(pinned.config().executors, 2u);
+}
+
+/// Three executors over mixed schemes and row shapes from concurrent
+/// submitters: every response is bitwise the serial classify, and the
+/// requests whose images do not fit the model fail alone.
+TEST_F(ServeTest, ConcurrentExecutorsMatchSerialBitwise) {
+  auto pipe = build_pipeline();
+  const DefenseScheme schemes[] = {
+      DefenseScheme::None, DefenseScheme::DetectorOnly,
+      DefenseScheme::ReformerOnly, DefenseScheme::Full};
+  constexpr std::size_t kRequests = 48;
+  const auto is_wide = [](std::size_t i) { return i % 8 == 5; };
+  const auto input = [&](std::size_t i) {
+    // Four pixels per row where the classifier takes one.
+    return is_wide(i) ? Tensor({1, 1, 2, 2}, 0.1f)
+                      : rows_tensor(1 + i % 3, 0.02f * (i % 17));
+  };
+  std::vector<DefenseOutcome> serial(kRequests);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    if (!is_wide(i)) serial[i] = pipe->classify(input(i), schemes[i % 4]);
+  }
+  MicroBatcher batcher([pipe] { return pipe; },
+                       {.max_batch_rows = 4,
+                        .flush_deadline = std::chrono::microseconds{500},
+                        .executors = 3});
+  std::vector<std::future<ServeResult>> futures(kRequests);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < kRequests; i += 4) {
+        futures[i] = batcher.submit(input(i), schemes[i % 4]);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const ServeResult r = futures[i].get();
+    if (is_wide(i)) {
+      EXPECT_FALSE(r.ok) << i;
+      EXPECT_EQ(r.status, ResultStatus::Error) << i;
+      continue;
+    }
+    ASSERT_TRUE(r.ok) << i << ": " << r.error;
+    EXPECT_TRUE(outcomes_bitwise_equal(r.outcome, serial[i])) << i;
+  }
+  EXPECT_EQ(batcher.pending(), 0u);
+}
+
+/// Batches overlap: six single-request batches, each held 100 ms by a
+/// `delay` fault, finish in about two rounds on three executors, not in
+/// the six rounds one executor would need.
+TEST_F(ServeTest, ExecutorsRunBatchesConcurrently) {
+  auto pipe = build_pipeline();
+  MicroBatcher batcher([pipe] { return pipe; },
+                       {.max_batch_rows = 1,
+                        .flush_deadline = std::chrono::microseconds{0},
+                        .executors = 3});
+  // Load the model first, so only forward passes are timed.
+  ASSERT_TRUE(batcher.submit(rows_tensor(1, 0.1f), DefenseScheme::Full)
+                  .get()
+                  .ok);
+  constexpr std::size_t kBatches = 6;
+  constexpr auto kDelay = std::chrono::milliseconds(100);
+  fault::arm("serve.batch_forward:delay=100");
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::future<ServeResult>> futures;
+  for (std::size_t i = 0; i < kBatches; ++i) {
+    futures.push_back(
+        batcher.submit(rows_tensor(1, 0.1f * i), DefenseScheme::Full));
+  }
+  for (std::size_t i = 0; i < kBatches; ++i) {
+    const ServeResult r = futures[i].get();
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(outcomes_bitwise_equal(
+        r.outcome,
+        pipe->classify(rows_tensor(1, 0.1f * i), DefenseScheme::Full)));
+  }
+  const auto wall = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(wall, kBatches * kDelay / 2);
+}
+
+/// Executors that start their first batches together load the model
+/// once: one calls the factory, the others wait for it and share it.
+TEST_F(ServeTest, ConcurrentFirstBatchesLoadModelOnce) {
+  auto pipe = build_pipeline();
+  std::atomic<std::size_t> factory_calls{0};
+  MicroBatcher batcher(
+      [pipe, &factory_calls] {
+        ++factory_calls;
+        // A slow load, so the other executors arrive while it runs.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return pipe;
+      },
+      {.max_batch_rows = 1,
+       .flush_deadline = std::chrono::microseconds{0},
+       .executors = 3});
+  std::vector<std::future<ServeResult>> futures;
+  for (std::size_t i = 0; i < 3; ++i) {
+    futures.push_back(
+        batcher.submit(rows_tensor(1, 0.2f * i), DefenseScheme::Full));
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    const ServeResult r = futures[i].get();
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(outcomes_bitwise_equal(
+        r.outcome,
+        pipe->classify(rows_tensor(1, 0.2f * i), DefenseScheme::Full)));
+  }
+  EXPECT_EQ(factory_calls.load(), 1u);
+}
+
+/// stop() with three batches in flight: all three finish, and the
+/// requests still queued behind them are shed.
+TEST_F(ServeTest, StopFinishesEveryInFlightBatchAndShedsQueue) {
+  auto pipe = build_pipeline();
+  const std::uint64_t shed_before = counter_value("serve/shed");
+  MicroBatcher batcher([pipe] { return pipe; },
+                       {.max_batch_rows = 1,
+                        .flush_deadline = std::chrono::microseconds{0},
+                        .executors = 3});
+  fault::arm("serve.batch_forward:stall");
+  std::vector<std::future<ServeResult>> in_flight;
+  for (std::size_t i = 0; i < 3; ++i) {
+    in_flight.push_back(
+        batcher.submit(rows_tensor(1, 0.1f * i), DefenseScheme::Full));
+  }
+  // Every executor is wedged at the stall once it has three hits.
+  ASSERT_TRUE(eventually(
+      [] { return fault::hit_count("serve.batch_forward") >= 3; }));
+  std::vector<std::future<ServeResult>> queued;
+  for (std::size_t i = 0; i < 2; ++i) {
+    queued.push_back(
+        batcher.submit(rows_tensor(1, 0.2f), DefenseScheme::Full));
+  }
+  EXPECT_EQ(batcher.pending(), 2u);
+  std::thread stopper([&] { batcher.stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  fault::reset();  // in-flight batches complete; drain takes over
+  stopper.join();
+
+  for (std::size_t i = 0; i < 3; ++i) {
+    const ServeResult r = in_flight[i].get();
+    ASSERT_TRUE(r.ok) << r.error;  // finished, not abandoned
+    EXPECT_TRUE(outcomes_bitwise_equal(
+        r.outcome,
+        pipe->classify(rows_tensor(1, 0.1f * i), DefenseScheme::Full)));
+  }
+  for (auto& f : queued) {
+    const ServeResult r = f.get();
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.status, ResultStatus::Overloaded);
+    EXPECT_NE(r.error.find("draining"), std::string::npos);
+  }
+  if (obs::enabled()) {
+    EXPECT_EQ(counter_value("serve/shed") - shed_before, 2u);
+  }
+  EXPECT_EQ(batcher.pending(), 0u);
+}
+
+/// Each executor has its own watchdog: while one is wedged, the other two
+/// keep answering; the trip fails only the wedged batch, and the batcher
+/// serves on afterwards.
+TEST_F(ServeTest, WatchdogTripOnOneExecutorSparesTheOthers) {
+  auto pipe = build_pipeline();
+  const std::uint64_t trips_before = counter_value("serve/watchdog_trips");
+  MicroBatcher batcher([pipe] { return pipe; },
+                       {.max_batch_rows = 1,
+                        .flush_deadline = std::chrono::microseconds{0},
+                        .watchdog_timeout = std::chrono::milliseconds{1000},
+                        .executors = 3});
+  fault::arm("serve.batch_forward:stall_once");
+  auto wedged = batcher.submit(rows_tensor(1, 0.1f), DefenseScheme::Full);
+  ASSERT_TRUE(eventually(
+      [] { return fault::hit_count("serve.batch_forward") >= 1; }));
+  const auto serve_some = [&] {
+    for (std::size_t i = 0; i < 6; ++i) {
+      const ServeResult r =
+          batcher.submit(rows_tensor(1, 0.05f * i), DefenseScheme::Full)
+              .get();
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_TRUE(outcomes_bitwise_equal(
+          r.outcome,
+          pipe->classify(rows_tensor(1, 0.05f * i), DefenseScheme::Full)));
+    }
+  };
+  serve_some();
+  EXPECT_EQ(wedged.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);  // still wedged, not yet tripped
+
+  const ServeResult tripped = wedged.get();
+  EXPECT_FALSE(tripped.ok);
+  EXPECT_EQ(tripped.status, ResultStatus::Error);
+  EXPECT_NE(tripped.error.find("watchdog"), std::string::npos);
+  if (obs::enabled()) {
+    EXPECT_EQ(counter_value("serve/watchdog_trips") - trips_before, 1u);
+  }
+  serve_some();
+  fault::reset();
+  batcher.stop();
 }
 
 // --- typed client errors, retries, deadline over the socket -------------
@@ -1024,7 +1265,8 @@ TEST_F(ServeTest, ClientRetriesShedRequestsWithBackoff) {
   cfg.socket_path = test_socket_path();
   cfg.batch = {.max_batch_rows = 1,
                .flush_deadline = std::chrono::microseconds{0},
-               .max_queue_rows = 1};
+               .max_queue_rows = 1,
+               .executors = 1};
   ServeDaemon daemon([pipe] { return pipe; }, cfg);
   daemon.start();
   fault::arm("serve.batch_forward:stall");
@@ -1032,22 +1274,23 @@ TEST_F(ServeTest, ClientRetriesShedRequestsWithBackoff) {
   // Wedge the daemon: one request parked in-flight at the stall, then a
   // second filling the 1-row admission queue behind it. hit_count flips
   // exactly when the first batch reaches the failpoint, so the ordering
-  // is deterministic; the queued row cannot leave while the (inline)
-  // batcher thread is stalled.
+  // is deterministic; the queued row cannot leave while the one
+  // (inline) executor loop is stalled.
   std::thread wedge_inflight([&] {
     ServeClient c(cfg.socket_path);
     const auto r = c.classify(rows_tensor(1, 0.1f), DefenseScheme::Full);
     EXPECT_TRUE(r.ok) << r.error;
   });
-  while (fault::hit_count("serve.batch_forward") == 0) {
-    std::this_thread::yield();
-  }
+  // EXPECT, not ASSERT: the client threads must still be joined.
+  EXPECT_TRUE(eventually(
+      [] { return fault::hit_count("serve.batch_forward") >= 1; }));
   std::thread wedge_queued([&] {
     ServeClient c(cfg.socket_path);
     const auto r = c.classify(rows_tensor(1, 0.15f), DefenseScheme::Full);
     EXPECT_TRUE(r.ok) << r.error;
   });
-  while (daemon.batcher().pending() == 0) std::this_thread::yield();
+  EXPECT_TRUE(
+      eventually([&] { return daemon.batcher().pending() != 0; }));
 
   ClientConfig ccfg;
   ccfg.retry.max_attempts = 3;
@@ -1072,7 +1315,7 @@ TEST_F(ServeTest, ClientRetriesShedRequestsWithBackoff) {
 /// deadline_ms rides the wire: a request queued behind a wedge with a
 /// small budget comes back DeadlineExceeded, not Ok and not Error.
 TEST_F(ServeTest, DeadlineTravelsOverSocket) {
-  DaemonFixture fx;
+  DaemonFixture fx(1 << 20, /*executors=*/1);
   fault::arm("serve.batch_forward:stall");
   std::thread wedge([&] {
     ServeClient c(fx.cfg.socket_path);
@@ -1080,10 +1323,11 @@ TEST_F(ServeTest, DeadlineTravelsOverSocket) {
     EXPECT_TRUE(r.ok) << r.error;
   });
   // The wedge is provably in-flight (not merely queued) once the forward
-  // failpoint records a hit, so `doomed` lands in the queue behind it.
-  while (fault::hit_count("serve.batch_forward") == 0) {
-    std::this_thread::yield();
-  }
+  // failpoint records a hit, so `doomed` lands in the queue behind it:
+  // the one executor is stalled.
+  // EXPECT, not ASSERT: the wedge thread must still be joined.
+  EXPECT_TRUE(eventually(
+      [] { return fault::hit_count("serve.batch_forward") >= 1; }));
 
   std::thread doomed([&] {
     ServeClient c(fx.cfg.socket_path);
@@ -1099,12 +1343,17 @@ TEST_F(ServeTest, DeadlineTravelsOverSocket) {
   fx.expect_alive();
 }
 
-/// Chaos soak (the ISSUE's acceptance scenario in miniature): a tiny
-/// daemon with delay faults armed, saturated by concurrent clients with
-/// mixed deadlines and retry budgets. Nothing may deadlock, every
-/// request resolves with a legal status, the batcher accounting
-/// invariant holds exactly, and shutdown drains cleanly.
-TEST_F(ServeTest, ChaosSoakUnderLatencyFaultsDrainsAndAccounts) {
+/// Chaos soak (the overload scenario in miniature): a tiny daemon with
+/// delay faults armed, saturated by concurrent clients with mixed
+/// deadlines and retry budgets. Nothing may deadlock, every request
+/// resolves with a legal status, the batcher accounting invariant holds
+/// exactly, and shutdown drains cleanly — with one executor and with
+/// three.
+void chaos_soak(std::size_t executors) {
+  SCOPED_TRACE("executors=" + std::to_string(executors));
+  const auto counter_value = [](const char* key) {
+    return obs::MetricsRegistry::global().counter(key).value();
+  };
   auto pipe = build_pipeline();
   const std::uint64_t req0 = counter_value("serve/requests");
   const std::uint64_t ok0 = counter_value("serve/responses_ok");
@@ -1117,7 +1366,8 @@ TEST_F(ServeTest, ChaosSoakUnderLatencyFaultsDrainsAndAccounts) {
   cfg.batch = {.max_batch_rows = 1,
                .flush_deadline = std::chrono::microseconds{0},
                .max_queue_rows = 2,
-               .watchdog_timeout = std::chrono::seconds{20}};
+               .watchdog_timeout = std::chrono::seconds{20},
+               .executors = executors};
   ServeDaemon daemon([pipe] { return pipe; }, cfg);
   daemon.start();
   fault::arm("serve.model_load:delay=10,serve.batch_forward:delay=5");
@@ -1174,6 +1424,11 @@ TEST_F(ServeTest, ChaosSoakUnderLatencyFaultsDrainsAndAccounts) {
     EXPECT_EQ(err, 0u);
     EXPECT_EQ(ok, served_ok.load());
   }
+}
+
+TEST_F(ServeTest, ChaosSoakUnderLatencyFaultsDrainsAndAccounts) {
+  chaos_soak(1);
+  chaos_soak(3);
 }
 
 }  // namespace

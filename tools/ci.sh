@@ -170,10 +170,12 @@ ADV_FAULT='serve.batch_forward:delay=1,serve.model_load:delay=1,ci.smoke:stall_a
 
 echo "== serving bench (REPRO_SCALE=smoke) =="
 # serve_bench builds the default MNIST MagNet (sharing the ident_ci
-# cache, so models are already trained), starts the daemon, replays a
-# fixed request set through concurrent clients and compares every
-# response bitwise against the serial one-request-at-a-time pipeline,
-# load-tests in-flight depths 1/2/4/8, then saturates a tiny daemon. The
+# cache, so models are already trained), replays a fixed request set
+# through concurrent clients against a daemon with one batch executor and
+# one with three, and compares every response bitwise against the serial
+# one-request-at-a-time pipeline; it then load-tests in-flight depths
+# 1/2/4/8 at the derived executor count (printed below; 3 at
+# ADV_THREADS=1 on 4 cores), then saturates a tiny daemon. The
 # binary exits 1, with a FAIL: line, unless the responses were identical
 # (gauge serve/bench/identity), the overload phase shed work AND expired
 # deadlines, and its accounting invariant held (requests == ok + errors
@@ -207,6 +209,9 @@ if [ -s "$serve_dir/BENCH_serve.json" ]; then
   if [ "$serve_shape_ok" = 1 ]; then
     echo "ok: BENCH_serve.json covers depths 1/2/4/8 (p50/p99/throughput/occupancy)"
   fi
+  executors="$(grep -o '"serve/bench/executors", "kind": "gauge", "value": [0-9.]*' \
+                 "$serve_dir/BENCH_serve.json" | sed 's/.*: //')"
+  echo "serve_bench load phases: ${executors:-unrecorded} batch executors"
 else
   echo "MISSING: $serve_dir/BENCH_serve.json" >&2
   fail=1

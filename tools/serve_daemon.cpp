@@ -14,8 +14,10 @@
 //
 // --max-queue-rows bounds the admission queue (requests past it are shed
 // with Overloaded); --watchdog-ms > 0 arms the batch watchdog (a stuck
-// forward pass fails its batch and the daemon keeps serving). See
-// DESIGN.md §15 and serve/batcher.hpp.
+// forward pass fails its batch and the daemon keeps serving). Batches
+// run on max(1, (cores - 1) / ADV_THREADS) concurrent executors; pick
+// the pool size, and with it N, through ADV_THREADS. See DESIGN.md §14,
+// §15 and serve/batcher.hpp.
 //
 // Talk to it with serve::ServeClient (bench/serve_bench.cpp is the
 // reference driver). REPRO_SCALE / REPRO_CACHE_DIR select the model scale
@@ -124,12 +126,13 @@ int main(int argc, char** argv) {
   daemon.start();
   std::printf(
       "serve_daemon: %s MagNet %s on %s (max-batch %zu, deadline %lld us, "
-      "queue %zu rows, watchdog %lld ms)\n",
+      "queue %zu rows, watchdog %lld ms, %zu batch executors)\n",
       core::to_string(dataset), core::to_string(variant), socket_path.c_str(),
       cfg.batch.max_batch_rows,
       static_cast<long long>(cfg.batch.flush_deadline.count()),
       cfg.batch.max_queue_rows,
-      static_cast<long long>(cfg.batch.watchdog_timeout.count()));
+      static_cast<long long>(cfg.batch.watchdog_timeout.count()),
+      daemon.batcher().config().executors);
   std::fflush(stdout);
 
   int sig = 0;
