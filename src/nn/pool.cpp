@@ -1,6 +1,5 @@
 #include "nn/pool.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -152,24 +151,11 @@ Tensor MaxPool2d::backward_impl(const Tensor& grad_output,
     throw std::invalid_argument("MaxPool2d::backward: bad grad shape " +
                                 grad_output.shape_string());
   }
-  // Windows tile the input (window == stride, and require_poolable made
-  // the window divide it) and every argmax lies inside its own window.
-  // So backward fills one band of window rows at a time, while it is in
-  // cache: zeros, then each window's gradient at its argmax. `0.0f + g`
-  // keeps the bits of accumulating onto zero (a -0 gradient lands as +0).
-  const std::size_t n = saved.shape[0], c = saved.shape[1];
-  const std::size_t h = saved.shape[2], w = saved.shape[3];
-  const std::size_t oh = h / window_, ow = w / window_;
-  const std::size_t band = window_ * w;
-  Tensor grad = make_buffer(ws, saved.shape);
-  float* dst = grad.data();
+  Tensor grad = make_buffer(ws, saved.shape, /*zeroed=*/true);
   const float* g = grad_output.data();
-  const std::size_t* amax = argmax.data();
-  for (std::size_t b = 0, bands = n * c * oh; b < bands; ++b) {
-    std::fill_n(dst + b * band, band, 0.0f);
-    for (std::size_t j = 0; j < ow; ++j) {
-      dst[amax[b * ow + j]] = 0.0f + g[b * ow + j];
-    }
+  float* dst = grad.data();
+  for (std::size_t i = 0, m = argmax.size(); i < m; ++i) {
+    dst[argmax[i]] += g[i];
   }
   return grad;
 }

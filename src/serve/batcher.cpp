@@ -70,14 +70,16 @@ obs::Timer& batch_forward_timer() {
   return t;
 }
 
-// One core stays with the accept, handler and transport threads; each
-// executor's pass may use the whole pool. hardware_concurrency() is 0
+// With a pool of one thread every pass runs inline on its executor, so
+// executors overlap; one core stays with the accept, handler and
+// transport threads. A larger pool serializes concurrent passes on its
+// dispatch lock, so it keeps one executor. hardware_concurrency() is 0
 // when unknown: count one core.
 std::size_t derived_executors() {
+  if (ThreadPool::global().thread_count() != 1) return 1;
   const std::size_t cores =
       std::max(1u, std::thread::hardware_concurrency());
-  return std::max<std::size_t>(
-      1, (cores - 1) / ThreadPool::global().thread_count());
+  return std::max<std::size_t>(1, cores - 1);
 }
 
 bool same_row_shape(const Tensor& a, const Tensor& b) {

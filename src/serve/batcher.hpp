@@ -31,15 +31,20 @@
 // so FIFO per (scheme, row shape) holds; only completion order can differ
 // between executors. N is derived, not configured:
 //
-//     N = max(1, (hardware_concurrency() - 1) / ADV_THREADS pool size)
+//     N = max(1, hardware_concurrency() - 1)  when the ADV_THREADS pool
+//                                             has one thread
+//     N = 1                                   otherwise
 //
-// One core is left for the accept, handler and transport threads, and
-// each executor's pass may use the whole pool (row blocks). So the
-// default pool (one thread per core) keeps N = 1, and a daemon pinned at
-// ADV_THREADS=1 on 4 cores runs 3 batches at once. Keep N x ADV_THREADS
-// <= cores - 1: more executors only oversubscribe the cores. More
-// executors also mean less coalescing (fewer rows per batch) — the
-// throughput comes from overlap, not from bigger batches.
+// With one pool thread every pass runs inline on its executor, so N
+// passes run side by side and one core is left for the accept, handler
+// and transport threads. Concurrent passes share the one pool, and a
+// pool of two or more threads serializes their row-block dispatches on
+// its call lock (tensor/thread_pool.hpp), so extra executors would only
+// queue there; the default pool (one thread per core) keeps N = 1. A
+// daemon pinned at ADV_THREADS=1 on 4 cores runs 3 batches at once.
+// Keep N x ADV_THREADS <= cores - 1: more executors only oversubscribe
+// the cores. More executors also mean less coalescing (fewer rows per
+// batch) — the throughput comes from overlap, not from bigger batches.
 // BatchConfig::executors pins N (tests); config().executors reports the
 // N in use.
 //
@@ -135,9 +140,8 @@ struct BatchConfig {
   /// before giving up on them (they hold only refcounted state, so
   /// abandoning a truly-wedged one is safe, just untidy).
   std::chrono::milliseconds drain_grace{2000};
-  /// Executor loops running batches concurrently. 0 derives N =
-  /// max(1, (hardware_concurrency() - 1) / ThreadPool::global()
-  /// .thread_count()) (see top).
+  /// Executor loops running batches concurrently. 0 derives N from the
+  /// core count and the pool size (see top).
   std::size_t executors = 0;
 };
 

@@ -5,11 +5,10 @@
 // handlers parse length-prefixed request frames (serve/protocol.hpp) and
 // block on the shared MicroBatcher, which coalesces everything in flight
 // into dense forward batches. N executor loops run those batches
-// concurrently over the one shared, stateless pipeline, N = max(1,
-// (cores - 1) / ADV_THREADS pool size): one core stays with the accept,
-// handler and transport threads. Keep N x ADV_THREADS <= cores - 1. The
-// model loads once, however many executors start together, and each
-// executor has its own watchdog (batcher.hpp).
+// concurrently over the one shared, stateless pipeline; N is derived
+// from ADV_THREADS (the rule is in batcher.hpp). The model loads once,
+// however many executors start together, and each executor has its own
+// watchdog.
 //
 // Failure containment at the connection layer (the batcher has its own,
 // see batcher.hpp):

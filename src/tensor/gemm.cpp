@@ -1,12 +1,9 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstring>
-#include <map>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -201,32 +198,6 @@ void gemm_rows_blocked(const OperandView& a, const float* bpacked,
   }
 }
 
-// The "gemm/MxKxN" timer and "gemm/MxKxN/flops" counter of one shape.
-struct ShapeMetrics {
-  obs::Timer* timer;
-  obs::Counter* flops;
-};
-
-// Per-thread cache of resolved shape handles: only a thread's first call
-// at a shape builds the key and takes the registry lock.
-const ShapeMetrics& shape_metrics(std::size_t m, std::size_t k,
-                                  std::size_t n) {
-  static thread_local std::map<std::array<std::size_t, 3>, ShapeMetrics>
-      cache;
-  const std::array<std::size_t, 3> shape{m, k, n};
-  auto it = cache.find(shape);
-  if (it == cache.end()) {
-    auto& reg = obs::MetricsRegistry::global();
-    const std::string key = "gemm/" + std::to_string(m) + "x" +
-                            std::to_string(k) + "x" + std::to_string(n);
-    it = cache
-             .emplace(shape, ShapeMetrics{&reg.timer(key),
-                                          &reg.counter(key + "/flops")})
-             .first;
-  }
-  return it->second;
-}
-
 void gemm_core(const OperandView& a, const OperandView& b, float* c,
                std::size_t m, std::size_t k, std::size_t n,
                const GemmOpts& opts) {
@@ -262,9 +233,11 @@ void gemm_core(const OperandView& a, const OperandView& b, float* c,
   if (observe) {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
         std::chrono::steady_clock::now() - obs_t0);
-    const ShapeMetrics& metrics = shape_metrics(m, k, n);
-    metrics.timer->record_ns(static_cast<std::uint64_t>(ns.count()));
-    metrics.flops->add(2ull * m * k * n);
+    auto& reg = obs::MetricsRegistry::global();
+    const std::string key = "gemm/" + std::to_string(m) + "x" +
+                            std::to_string(k) + "x" + std::to_string(n);
+    reg.timer(key).record_ns(static_cast<std::uint64_t>(ns.count()));
+    reg.counter(key + "/flops").add(2ull * m * k * n);
   }
 }
 

@@ -293,9 +293,8 @@ TEST(Obs, EnabledPathRecordsModelAndPoolMetrics) {
   EXPECT_GE(reg.timer("layer/1:ReLU/backward").count(), 1u);
 }
 
-// gemm resolves its per-shape "gemm/MxKxN" timer and flops counter once
-// per thread and shape; every call from every thread still lands in them,
-// under the same keys.
+// Every gemm call from every thread lands in its per-shape "gemm/MxKxN"
+// timer and "gemm/MxKxN/flops" counter.
 TEST(Obs, GemmShapeMetricsCountEveryCallFromEveryThread) {
   if (!obs::kCompiledIn) {
     GTEST_SKIP() << "built with -DADV_OBS=OFF";

@@ -998,13 +998,14 @@ TEST_F(ServeTest, DelayFaultPreservesBitwiseResults) {
 
 // --- concurrent executors ----------------------------------------------
 
-/// Unpinned, N follows the core count and the pool size; a pinned
-/// BatchConfig::executors is taken as given.
+/// Unpinned, N is cores - 1 at a one-thread pool and 1 at any larger
+/// pool; a pinned BatchConfig::executors is taken as given.
 TEST_F(ServeTest, ExecutorCountDerivesFromCoresAndPool) {
   auto pipe = build_pipeline();
   const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t want = std::max<std::size_t>(
-      1, (cores - 1) / ThreadPool::global().thread_count());
+  const std::size_t want = ThreadPool::global().thread_count() == 1
+                               ? std::max<std::size_t>(1, cores - 1)
+                               : 1;
   MicroBatcher derived([pipe] { return pipe; });
   EXPECT_EQ(derived.config().executors, want);
   MicroBatcher pinned([pipe] { return pipe; }, {.executors = 2});

@@ -15,9 +15,8 @@
 // --max-queue-rows bounds the admission queue (requests past it are shed
 // with Overloaded); --watchdog-ms > 0 arms the batch watchdog (a stuck
 // forward pass fails its batch and the daemon keeps serving). Batches
-// run on max(1, (cores - 1) / ADV_THREADS) concurrent executors; pick
-// the pool size, and with it N, through ADV_THREADS. See DESIGN.md §14,
-// §15 and serve/batcher.hpp.
+// run on N concurrent executors, derived from ADV_THREADS (rule in
+// serve/batcher.hpp). See DESIGN.md §14, §15 and serve/batcher.hpp.
 //
 // Talk to it with serve::ServeClient (bench/serve_bench.cpp is the
 // reference driver). REPRO_SCALE / REPRO_CACHE_DIR select the model scale
