@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "attacks/engine.hpp"
@@ -120,6 +121,12 @@ std::vector<AttackResult> ead_attack_multi(
     // per-row independence of every layer keeps the active rows' gradients
     // bitwise equal to the compacted sub-batch pass).
     std::vector<float> w_dense;
+    // Plain ISTA sets y^(k+1) = x^(k+1), so the candidate forward at
+    // x^(k+1), run in Eval mode, is also the next iteration's gradient
+    // forward: same rows, same kernels, same bits. `carried` holds it
+    // across the loop edge; the next iteration then runs only the
+    // backward. DESIGN.md §11 lists the cases that drop it.
+    std::optional<HingeEval> carried;
 
     for (std::size_t k = 0;
          k < cfg.iterations && !rows.none_active(); ++k) {
@@ -149,11 +156,14 @@ std::vector<AttackResult> ead_attack_multi(
       // Gradient of g(y) = c*f(y) + ||y - x0||_2^2 at the (FISTA) point y
       // — plus, on detector-aware targets, the c-weighted detector
       // penalty c*aux(y) (the Carlini–Wagner detector-evasion objective).
-      HingeEval eval =
-          eval_attack_hinge(target, ycur, lab, cfg.kappa, cfg.mode);
+      const bool reused = carried.has_value();
+      const HingeEval eval =
+          reused ? *std::move(carried)
+                 : eval_attack_hinge(target, ycur, lab, cfg.kappa, cfg.mode);
+      carried.reset();
       Tensor grad = attack_hinge_input_gradient(target, ycur, eval, lab,
                                                 cfg.kappa, w, cfg.mode);
-      plan.record_passes(stats, 2);  // forward + backward
+      plan.record_passes(stats, reused ? 1 : 2);  // (forward +) backward
       if (aux) {
         const Tensor ag = target.aux_input_grad(ycur, w);
         for (std::size_t i = 0, m = grad.numel(); i < m; ++i) {
@@ -177,10 +187,14 @@ std::vector<AttackResult> ead_attack_multi(
         }
       }
 
-      // Candidate bookkeeping on the new iterate under every rule.
-      // Forward-only: Mode::Infer skips the backward-cache copies.
-      HingeEval cand = eval_attack_hinge(target, x_new, lab, cfg.kappa,
-                                         cfg.mode, nn::Mode::Infer);
+      // Candidate bookkeeping on the new iterate under every rule. Under
+      // plain ISTA with an iteration to follow, the forward records the
+      // target's tapes (Mode::Eval) so that iteration can reuse it;
+      // otherwise it is forward-only (Mode::Infer skips the tape copies).
+      const bool carry = !cfg.use_fista && k + 1 < cfg.iterations;
+      HingeEval cand =
+          eval_attack_hinge(target, x_new, lab, cfg.kappa, cfg.mode,
+                            carry ? nn::Mode::Eval : nn::Mode::Infer);
       plan.record_passes(stats, 1);
       // Detector-aware candidates only count when they also evade the
       // detector bank (aux <= 0), and their early-abort objective tracks
@@ -240,6 +254,12 @@ std::vector<AttackResult> ead_attack_multi(
         std::copy_n(pn, row, px);
       }
 
+      // A retirement under compaction changes the next sub-batch's
+      // gather, so its gradient forward runs afresh. In dense mode a
+      // retired row keeps its place (weight 0) and y still equals x_new.
+      if (carry && (to_retire.empty() || !cfg.compact)) {
+        carried = std::move(cand);
+      }
       for (const std::size_t g : to_retire) {
         rows.retire(g);
         ++stats.rows_retired;

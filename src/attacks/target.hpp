@@ -25,7 +25,10 @@
 //   1. logits(batch, Mode::Eval) records into the target's own tapes;
 //      input_grad(batch, seed) may then be called any number of times
 //      (tapes are read-only during backward — DeepFool's K per-class
-//      backwards rely on this).
+//      backwards rely on this). The tapes stay valid across optimizer
+//      iterations until the next Eval forward: plain-ISTA EAD / C&W
+//      score the candidate x^(k+1) in Eval mode and differentiate that
+//      same forward in iteration k+1 (see attacks/ead.cpp).
 //   2. logits(batch, Mode::Infer) is forward-only scoring and records
 //      nothing; the tapes of the last Eval forward stay valid.
 //   3. aux_loss / aux_input_grad run their own passes on each aux term's

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "tensor/tile_row.hpp"
+
 namespace adv::conv {
 namespace {
 
@@ -22,78 +24,65 @@ using gemm_blocking::NR;
 // tap, reproducing col2im's add-completed-taps-in-order bracketing.
 //
 // Tail tiles always load full NR lanes (the padded image carries NR
-// floats of zeroed slack) and discard the extra lanes at the store, like
-// the GEMM's zero-padded B panels.
+// floats of zeroed slack) and run the epilogue on whole vectors too; only
+// the store is cut to nr lanes, through a row-sized buffer.
 #if defined(__GNUC__) || defined(__clang__)
-typedef float vf8 __attribute__((vector_size(32), aligned(4), may_alias));
-typedef int vi8 __attribute__((vector_size(32), aligned(4), may_alias));
-
 void conv_tile(std::size_t k2, std::size_t strip, const float* wpanel,
                const float* const* taps, std::size_t off, float* c,
                std::size_t ldc, std::size_t mr, std::size_t nr,
                const float* bias, Epilogue epi) {
-  static_assert(NR == 16, "tile kernel assumes two 8-lane column groups");
-  vf8 acc0[MR], acc1[MR];
+  vf acc[MR][kRowVecs] = {};
   const float* wp = wpanel;
   for (std::size_t p0 = 0; p0 < k2; p0 += strip) {
     const std::size_t pe = std::min(p0 + strip, k2);
-    vf8 s0[MR] = {};
-    vf8 s1[MR] = {};
+    vf s[MR][kRowVecs] = {};
     for (std::size_t p = p0; p < pe; ++p, wp += MR) {
       const float* src = taps[p] + off;
-      const vf8 b0 = *reinterpret_cast<const vf8*>(src);
-      const vf8 b1 = *reinterpret_cast<const vf8*>(src + 8);
+      vf b[kRowVecs];
+      for (std::size_t v = 0; v < kRowVecs; ++v) {
+        b[v] = *reinterpret_cast<const vf*>(src + v * kLanes);
+      }
       for (std::size_t i = 0; i < MR; ++i) {
-        s0[i] += wp[i] * b0;
-        s1[i] += wp[i] * b1;
+        for (std::size_t v = 0; v < kRowVecs; ++v) s[i][v] += wp[i] * b[v];
       }
     }
-    if (p0 == 0) {
-      for (std::size_t i = 0; i < MR; ++i) {
-        acc0[i] = s0[i];
-        acc1[i] = s1[i];
-      }
-    } else {
-      for (std::size_t i = 0; i < MR; ++i) {
-        acc0[i] += s0[i];
-        acc1[i] += s1[i];
+    for (std::size_t i = 0; i < MR; ++i) {
+      for (std::size_t v = 0; v < kRowVecs; ++v) {
+        acc[i][v] = p0 == 0 ? s[i][v] : acc[i][v] + s[i][v];
       }
     }
   }
-  if (mr == MR && nr == NR && epi != Epilogue::Sigmoid) {
-    const vf8 zero = {};
-    for (std::size_t i = 0; i < MR; ++i) {
-      vf8 v0 = acc0[i];
-      vf8 v1 = acc1[i];
-      if (bias) {
-        v0 += bias[i];
-        v1 += bias[i];
-      }
-      if (epi == Epilogue::ReLU) {
-        // x > 0 ? x : 0 as a sign-exact mask (max() would keep -0.0,
-        // the activation layer's ternary does not).
-        const vi8 m0 = v0 > zero;
-        const vi8 m1 = v1 > zero;
-        v0 = (vf8)((vi8)v0 & m0);
-        v1 = (vf8)((vi8)v1 & m1);
-      }
-      *reinterpret_cast<vf8*>(c + i * ldc) = v0;
-      *reinterpret_cast<vf8*>(c + i * ldc + 8) = v1;
-    }
-  } else {
-    for (std::size_t i = 0; i < mr; ++i) {
-      float* ci = c + i * ldc;
-      for (std::size_t j = 0; j < nr; ++j) {
-        float v = j < 8 ? acc0[i][j] : acc1[i][j - 8];
-        if (bias) v += bias[i];
+  // Full-width rows store straight to C unless Sigmoid still has to run
+  // on the stored lanes; other rows go through a row-sized buffer.
+  const vf zero = {};
+  // A constant trip count keeps acc in registers (a loop to mr would
+  // index it at run time, from memory).
+  for (std::size_t i = 0; i < MR && i < mr; ++i) {
+    const auto store = [&](float* dst) {
+      for (std::size_t v = 0; v < kRowVecs; ++v) {
+        vf x = acc[i][v];
+        if (bias) x += bias[i];
         if (epi == Epilogue::ReLU) {
-          v = v > 0.0f ? v : 0.0f;
-        } else if (epi == Epilogue::Sigmoid) {
-          // Scalar exp keeps the lane bitwise equal to Sigmoid::forward.
-          v = 1.0f / (1.0f + std::exp(-v));
+          // x > 0 ? x : 0 as a sign-exact mask (max() would keep -0.0,
+          // the activation layer's ternary does not).
+          x = (vf)((vi)x & (vi)(x > zero));
         }
-        ci[j] = v;
+        *reinterpret_cast<vf*>(dst + v * kLanes) = x;
       }
+    };
+    float* ci = c + i * ldc;
+    if (nr == NR && epi != Epilogue::Sigmoid) {
+      store(ci);
+    } else {
+      float row[NR] = {};
+      store(row);
+      if (epi == Epilogue::Sigmoid) {
+        // Scalar exp keeps the lane bitwise equal to Sigmoid::forward.
+        for (std::size_t j = 0; j < nr; ++j) {
+          row[j] = 1.0f / (1.0f + std::exp(-row[j]));
+        }
+      }
+      copy_head(ci, row, nr);
     }
   }
 }

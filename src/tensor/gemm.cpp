@@ -8,6 +8,7 @@
 
 #include "obs/metrics.hpp"
 #include "tensor/thread_pool.hpp"
+#include "tensor/tile_row.hpp"
 
 namespace adv {
 namespace {
@@ -105,44 +106,38 @@ void pack_b(const OperandView& b, std::size_t k, std::size_t n, float* out) {
 // reduction order depends only on the KC blocking — never on which tile,
 // chunk or thread computed it. That is the determinism argument.
 #if defined(__GNUC__) || defined(__clang__)
-// 8-lane float vector, unaligned-load capable. NR = 2 lanes-groups keeps
-// 12 vector accumulators + 2 B vectors live — a full AVX2 register file,
-// and the compiler fuses the scalar broadcast into the FMA on AVX-512.
-typedef float vf8 __attribute__((vector_size(32), aligned(4), may_alias));
-
 void micro_kernel(std::size_t kc, const float* ap, const float* bp, float* c,
                   std::size_t ldc, std::size_t mr, std::size_t nr,
                   bool add_into) {
-  static_assert(NR == 16, "microkernel assumes two 8-lane column groups");
-  vf8 acc0[MR] = {};
-  vf8 acc1[MR] = {};
+  vf acc[MR][kRowVecs] = {};
   for (std::size_t p = 0; p < kc; ++p, ap += MR, bp += NR) {
-    const vf8 b0 = *reinterpret_cast<const vf8*>(bp);
-    const vf8 b1 = *reinterpret_cast<const vf8*>(bp + 8);
+    vf b[kRowVecs];
+    for (std::size_t v = 0; v < kRowVecs; ++v) {
+      b[v] = *reinterpret_cast<const vf*>(bp + v * kLanes);
+    }
     for (std::size_t i = 0; i < MR; ++i) {
-      acc0[i] += ap[i] * b0;
-      acc1[i] += ap[i] * b1;
+      for (std::size_t v = 0; v < kRowVecs; ++v) acc[i][v] += ap[i] * b[v];
     }
   }
-  if (mr == MR && nr == NR) {
-    for (std::size_t i = 0; i < MR; ++i) {
-      vf8* c0 = reinterpret_cast<vf8*>(c + i * ldc);
-      vf8* c1 = reinterpret_cast<vf8*>(c + i * ldc + 8);
-      if (add_into) {
-        *c0 += acc0[i];
-        *c1 += acc1[i];
-      } else {
-        *c0 = acc0[i];
-        *c1 = acc1[i];
+  // Full-width rows store straight to C; a tail row goes through a
+  // row-sized buffer so the vector add never touches C past nr.
+  // A constant trip count keeps acc in registers (a loop to mr would
+  // index it at run time, from memory).
+  for (std::size_t i = 0; i < MR && i < mr; ++i) {
+    const auto store = [&](float* dst) {
+      for (std::size_t v = 0; v < kRowVecs; ++v) {
+        vf* d = reinterpret_cast<vf*>(dst + v * kLanes);
+        *d = add_into ? *d + acc[i][v] : acc[i][v];
       }
-    }
-  } else {
-    for (std::size_t i = 0; i < mr; ++i) {
-      float* ci = c + i * ldc;
-      for (std::size_t j = 0; j < nr; ++j) {
-        const float v = j < 8 ? acc0[i][j] : acc1[i][j - 8];
-        ci[j] = add_into ? ci[j] + v : v;
-      }
+    };
+    float* ci = c + i * ldc;
+    if (nr == NR) {
+      store(ci);
+    } else {
+      float row[NR] = {};
+      if (add_into) copy_head(row, ci, nr);
+      store(row);
+      copy_head(ci, row, nr);
     }
   }
 }

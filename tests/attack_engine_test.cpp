@@ -1,11 +1,14 @@
 // Active-set attack engine tests: row compaction must be bitwise
-// invisible on every attack, early abort must never un-succeed a row, and
-// the Workspace arena must hand out correctly-sized (and, when requested,
-// zeroed) buffers under concurrency.
+// invisible on every attack, early abort must never un-succeed a row,
+// plain ISTA's reuse of the candidate forward must be bitwise invisible
+// under every threat model, and the Workspace arena must hand out
+// correctly-sized (and, when requested, zeroed) buffers under concurrency.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "attacks/attack.hpp"
@@ -14,6 +17,8 @@
 #include "attacks/ead.hpp"
 #include "attacks/engine.hpp"
 #include "attacks/fgsm.hpp"
+#include "attacks/target.hpp"
+#include "magnet/detector_grad.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
@@ -266,6 +271,203 @@ TEST(EadMulti, SingleRuleMatchesMultiRuleZero) {
       ead_attack_multi(m2, x, labels, cfg, rules);
   ASSERT_EQ(multi.size(), 2u);
   expect_bitwise_equal(single, multi[0]);
+}
+
+// --- forward reuse (plain ISTA) --------------------------------------------
+
+/// Forwarding target whose input_grad first re-runs the Eval forward on
+/// the batch it is given, so every gradient comes from fresh tapes. An
+/// attack through it matches the bare target bitwise exactly when the
+/// attack only ever differentiates a forward of that same batch.
+class FreshTapeTarget final : public AttackTarget {
+ public:
+  explicit FreshTapeTarget(AttackTarget& inner) : inner_(inner) {}
+
+  ThreatModel threat_model() const override { return inner_.threat_model(); }
+  std::string tag_suffix() const override { return inner_.tag_suffix(); }
+  Tensor logits(const Tensor& batch, nn::Mode mode) override {
+    return inner_.logits(batch, mode);
+  }
+  Tensor input_grad(const Tensor& batch, const Tensor& upstream) override {
+    inner_.logits(batch, nn::Mode::Eval);
+    return inner_.input_grad(batch, upstream);
+  }
+  bool has_aux() const override { return inner_.has_aux(); }
+  std::vector<float> aux_loss(const Tensor& batch) override {
+    return inner_.aux_loss(batch);
+  }
+  Tensor aux_input_grad(const Tensor& batch,
+                        const std::vector<float>& weight) override {
+    return inner_.aux_input_grad(batch, weight);
+  }
+
+ private:
+  AttackTarget& inner_;
+};
+
+/// Forwarding target that counts the model passes an attack asks for.
+class CountingTarget final : public AttackTarget {
+ public:
+  explicit CountingTarget(AttackTarget& inner) : inner_(inner) {}
+
+  ThreatModel threat_model() const override { return inner_.threat_model(); }
+  std::string tag_suffix() const override { return inner_.tag_suffix(); }
+  Tensor logits(const Tensor& batch, nn::Mode mode) override {
+    ++(mode == nn::Mode::Eval ? evals : infers);
+    min_rows = std::min(min_rows, batch.dim(0));
+    return inner_.logits(batch, mode);
+  }
+  Tensor input_grad(const Tensor& batch, const Tensor& upstream) override {
+    ++backwards;
+    return inner_.input_grad(batch, upstream);
+  }
+
+  std::size_t evals = 0, infers = 0, backwards = 0;
+  std::size_t min_rows = static_cast<std::size_t>(-1);
+
+ private:
+  AttackTarget& inner_;
+};
+
+/// Classifier, reformer auto-encoder and detector terms over 8x8 images,
+/// from which each run builds targets of its own (own tapes).
+struct Defense {
+  std::shared_ptr<nn::Sequential> clf =
+      std::make_shared<nn::Sequential>(conv_classifier(87));
+  std::shared_ptr<nn::Sequential> ae = [] {
+    Rng rng(88);
+    auto m = std::make_shared<nn::Sequential>();
+    m->emplace<nn::Conv2d>(nn::Conv2d::same(1, 3), rng);
+    m->emplace<nn::ReLU>();
+    m->emplace<nn::Conv2d>(nn::Conv2d::same(3, 1), rng);
+    m->emplace<nn::Sigmoid>();
+    return m;
+  }();
+
+  std::unique_ptr<AttackTarget> target(ThreatModel tm) const {
+    switch (tm) {
+      case ThreatModel::Oblivious:
+        return std::make_unique<ObliviousTarget>(*clf);
+      case ThreatModel::GrayBox:
+        return std::make_unique<GrayBoxTarget>(*ae, *clf);
+      case ThreatModel::DetectorAware:
+        // Thresholds low enough that both penalties are active.
+        return std::make_unique<DetectorAwareTarget>(
+            ae.get(), *clf,
+            std::vector<std::shared_ptr<AuxObjective>>{
+                std::make_shared<magnet::ReconErrorTerm>(ae, 1, 0.05f, "l1"),
+                std::make_shared<magnet::JsdEvasionTerm>(ae, clf, 10.0f,
+                                                         1e-5f, "jsd")});
+    }
+    return nullptr;
+  }
+};
+
+struct ReuseCase {
+  const char* name;
+  ThreatModel tm;
+  bool compact;
+  std::size_t abort_window;  // 0: no early abort
+  bool fista;
+};
+
+constexpr ReuseCase kReuseCases[] = {
+    {"ista", ThreatModel::Oblivious, true, 0, false},
+    {"ista dense", ThreatModel::Oblivious, false, 0, false},
+    {"ista abort", ThreatModel::Oblivious, true, 3, false},
+    {"ista abort dense", ThreatModel::Oblivious, false, 3, false},
+    {"fista abort", ThreatModel::Oblivious, true, 3, true},
+    {"gray-box abort", ThreatModel::GrayBox, true, 3, false},
+    {"detector-aware abort", ThreatModel::DetectorAware, true, 3, false},
+    {"detector-aware abort dense", ThreatModel::DetectorAware, false, 3,
+     false},
+};
+
+EadConfig reuse_config(const ReuseCase& rc) {
+  EadConfig cfg;
+  cfg.beta = 0.01f;
+  cfg.kappa = 1.0f;
+  cfg.iterations = 30;
+  cfg.binary_search_steps = 3;
+  cfg.initial_c = 0.5f;
+  cfg.use_fista = rc.fista;
+  cfg.compact = rc.compact;
+  cfg.abort_early_window = rc.abort_window;
+  cfg.abort_early_rel_tol = 1e-3f;
+  return cfg;
+}
+
+using Craft = std::function<AttackResult(AttackTarget&, const Tensor&,
+                                         const std::vector<int>&,
+                                         const EadConfig&)>;
+
+/// Runs `craft` on every case through a bare target and through a
+/// FreshTapeTarget over another one; the two must agree bitwise.
+void expect_reuse_invisible(const Craft& craft) {
+  const Defense def;
+  auto [x, labels] = labeled_batch(*def.clf, 89, 6);
+  for (const ReuseCase& rc : kReuseCases) {
+    SCOPED_TRACE(rc.name);
+    const EadConfig cfg = reuse_config(rc);
+    const std::unique_ptr<AttackTarget> bare = def.target(rc.tm);
+    CountingTarget counted(*bare);
+    const AttackResult reused = craft(counted, x, labels, cfg);
+    const std::unique_ptr<AttackTarget> inner = def.target(rc.tm);
+    FreshTapeTarget fresh(*inner);
+    expect_bitwise_equal(reused, craft(fresh, x, labels, cfg));
+    if (rc.compact && rc.abort_window > 0) {
+      // Rows retired mid-step, so compacted sub-batches were gathered.
+      EXPECT_LT(counted.min_rows, x.dim(0));
+    }
+  }
+}
+
+TEST(ForwardReuse, EadBitwiseEqualToFreshForwards) {
+  expect_reuse_invisible([](AttackTarget& t, const Tensor& x,
+                            const std::vector<int>& y, const EadConfig& cfg) {
+    return ead_attack(t, x, y, cfg);
+  });
+}
+
+TEST(ForwardReuse, CwL2BitwiseEqualToFreshForwards) {
+  expect_reuse_invisible([](AttackTarget& t, const Tensor& x,
+                            const std::vector<int>& y, const EadConfig& cfg) {
+    CwL2Config cw;
+    cw.kappa = cfg.kappa;
+    cw.iterations = cfg.iterations;
+    cw.binary_search_steps = cfg.binary_search_steps;
+    cw.initial_c = cfg.initial_c;
+    cw.abort_early_window = cfg.abort_early_window;
+    cw.abort_early_rel_tol = cfg.abort_early_rel_tol;
+    cw.compact = cfg.compact;
+    return cw_l2_attack(t, x, y, cw);
+  });
+}
+
+TEST(ForwardReuse, IstaRunsIterationsPlusOneForwardsPerStep) {
+  const Defense def;
+  auto [x, labels] = labeled_batch(*def.clf, 90, 5);
+  for (const bool fista : {false, true}) {
+    SCOPED_TRACE(fista ? "fista" : "ista");
+    EadConfig cfg = reuse_config(
+        {"", ThreatModel::Oblivious, true, /*abort_window=*/0, fista});
+    const std::unique_ptr<AttackTarget> bare =
+        def.target(ThreatModel::Oblivious);
+    CountingTarget counted(*bare);
+    ead_attack(counted, x, labels, cfg);
+    const std::size_t steps = cfg.binary_search_steps;
+    const std::size_t iters = cfg.iterations;
+    EXPECT_EQ(counted.backwards, steps * iters);
+    if (fista) {
+      // y != x: every iteration runs its own gradient forward.
+      EXPECT_EQ(counted.evals + counted.infers, steps * 2 * iters);
+    } else {
+      // One gradient forward per step, then each candidate forward is the
+      // next iteration's gradient forward; the last one stays Infer.
+      EXPECT_EQ(counted.evals + counted.infers, steps * (iters + 1));
+      EXPECT_EQ(counted.infers, steps);
+    }
+  }
 }
 
 // --- workspace ------------------------------------------------------------

@@ -440,6 +440,13 @@ TEST_P(Conv2dDirectIdentity, ForwardAndGradientsMatchIm2colBitwise) {
     expect_bitwise_equal(dxd, dxi, "input grad");
     expect_bitwise_equal(grads_d[0], grads_i[0], "weight grad");
     expect_bitwise_equal(grads_d[1], grads_i[1], "bias grad");
+    // Fused epilogues run on whole vectors, full and tail tiles alike
+    // (the im2col path applies them as a post-pass).
+    for (const conv::Epilogue epi :
+         {conv::Epilogue::ReLU, conv::Epilogue::Sigmoid}) {
+      expect_bitwise_equal(direct.forward_fused(x, epi),
+                           baseline.forward_fused(x, epi), "fused forward");
+    }
   }
 }
 
@@ -455,6 +462,14 @@ INSTANTIATE_TEST_SUITE_P(
         DirectIdCase{Conv2d::same(1, 3), Shape({5, 1, 6, 6}), true},
         DirectIdCase{Conv2d::same(3, 3), Shape({3, 3, 8, 8}), true},
         DirectIdCase{Conv2d::same(3, 1), Shape({2, 3, 6, 6}), true},
+        // The same models at full size: MNIST classifier 1->16 @28 (a
+        // full tile and a 12-lane tail tile in one row) and 16->32 @14
+        // (tail tiles only), CIFAR classifier 3->16 @32 and 16->32 @16
+        // (full tiles only).
+        DirectIdCase{Conv2d::same(1, 16), Shape({2, 1, 28, 28}), true},
+        DirectIdCase{Conv2d::same(16, 32), Shape({2, 16, 14, 14}), true},
+        DirectIdCase{Conv2d::same(3, 16), Shape({2, 3, 32, 32}), true},
+        DirectIdCase{Conv2d::same(16, 32), Shape({2, 16, 16, 16}), true},
         // Wide row: exercises the full-NR vector store path (ow >= 16).
         DirectIdCase{Conv2d::same(1, 8), Shape({2, 1, 6, 20}), true},
         // in_c*k*k = 288 > KC: exercises the multi-strip accumulator.

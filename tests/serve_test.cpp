@@ -1262,6 +1262,7 @@ TEST_F(ServeTest, RecvTimeoutSurfacesAsTypedError) {
 TEST_F(ServeTest, ClientRetriesShedRequestsWithBackoff) {
   auto pipe = build_pipeline();
   const std::uint64_t retries_before = counter_value("serve/client_retries");
+  const std::uint64_t shed_before = counter_value("serve/shed");
   ServeConfig cfg;
   cfg.socket_path = test_socket_path();
   cfg.batch = {.max_batch_rows = 1,
@@ -1297,6 +1298,9 @@ TEST_F(ServeTest, ClientRetriesShedRequestsWithBackoff) {
   ccfg.retry.max_attempts = 3;
   ccfg.retry.base_backoff = std::chrono::milliseconds(1);
   ccfg.retry.max_backoff = std::chrono::milliseconds(4);
+  // Bounded, so an attempt that slips past admission into the stalled
+  // forward fails this test instead of hanging it.
+  ccfg.recv_timeout = std::chrono::seconds(5);
   ServeClient retrier(cfg.socket_path, ccfg);
   const ClassifyResponse shed =
       retrier.classify(rows_tensor(1, 0.2f), DefenseScheme::Full);
@@ -1305,6 +1309,8 @@ TEST_F(ServeTest, ClientRetriesShedRequestsWithBackoff) {
   EXPECT_EQ(retrier.retries(), 2u);  // 3 attempts = 2 retries
   if (obs::enabled()) {
     EXPECT_EQ(counter_value("serve/client_retries") - retries_before, 2u);
+    // Every attempt was shed at admission; none timed out.
+    EXPECT_EQ(counter_value("serve/shed") - shed_before, 3u);
   }
 
   fault::reset();

@@ -9,8 +9,8 @@
 # serving benches (each holds its own gates: a FAIL: line and a nonzero
 # exit), a ThreadSanitizer pass over the concurrency tests (its own build
 # tree, <build-dir>-tsan), and an AddressSanitizer + UBSan pass over the
-# parsers, the daemon, row-block passes, sliced attacks and the thread
-# pool (<build-dir>-asan).
+# parsers, the daemon, row-block passes, sliced attacks, the thread pool
+# and the GEMM and direct-conv microkernels (<build-dir>-asan).
 #
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 # Env:   ADV_OBS=0 pins the instrumentation off (overhead A/B runs);
@@ -269,15 +269,18 @@ done
 echo "== address + undefined-behaviour sanitizer =="
 # The byte parsers (tensor files, and the serve wire protocol with its
 # corpus of truncation and byte-flip sweeps), the daemon, row-block
-# passes, sliced attacks and the thread pool, rebuilt with
+# passes, sliced attacks, the thread pool, and the GEMM and direct-conv
+# microkernels (their tail tiles store fewer lanes than a vector holds;
+# a store past the row's end fails here), rebuilt with
 # -fsanitize=address,undefined. UB is fatal (-fno-sanitize-recover), and
 # leak detection is on.
 sanitize_build asan \
   "-fsanitize=address,undefined -fno-sanitize-recover=undefined" \
   serialize_test protocol_test serve_test row_block_test thread_pool_test \
-  oblivious_slice_test
+  oblivious_slice_test gemm_test gemm_blocked_test nn_layers_test
 for t in serialize_test protocol_test serve_test row_block_test \
-         thread_pool_test oblivious_slice_test; do
+         thread_pool_test oblivious_slice_test gemm_test gemm_blocked_test \
+         nn_layers_test; do
   sanitize_run asan ASAN_OPTIONS=detect_leaks=1 "" "$t"
 done
 exit "$fail"
