@@ -15,9 +15,7 @@ std::string fmt(float v) {
 }
 
 // Early-abort tag suffix. Aborting changes which iterates are visited, so
-// the knobs must be part of the cache identity; row compaction is
-// bitwise-neutral and deliberately left out of tags (cached artifacts stay
-// valid when it is toggled).
+// the knobs must be part of the cache identity.
 std::string abort_suffix(std::size_t window, float rel_tol) {
   if (window == 0) return "";
   return "_ae" + std::to_string(window) + "x" + fmt(rel_tol);
@@ -39,7 +37,6 @@ std::vector<std::string> overrides_set_fields(const AttackOverrides& o) {
   if (o.mode) out.emplace_back("mode");
   if (o.abort_early_window) out.emplace_back("abort_early_window");
   if (o.abort_early_rel_tol) out.emplace_back("abort_early_rel_tol");
-  if (o.compact) out.emplace_back("compact");
   return out;
 }
 
@@ -168,13 +165,11 @@ AttackResult EadAttack::run_impl(AttackTarget& target, const Tensor& images,
 }
 
 AttackRegistry::AttackRegistry() {
-  const std::vector<std::string> fgsm_fields = {"epsilon", "iterations",
-                                                "compact"};
+  const std::vector<std::string> fgsm_fields = {"epsilon", "iterations"};
   add("fgsm", fgsm_fields, [](const AttackOverrides& o) {
     FgsmConfig cfg;
     if (o.epsilon) cfg.epsilon = *o.epsilon;
     if (o.iterations) cfg.iterations = *o.iterations;
-    if (o.compact) cfg.compact = *o.compact;
     return std::make_unique<FgsmAttack>(cfg);
   });
   add("ifgsm", fgsm_fields, [](const AttackOverrides& o) {
@@ -182,13 +177,11 @@ AttackRegistry::AttackRegistry() {
     cfg.iterations = 10;
     if (o.epsilon) cfg.epsilon = *o.epsilon;
     if (o.iterations) cfg.iterations = *o.iterations;
-    if (o.compact) cfg.compact = *o.compact;
     return std::make_unique<FgsmAttack>(cfg, "ifgsm");
   });
   add("cw-l2",
       {"kappa", "iterations", "binary_search_steps", "initial_c",
-       "learning_rate", "abort_early_window", "abort_early_rel_tol",
-       "compact"},
+       "learning_rate", "abort_early_window", "abort_early_rel_tol"},
       [](const AttackOverrides& o) {
         CwL2Config cfg;
         if (o.kappa) cfg.kappa = *o.kappa;
@@ -201,21 +194,19 @@ AttackRegistry::AttackRegistry() {
           cfg.abort_early_window = *o.abort_early_window;
         if (o.abort_early_rel_tol)
           cfg.abort_early_rel_tol = *o.abort_early_rel_tol;
-        if (o.compact) cfg.compact = *o.compact;
         return std::make_unique<CwL2Attack>(cfg);
       });
-  add("deepfool", {"iterations", "overshoot", "compact"},
+  add("deepfool", {"iterations", "overshoot"},
       [](const AttackOverrides& o) {
         DeepFoolConfig cfg;
         if (o.iterations) cfg.max_iterations = *o.iterations;
         if (o.overshoot) cfg.overshoot = *o.overshoot;
-        if (o.compact) cfg.compact = *o.compact;
         return std::make_unique<DeepFoolAttack>(cfg);
       });
   add("ead",
       {"kappa", "beta", "iterations", "binary_search_steps", "initial_c",
        "learning_rate", "rule", "mode", "abort_early_window",
-       "abort_early_rel_tol", "compact"},
+       "abort_early_rel_tol"},
       [](const AttackOverrides& o) {
         EadConfig cfg;
         if (o.beta) cfg.beta = *o.beta;
@@ -231,7 +222,6 @@ AttackRegistry::AttackRegistry() {
           cfg.abort_early_window = *o.abort_early_window;
         if (o.abort_early_rel_tol)
           cfg.abort_early_rel_tol = *o.abort_early_rel_tol;
-        if (o.compact) cfg.compact = *o.compact;
         return std::make_unique<EadAttack>(cfg);
       });
 }

@@ -43,11 +43,10 @@ struct AttackOverrides {
   std::optional<std::size_t> binary_search_steps;
   std::optional<DecisionRule> rule;
   std::optional<HingeMode> mode;
-  // Active-set engine knobs (attacks/engine.hpp). abort_early_* applies to
-  // ead/cw-l2; compact to every attack.
+  // Early abort of the active-set engine (attacks/engine.hpp); ead and
+  // cw-l2 only.
   std::optional<std::size_t> abort_early_window;
   std::optional<float> abort_early_rel_tol;
-  std::optional<bool> compact;
 };
 
 /// Names of the fields set (non-nullopt) in `o`, in declaration order.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace adv::attacks {
 
@@ -153,6 +154,28 @@ void fill_distortions(AttackResult& result, const Tensor& natural) {
     result.l2[i] = static_cast<float>(std::sqrt(acc2));
     result.linf[i] = mx;
   }
+}
+
+AttackResult finish_result(AttackTarget& target, Tensor x,
+                           std::vector<bool> success, const Tensor& natural) {
+  const std::size_t n = natural.dim(0);
+  const std::size_t row = natural.numel() / n;
+  if (target.has_aux()) {
+    const std::vector<float> aux = target.aux_loss(x);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (aux[i] > 0.0f) success[i] = false;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!success[i]) {
+      std::copy_n(natural.data() + i * row, row, x.data() + i * row);
+    }
+  }
+  AttackResult result;
+  result.adversarial = std::move(x);
+  result.success = std::move(success);
+  fill_distortions(result, natural);
+  return result;
 }
 
 }  // namespace adv::attacks

@@ -92,4 +92,12 @@ bool attack_succeeded(float margin, float kappa);
 /// Fills result.l1/l2/linf from (adversarial - natural).
 void fill_distortions(AttackResult& result, const Tensor& natural);
 
+/// Result of an attack whose final iterate `x` is scored once (FGSM,
+/// DeepFool): `success[i]` says whether row i fools the classifier. On
+/// detector-aware targets a row must also evade the detectors (aux <= 0)
+/// to count. Failed rows get their natural image back, so the distortion
+/// stats stay honest.
+AttackResult finish_result(AttackTarget& target, Tensor x,
+                           std::vector<bool> success, const Tensor& natural);
+
 }  // namespace adv::attacks

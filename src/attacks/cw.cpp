@@ -16,7 +16,6 @@ EadConfig to_ead(const CwL2Config& cfg) {
   ead.use_fista = false;
   ead.abort_early_window = cfg.abort_early_window;
   ead.abort_early_rel_tol = cfg.abort_early_rel_tol;
-  ead.compact = cfg.compact;
   ead.metrics_name = "cw-l2";
   return ead;
 }

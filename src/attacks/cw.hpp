@@ -17,7 +17,6 @@ struct CwL2Config {
   // Active-set engine knobs, forwarded to EadConfig (see ead.hpp).
   std::size_t abort_early_window = 0;
   float abort_early_rel_tol = 1e-4f;
-  bool compact = true;
 };
 
 /// Untargeted C&W L2 attack against `target` (any threat model; the

@@ -10,16 +10,15 @@ namespace adv::attacks {
 struct DeepFoolConfig {
   std::size_t max_iterations = 30;
   float overshoot = 0.02f;  // eta: multiplicative overshoot per step
-  // Row compaction for the active-set engine (see attacks/engine.hpp):
-  // already-fooled rows are dropped from the per-iteration forward and the
-  // K per-class backwards. Output-identical on or off.
-  bool compact = true;
 };
 
 /// DeepFool against `target`. The linearized boundary search has no loss
 /// term to fold a detector penalty into, so auxiliary objective terms on
 /// detector-aware targets only tighten the success criterion (the crafted
 /// example must evade the detector bank), not the geometry of the steps.
+/// Already-fooled rows retire from the active set (attacks/engine.hpp):
+/// they drop out of the per-iteration forward and the K per-class
+/// backwards.
 AttackResult deepfool_attack(AttackTarget& target, const Tensor& images,
                              const std::vector<int>& labels,
                              const DeepFoolConfig& cfg);

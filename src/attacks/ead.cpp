@@ -44,34 +44,33 @@ void shrink_project(const Tensor& z, const Tensor& x0, float beta,
 
 namespace {
 
-/// Distortion of one row under a decision rule.
-float rule_distance(DecisionRule rule, float beta, const float* adv,
-                    const float* nat, std::size_t row) {
-  double acc1 = 0.0, acc2 = 0.0;
+/// (sum |d|, sum d^2) of one row's perturbation d = adv - nat: the one
+/// sweep every decision rule and the early-abort objective read.
+struct RowDistortion {
+  double l1 = 0.0;
+  double l2sq = 0.0;
+};
+
+RowDistortion row_distortion(const float* adv, const float* nat,
+                             std::size_t row) {
+  RowDistortion out;
   for (std::size_t j = 0; j < row; ++j) {
     const double d = static_cast<double>(adv[j]) - nat[j];
-    acc1 += std::fabs(d);
-    acc2 += d * d;
+    out.l1 += std::fabs(d);
+    out.l2sq += d * d;
   }
-  switch (rule) {
-    case DecisionRule::EN: return static_cast<float>(beta * acc1 + acc2);
-    case DecisionRule::L1: return static_cast<float>(acc1);
-    case DecisionRule::L2: return static_cast<float>(acc2);
-  }
-  return 0.0f;
+  return out;
 }
 
-/// Elastic-net distance ||a-n||_2^2 + beta*||a-n||_1 of one row (the
-/// distortion part of the early-abort objective).
-float elastic_distance(float beta, const float* adv, const float* nat,
-                       std::size_t row) {
-  double acc1 = 0.0, acc2 = 0.0;
-  for (std::size_t j = 0; j < row; ++j) {
-    const double d = static_cast<double>(adv[j]) - nat[j];
-    acc1 += std::fabs(d);
-    acc2 += d * d;
+/// Distortion of one row under a decision rule (EN is the elastic-net
+/// distance beta*||d||_1 + ||d||_2^2).
+float rule_distance(DecisionRule rule, float beta, const RowDistortion& d) {
+  switch (rule) {
+    case DecisionRule::EN: return static_cast<float>(beta * d.l1 + d.l2sq);
+    case DecisionRule::L1: return static_cast<float>(d.l1);
+    case DecisionRule::L2: return static_cast<float>(d.l2sq);
   }
-  return static_cast<float>(acc2 + beta * acc1);
+  return 0.0f;
 }
 
 }  // namespace
@@ -116,11 +115,6 @@ std::vector<AttackResult> ead_attack_multi(
     PlateauDetector plateau(n, cfg.abort_early_window,
                             cfg.abort_early_rel_tol);
     std::vector<std::size_t> to_retire;
-    // Dense-mode weight vector: retired rows get weight 0 so their logit
-    // seed is zero (their gradient rows are then exactly zero, and the
-    // per-row independence of every layer keeps the active rows' gradients
-    // bitwise equal to the compacted sub-batch pass).
-    std::vector<float> w_dense;
     // Plain ISTA sets y^(k+1) = x^(k+1), so the candidate forward at
     // x^(k+1), run in Eval mode, is also the next iteration's gradient
     // forward: same rows, same kernels, same bits. `carried` holds it
@@ -135,23 +129,18 @@ std::vector<AttackResult> ead_attack_multi(
                        std::sqrt(1.0f - static_cast<float>(k) /
                                             static_cast<float>(cfg.iterations));
 
-      // Compacted sub-batch: gather the active rows densely so the model
-      // passes below are [na, ...] instead of [n, ...].
-      const CompactPlan plan(rows, cfg.compact);
-      const std::size_t na = plan.active();
+      // Compacted sub-batch: the model passes below run on the active
+      // rows only, [na, ...] instead of [n, ...]; row a is global row
+      // idx[a].
+      const std::vector<std::size_t>& idx = rows.indices();
+      const std::size_t na = idx.size();
       Tensor y_g, x0_g;
       std::vector<int> lab_g;
       std::vector<float> w_g;
-      if (!plan.sub()) {
-        w_dense = c;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!rows.active(i)) w_dense[i] = 0.0f;
-        }
-      }
-      const Tensor& ycur = plan.pick(y, y_g);
-      const Tensor& x0 = plan.pick(images, x0_g);
-      const std::vector<int>& lab = plan.pick(labels, lab_g);
-      const std::vector<float>& w = plan.sub() ? plan.pick(c, w_g) : w_dense;
+      const Tensor& ycur = rows.pick(y, y_g);
+      const Tensor& x0 = rows.pick(images, x0_g);
+      const std::vector<int>& lab = rows.pick(labels, lab_g);
+      const std::vector<float>& w = rows.pick(c, w_g);
 
       // Gradient of g(y) = c*f(y) + ||y - x0||_2^2 at the (FISTA) point y
       // — plus, on detector-aware targets, the c-weighted detector
@@ -163,7 +152,7 @@ std::vector<AttackResult> ead_attack_multi(
       carried.reset();
       Tensor grad = attack_hinge_input_gradient(target, ycur, eval, lab,
                                                 cfg.kappa, w, cfg.mode);
-      plan.record_passes(stats, reused ? 1 : 2);  // (forward +) backward
+      rows.record_passes(stats, reused ? 1 : 2);  // (forward +) backward
       if (aux) {
         const Tensor ag = target.aux_input_grad(ycur, w);
         for (std::size_t i = 0, m = grad.numel(); i < m; ++i) {
@@ -177,15 +166,6 @@ std::vector<AttackResult> ead_attack_multi(
       // in one (bitwise identical, see attacks/fused.hpp).
       Tensor x_new;
       fused_ista_step(ycur, grad, x0, lr, cfg.beta, x_new);
-      if (!plan.sub() && na < n) {
-        // Freeze retired rows: their iterate must not move, so the
-        // full-batch x_new gets their frozen x rows back before the
-        // candidate eval and the y/x updates below.
-        for (std::size_t i = 0; i < n; ++i) {
-          if (rows.active(i)) continue;
-          std::copy_n(x.data() + i * row, row, x_new.data() + i * row);
-        }
-      }
 
       // Candidate bookkeeping on the new iterate under every rule. Under
       // plain ISTA with an iteration to follow, the forward records the
@@ -195,7 +175,7 @@ std::vector<AttackResult> ead_attack_multi(
       HingeEval cand =
           eval_attack_hinge(target, x_new, lab, cfg.kappa, cfg.mode,
                             carry ? nn::Mode::Eval : nn::Mode::Infer);
-      plan.record_passes(stats, 1);
+      rows.record_passes(stats, 1);
       // Detector-aware candidates only count when they also evade the
       // detector bank (aux <= 0), and their early-abort objective tracks
       // the penalized loss.
@@ -203,18 +183,20 @@ std::vector<AttackResult> ead_attack_multi(
       if (aux) aux_cand = target.aux_loss(x_new);
       to_retire.clear();
       for (std::size_t a = 0; a < na; ++a) {
-        const std::size_t g = plan.global(a);  // global batch row
-        const std::size_t loc = plan.loc(a);   // row within the sub-batch
-        const float* adv = x_new.data() + loc * row;
+        const std::size_t g = idx[a];  // global batch row
+        const float* adv = x_new.data() + a * row;
         const float* nat = images.data() + g * row;
-        const bool evades = !aux || aux_cand[loc] <= 0.0f;
-        if (attack_succeeded(cand.margin[loc], cfg.kappa) && evades) {
+        const bool evades = !aux || aux_cand[a] <= 0.0f;
+        const bool succeeded =
+            attack_succeeded(cand.margin[a], cfg.kappa) && evades;
+        if (!succeeded && !plateau.enabled()) continue;
+        const RowDistortion dist = row_distortion(adv, nat, row);
+        if (succeeded) {
           succeeded_this_step[g] = true;
           for (std::size_t r = 0; r < nrules; ++r) {
-            const float dist = rule_distance(rules[r], cfg.beta, adv, nat,
-                                             row);
-            if (dist < best_dist[r][g]) {
-              best_dist[r][g] = dist;
+            const float d = rule_distance(rules[r], cfg.beta, dist);
+            if (d < best_dist[r][g]) {
+              best_dist[r][g] = d;
               results[r].success[g] = true;
               std::copy_n(adv, row,
                           results[r].adversarial.data() + g * row);
@@ -224,22 +206,20 @@ std::vector<AttackResult> ead_attack_multi(
         if (plateau.enabled()) {
           // Per-row objective: c*f(x) + elastic-net distortion (plus the
           // c-weighted detector penalty on detector-aware targets).
-          // Computed from bitwise-identical values in the compacted and
-          // dense paths, so the retirement schedule is identical too.
-          const float penalty = aux ? aux_cand[loc] : 0.0f;
-          const float obj = c[g] * (cand.f[loc] + penalty) +
-                            elastic_distance(cfg.beta, adv, nat, row);
+          const float penalty = aux ? aux_cand[a] : 0.0f;
+          const float obj =
+              c[g] * (cand.f[a] + penalty) +
+              rule_distance(DecisionRule::EN, cfg.beta, dist);
           if (plateau.observe(g, obj)) to_retire.push_back(g);
         }
       }
 
       // FISTA / ISTA iterate updates, written back to the full-size x and
-      // y. One shared per-row loop serves both paths (bitwise identity).
+      // y.
       const float zeta = static_cast<float>(k) / static_cast<float>(k + 3);
       for (std::size_t a = 0; a < na; ++a) {
-        const std::size_t g = plan.global(a);
-        const std::size_t loc = plan.loc(a);
-        const float* pn = x_new.data() + loc * row;
+        const std::size_t g = idx[a];
+        const float* pn = x_new.data() + a * row;
         float* py = y.data() + g * row;
         float* px = x.data() + g * row;
         if (cfg.use_fista) {
@@ -254,12 +234,9 @@ std::vector<AttackResult> ead_attack_multi(
         std::copy_n(pn, row, px);
       }
 
-      // A retirement under compaction changes the next sub-batch's
-      // gather, so its gradient forward runs afresh. In dense mode a
-      // retired row keeps its place (weight 0) and y still equals x_new.
-      if (carry && (to_retire.empty() || !cfg.compact)) {
-        carried = std::move(cand);
-      }
+      // A retirement changes the next sub-batch's gather, so its gradient
+      // forward runs afresh.
+      if (carry && to_retire.empty()) carried = std::move(cand);
       for (const std::size_t g : to_retire) {
         rows.retire(g);
         ++stats.rows_retired;

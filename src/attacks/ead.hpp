@@ -48,10 +48,6 @@ struct EadConfig {
   // are then exactly the full-schedule optimization).
   std::size_t abort_early_window = 0;
   float abort_early_rel_tol = 1e-4f;
-  // Row compaction: run model passes on a dense gather of the still-active
-  // rows only. Bitwise-identical outputs either way (layers are per-row
-  // independent), so this is on by default; off is the benchmark baseline.
-  bool compact = true;
   // Name under which engine/observability counters are recorded
   // ("attack/<metrics_name>/..."). The C&W-L2 wrapper sets "cw-l2".
   std::string metrics_name = "ead";

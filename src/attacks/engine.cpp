@@ -27,6 +27,16 @@ void ActiveSet::reset() {
   std::iota(indices_.begin(), indices_.end(), std::size_t{0});
 }
 
+const Tensor& ActiveSet::pick(const Tensor& full, Tensor& storage) const {
+  if (all_active()) return full;
+  storage = gather_rows(full, indices_);
+  return storage;
+}
+
+void ActiveSet::record_passes(EngineStats& stats, std::size_t count) const {
+  stats.passes_saved += count * (size() - active_count());
+}
+
 PlateauDetector::PlateauDetector(std::size_t n, std::size_t window,
                                  float rel_tol)
     : window_(window),

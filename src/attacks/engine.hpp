@@ -3,28 +3,28 @@
 // batch rows that no longer need them.
 //
 // Three cooperating pieces:
-//   * ActiveSet — an index map of still-active rows. Attacks gather the
-//     active rows into a dense sub-batch, run the model on it, and scatter
-//     the results back. Because every layer in this library is per-row
-//     independent (conv/GEMM accumulate each output element over a fixed
-//     reduction order that does not depend on the batch size), a row's
-//     forward/backward values are bitwise identical whether it is passed
-//     alone, in a compacted sub-batch, or in the full batch — so
-//     compaction is an observable no-op and is safe to enable by default.
+//   * ActiveSet — an index map of still-active rows. Every iteration the
+//     attacks gather the active rows into a dense sub-batch, run the model
+//     on it, and scatter the results back. Because every layer in this
+//     library is per-row independent (conv/GEMM accumulate each output
+//     element over a fixed reduction order that does not depend on the
+//     batch size), a row's forward/backward values are bitwise identical
+//     whether it is passed alone, in a compacted sub-batch, or in the full
+//     batch — so compaction is an observable no-op and there is no other
+//     path.
 //   * PlateauDetector — per-row early abort. A row is retired once its
 //     objective has failed to improve by more than rel_tol * |best| for
 //     `window` consecutive observations. Retirement freezes the row (its
 //     iterate stops updating and stops being considered for bookkeeping),
 //     so the retirement *schedule* is a pure function of the per-row
-//     objective series and is identical with compaction on or off.
+//     objective series.
 //   * EngineStats — counters flushed to adv::obs under
 //     "attack/<name>/rows_retired" and "attack/<name>/passes_saved"
 //     (row-passes avoided relative to running the same schedule on the
 //     full batch every iteration).
 //
-// The gather/scatter helpers below are the only way attacks move rows in
-// and out of sub-batches; keeping one compiled copy of each loop is what
-// makes the compacted and dense code paths produce identical floats.
+// ActiveSet::pick (over the gather helpers below) is the only way attacks
+// move rows into sub-batches.
 #pragma once
 
 #include <cstddef>
@@ -36,10 +36,25 @@
 
 namespace adv::attacks {
 
+/// Counters one attack run accumulates and flushes to adv::obs.
+struct EngineStats {
+  std::size_t rows_retired = 0;  // early-abort retirements
+  std::size_t passes_saved = 0;  // row-passes avoided via compaction
+
+  /// Adds the counters to "attack/<name>/rows_retired" and
+  /// "attack/<name>/passes_saved" (no-op when obs is disabled).
+  void flush(const std::string& attack_name) const;
+};
+
 /// Index map over the rows of a batch that still need model passes.
 /// Starts with every row active; retire() removes rows one at a time.
 /// indices() stays sorted ascending, so gathered sub-batches preserve the
-/// original row order.
+/// original row order: row `a` of a pick()'d batch is global row
+/// indices()[a]. All model traffic — including through composed
+/// AttackTargets — flows through pick()'d tensors, so compaction never
+/// bypasses the target abstraction. retire() mutates indices(): attacks
+/// collect an iteration's retirements and apply them after that
+/// iteration's last use of the indices.
 class ActiveSet {
  public:
   explicit ActiveSet(std::size_t n);
@@ -48,7 +63,6 @@ class ActiveSet {
   std::size_t active_count() const { return indices_.size(); }
   bool all_active() const { return indices_.size() == flags_.size(); }
   bool none_active() const { return indices_.empty(); }
-  bool active(std::size_t i) const { return flags_[i] != 0; }
 
   /// Sorted global indices of the active rows.
   const std::vector<std::size_t>& indices() const { return indices_; }
@@ -58,6 +72,17 @@ class ActiveSet {
 
   /// Re-activates every row (new binary-search step).
   void reset();
+
+  /// Returns the batch the model should see: `full` itself while every
+  /// row is active, else a gather of the active rows materialized into
+  /// `storage`.
+  const Tensor& pick(const Tensor& full, Tensor& storage) const;
+  template <typename T>
+  const std::vector<T>& pick(const std::vector<T>& full,
+                             std::vector<T>& storage) const;
+
+  /// Credits `count` model passes run over the active rows.
+  void record_passes(EngineStats& stats, std::size_t count) const;
 
  private:
   std::vector<std::uint8_t> flags_;
@@ -88,22 +113,6 @@ class PlateauDetector {
   std::vector<std::uint32_t> stale_;
 };
 
-/// Counters one attack run accumulates and flushes to adv::obs.
-struct EngineStats {
-  std::size_t rows_retired = 0;  // early-abort retirements
-  std::size_t passes_saved = 0;  // row-passes avoided via compaction
-
-  /// One model pass executed on `active` of `total` rows: credit the
-  /// skipped rows.
-  void record_pass(std::size_t total, std::size_t active) {
-    passes_saved += total - active;
-  }
-
-  /// Adds the counters to "attack/<name>/rows_retired" and
-  /// "attack/<name>/passes_saved" (no-op when obs is disabled).
-  void flush(const std::string& attack_name) const;
-};
-
 /// Copies rows `idx` of `batch` (leading dim = rows) into a dense
 /// [idx.size(), ...] tensor, preserving order.
 Tensor gather_rows(const Tensor& batch, const std::vector<std::size_t>& idx);
@@ -123,58 +132,12 @@ std::vector<T> gather(const std::vector<T>& v,
   return out;
 }
 
-/// One iteration's compaction decision, shared by every attack: whether
-/// the model passes run on a dense gather of the active rows or on the
-/// full batch, plus the gather/index plumbing both paths need. Built
-/// fresh each iteration (it aliases the ActiveSet's index vector, which
-/// retire() mutates — attacks collect retirements and apply them after
-/// the iteration's last use of the plan). All model traffic — including
-/// through composed AttackTargets — flows through pick()'d tensors, so
-/// compaction never bypasses the target abstraction.
-class CompactPlan {
- public:
-  CompactPlan(const ActiveSet& rows, bool compact)
-      : idx_(rows.indices()),
-        total_(rows.size()),
-        sub_(compact && rows.active_count() < rows.size()) {}
-
-  /// True when this iteration runs on a gathered sub-batch.
-  bool sub() const { return sub_; }
-  std::size_t total() const { return total_; }
-  std::size_t active() const { return idx_.size(); }
-  /// Global row index of active row `a`.
-  std::size_t global(std::size_t a) const { return idx_[a]; }
-  /// Row of active row `a` within the tensors pick() returned.
-  std::size_t loc(std::size_t a) const { return sub_ ? a : idx_[a]; }
-
-  /// Returns the batch the model should see: `full` untouched in dense
-  /// mode, or a gather of the active rows materialized into `storage`.
-  const Tensor& pick(const Tensor& full, Tensor& storage) const {
-    if (!sub_) return full;
-    storage = gather_rows(full, idx_);
-    return storage;
-  }
-  template <typename T>
-  const std::vector<T>& pick(const std::vector<T>& full,
-                             std::vector<T>& storage) const {
-    if (!sub_) return full;
-    storage = gather(full, idx_);
-    return storage;
-  }
-
-  /// Credits `count` model passes run at the plan's density (no-op in
-  /// dense mode, where nothing was saved).
-  void record_passes(EngineStats& stats, std::size_t count) const {
-    if (!sub_) return;
-    for (std::size_t i = 0; i < count; ++i) {
-      stats.record_pass(total_, idx_.size());
-    }
-  }
-
- private:
-  const std::vector<std::size_t>& idx_;
-  std::size_t total_;
-  bool sub_;
-};
+template <typename T>
+const std::vector<T>& ActiveSet::pick(const std::vector<T>& full,
+                                      std::vector<T>& storage) const {
+  if (all_active()) return full;
+  storage = gather(full, indices_);
+  return storage;
+}
 
 }  // namespace adv::attacks

@@ -1,8 +1,7 @@
 #include "attacks/fgsm.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "attacks/engine.hpp"
 #include "attacks/fused.hpp"
@@ -31,23 +30,23 @@ AttackResult fgsm_attack(AttackTarget& target, const Tensor& images,
   std::vector<std::size_t> to_retire;
   std::vector<float> aux_w;
   for (std::size_t k = 0; k < cfg.iterations && !rows.none_active(); ++k) {
-    const CompactPlan plan(rows, cfg.compact);
-    const std::size_t na = plan.active();
+    const std::vector<std::size_t>& idx = rows.indices();
+    const std::size_t na = idx.size();
     Tensor x_g;
     std::vector<int> lab_g;
-    const Tensor& xcur = plan.pick(x, x_g);
-    const std::vector<int>& lab = plan.pick(labels, lab_g);
+    const Tensor& xcur = rows.pick(x, x_g);
+    const std::vector<int>& lab = rows.pick(labels, lab_g);
 
     const Tensor logits = target.logits(xcur, nn::Mode::Eval);
     loss.forward(logits, lab);
     Tensor grad = target.input_grad(xcur, loss.backward());
-    plan.record_passes(stats, 2);  // forward + backward
+    rows.record_passes(stats, 2);  // forward + backward
 
     if (target.has_aux()) {
       // Descend the detector penalty alongside the CE ascent. The CE seed
       // is (softmax - onehot) / batch, so weighting the aux term by
-      // 1/batch keeps the two at the same per-row scale in the compacted
-      // and dense paths alike.
+      // 1/batch keeps the two at the same per-row scale whatever the
+      // sub-batch size.
       const float w = 1.0f / static_cast<float>(xcur.dim(0));
       aux_w.assign(xcur.dim(0), w);
       const Tensor ag = target.aux_input_grad(xcur, aux_w);
@@ -57,13 +56,14 @@ AttackResult fgsm_attack(AttackTarget& target, const Tensor& images,
     // Sign step + eps-ball/[0,1] projection per active row. The CE seed is
     // (softmax - onehot) / batch, so the sub-batch gradient differs from
     // the full-batch one only by a positive per-row scale — the sign (and
-    // hence the update) is identical either way. A row left bitwise
+    // hence the update) is identical either way while the seed stays a
+    // normal float (a saturated softmax's subnormal tail can round
+    // differently at another batch size). A row left bitwise
     // unchanged is at a fixed point of this deterministic map and retires.
     to_retire.clear();
     for (std::size_t a = 0; a < na; ++a) {
-      const std::size_t g = plan.global(a);
-      const std::size_t loc = plan.loc(a);
-      if (!fused_sign_step(x.data() + g * row, grad.data() + loc * row,
+      const std::size_t g = idx[a];
+      if (!fused_sign_step(x.data() + g * row, grad.data() + a * row,
                            images.data() + g * row, row, step,
                            cfg.epsilon)) {
         to_retire.push_back(g);
@@ -76,30 +76,13 @@ AttackResult fgsm_attack(AttackTarget& target, const Tensor& images,
   }
   stats.flush(cfg.iterations > 1 ? "ifgsm" : "fgsm");
 
-  AttackResult result;
-  result.adversarial = x;
-  result.success.assign(n, false);
   const HingeEval eval =
       eval_untargeted_hinge(target, x, labels, 0.0f, nn::Mode::Infer);
+  std::vector<bool> success(n);
   for (std::size_t i = 0; i < n; ++i) {
-    result.success[i] = eval.margin[i] > 0.0f;  // misclassified
+    success[i] = eval.margin[i] > 0.0f;  // misclassified
   }
-  if (target.has_aux()) {
-    // Detector-aware success: the example must also evade the detectors.
-    const std::vector<float> aux = target.aux_loss(x);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (aux[i] > 0.0f) result.success[i] = false;
-    }
-  }
-  // Keep natural images for failed rows so distortion stats stay honest.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!result.success[i]) {
-      std::copy_n(images.data() + i * row, row,
-                  result.adversarial.data() + i * row);
-    }
-  }
-  fill_distortions(result, images);
-  return result;
+  return finish_result(target, std::move(x), std::move(success), images);
 }
 
 AttackResult fgsm_attack(nn::Sequential& model, const Tensor& images,

@@ -9,18 +9,15 @@ namespace adv::attacks {
 struct FgsmConfig {
   float epsilon = 0.1f;      // L-inf budget in [0,1] pixel space
   std::size_t iterations = 1; // 1 = one-shot FGSM; >1 = I-FGSM with step eps/T
-  // Row compaction for the active-set engine (see attacks/engine.hpp).
-  // Rows retire at their fixed point: the sign-step update is a
-  // deterministic per-row map, so a row the step leaves bitwise unchanged
-  // can never move again and is safe to drop from subsequent passes.
-  // Output-identical on or off.
-  bool compact = true;
 };
 
 /// Untargeted (I-)FGSM: ascend the cross-entropy loss of the true label
 /// through `target`. On detector-aware targets the auxiliary detector
 /// penalty is descended alongside (the sign step follows the combined
 /// gradient) and success additionally requires evading the detectors.
+/// Rows retire from the active set (attacks/engine.hpp) at their fixed
+/// point: the sign-step update is a deterministic per-row map, so a row
+/// the step leaves bitwise unchanged can never move again.
 AttackResult fgsm_attack(AttackTarget& target, const Tensor& images,
                          const std::vector<int>& labels,
                          const FgsmConfig& cfg);

@@ -91,46 +91,4 @@ bool write_json(const std::filesystem::path& path, std::string_view prefix) {
   return write_json(path, MetricsRegistry::global(), prefix);
 }
 
-namespace {
-
-std::string csv_field(const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-std::string to_csv(const MetricsRegistry& registry, std::string_view prefix) {
-  std::string out = "key,kind,value,count,total_ns,min_ns,max_ns\n";
-  for (const Sample& s : registry.snapshot(prefix)) {
-    out += csv_field(s.key);
-    switch (s.kind) {
-      case Sample::Kind::Counter:
-        out += ",counter," + std::to_string(s.value) + ",,,,";
-        break;
-      case Sample::Kind::Gauge:
-        out += ",gauge," + fmt_double(s.gauge_value) + ",,,,";
-        break;
-      case Sample::Kind::Timer:
-        out += ",timer,," + std::to_string(s.count) + "," +
-               std::to_string(s.total_ns) + "," + std::to_string(s.min_ns) +
-               "," + std::to_string(s.max_ns);
-        break;
-    }
-    out += "\n";
-  }
-  return out;
-}
-
-bool write_csv(const std::filesystem::path& path,
-               const MetricsRegistry& registry, std::string_view prefix) {
-  return write_file(path, to_csv(registry, prefix));
-}
-
 }  // namespace adv::obs

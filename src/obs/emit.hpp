@@ -1,4 +1,4 @@
-// JSON/CSV emission of MetricsRegistry snapshots, following the repo's
+// JSON emission of MetricsRegistry snapshots, following the repo's
 // BENCH_*.json convention (bench/micro_benchmarks writes BENCH_gemm.json
 // the same way: a small object with a header field and an array of
 // records, one line each).
@@ -37,14 +37,5 @@ bool write_json(const std::filesystem::path& path,
 /// Global-registry convenience.
 bool write_json(const std::filesystem::path& path,
                 std::string_view prefix = {});
-
-/// CSV with header key,kind,value,count,total_ns,min_ns,max_ns — one row
-/// per metric; the columns a kind does not define are empty. Keys
-/// containing a comma, quote or newline are double-quoted (RFC 4180).
-std::string to_csv(const MetricsRegistry& registry,
-                   std::string_view prefix = {});
-
-bool write_csv(const std::filesystem::path& path,
-               const MetricsRegistry& registry, std::string_view prefix = {});
 
 }  // namespace adv::obs

@@ -1,5 +1,6 @@
-// Active-set attack engine tests: row compaction must be bitwise
-// invisible on every attack, early abort must never un-succeed a row,
+// Active-set attack engine tests: every attack must craft each row of a
+// batch (on compacted sub-batches) exactly as it crafts that image alone,
+// under every threat model, early abort must never un-succeed a row,
 // plain ISTA's reuse of the candidate forward must be bitwise invisible
 // under every threat model, and the Workspace arena must hand out
 // correctly-sized (and, when requested, zeroed) buffers under concurrency.
@@ -84,14 +85,37 @@ TEST(ActiveSet, RetireKeepsIndicesSortedAndFlagsConsistent) {
   rows.retire(3);  // repeat is a no-op
   EXPECT_EQ(rows.active_count(), 3u);
   EXPECT_EQ(rows.indices(), (std::vector<std::size_t>{1, 2, 4}));
-  EXPECT_FALSE(rows.active(0));
-  EXPECT_TRUE(rows.active(1));
   rows.retire(1);
   rows.retire(2);
   rows.retire(4);
   EXPECT_TRUE(rows.none_active());
   rows.reset();
   EXPECT_TRUE(rows.all_active());
+}
+
+TEST(ActiveSet, PickGathersOnlyOnceARowRetires) {
+  ActiveSet rows(3);
+  const Tensor batch =
+      Tensor::from_data(Shape({3, 2}), {0, 1, 10, 11, 20, 21});
+  const std::vector<int> labels{7, 8, 9};
+  Tensor storage;
+  std::vector<int> lab_storage;
+  EngineStats stats;
+  // All active: the full batch itself, nothing saved.
+  EXPECT_EQ(&rows.pick(batch, storage), &batch);
+  EXPECT_EQ(&rows.pick(labels, lab_storage), &labels);
+  rows.record_passes(stats, 2);
+  EXPECT_EQ(stats.passes_saved, 0u);
+
+  rows.retire(1);
+  const Tensor& sub = rows.pick(batch, storage);
+  EXPECT_EQ(&sub, &storage);
+  ASSERT_EQ(sub.shape(), Shape({2, 2}));
+  EXPECT_FLOAT_EQ(sub[1], 1.0f);
+  EXPECT_FLOAT_EQ(sub[2], 20.0f);
+  EXPECT_EQ(rows.pick(labels, lab_storage), (std::vector<int>{7, 9}));
+  rows.record_passes(stats, 2);  // two passes, one row skipped in each
+  EXPECT_EQ(stats.passes_saved, 2u);
 }
 
 TEST(PlateauDetector, RetiresAfterWindowStaleObservations) {
@@ -127,83 +151,6 @@ TEST(GatherScatter, RoundTripsRowsInOrder) {
   EXPECT_FLOAT_EQ(batch[0], 0.0f);    // row 0 untouched
 }
 
-// --- compaction is bitwise invisible, attack by attack --------------------
-
-TEST(Compaction, EadBitwiseIdentical) {
-  EadConfig cfg;
-  cfg.beta = 0.01f;
-  cfg.kappa = 1.0f;
-  cfg.iterations = 60;
-  cfg.binary_search_steps = 3;
-  cfg.initial_c = 0.5f;
-  cfg.use_fista = true;
-  // Early abort on in BOTH arms so rows actually retire and the compacted
-  // arm runs genuinely smaller sub-batches.
-  cfg.abort_early_window = 4;
-  cfg.abort_early_rel_tol = 1e-3f;
-
-  nn::Sequential m1 = conv_classifier(7);
-  nn::Sequential m2 = conv_classifier(7);
-  auto [x, labels] = labeled_batch(m1, 8, 6);
-
-  cfg.compact = true;
-  const AttackResult fast = ead_attack(m1, x, labels, cfg);
-  cfg.compact = false;
-  const AttackResult dense = ead_attack(m2, x, labels, cfg);
-  expect_bitwise_equal(fast, dense);
-}
-
-TEST(Compaction, CwL2BitwiseIdentical) {
-  CwL2Config cfg;
-  cfg.kappa = 0.5f;
-  cfg.iterations = 50;
-  cfg.binary_search_steps = 3;
-  cfg.initial_c = 0.5f;
-  cfg.abort_early_window = 4;
-  cfg.abort_early_rel_tol = 1e-3f;
-
-  nn::Sequential m1 = conv_classifier(17);
-  nn::Sequential m2 = conv_classifier(17);
-  auto [x, labels] = labeled_batch(m1, 18, 6);
-
-  cfg.compact = true;
-  const AttackResult fast = cw_l2_attack(m1, x, labels, cfg);
-  cfg.compact = false;
-  const AttackResult dense = cw_l2_attack(m2, x, labels, cfg);
-  expect_bitwise_equal(fast, dense);
-}
-
-TEST(Compaction, IfgsmBitwiseIdentical) {
-  FgsmConfig cfg;
-  cfg.epsilon = 0.08f;
-  cfg.iterations = 12;
-
-  nn::Sequential m1 = conv_classifier(27);
-  nn::Sequential m2 = conv_classifier(27);
-  auto [x, labels] = labeled_batch(m1, 28, 8);
-
-  cfg.compact = true;
-  const AttackResult fast = fgsm_attack(m1, x, labels, cfg);
-  cfg.compact = false;
-  const AttackResult dense = fgsm_attack(m2, x, labels, cfg);
-  expect_bitwise_equal(fast, dense);
-}
-
-TEST(Compaction, DeepFoolBitwiseIdentical) {
-  DeepFoolConfig cfg;
-  cfg.max_iterations = 25;
-
-  nn::Sequential m1 = conv_classifier(37);
-  nn::Sequential m2 = conv_classifier(37);
-  auto [x, labels] = labeled_batch(m1, 38, 8);
-
-  cfg.compact = true;
-  const AttackResult fast = deepfool_attack(m1, x, labels, cfg);
-  cfg.compact = false;
-  const AttackResult dense = deepfool_attack(m2, x, labels, cfg);
-  expect_bitwise_equal(fast, dense);
-}
-
 // --- early abort ----------------------------------------------------------
 
 TEST(EarlyAbort, NeverFlipsASuccessToFailure) {
@@ -234,20 +181,13 @@ TEST(EarlyAbort, NeverFlipsASuccessToFailure) {
 }
 
 TEST(EarlyAbort, AbortKnobsChangeTheCacheTag) {
-  // Abort changes results, so it must be part of the cache identity;
-  // compaction must NOT be (bitwise-neutral, cached artifacts stay valid).
+  // Abort changes results, so it must be part of the cache identity.
   EadConfig a;
   EadConfig b = a;
   b.abort_early_window = 5;
-  EadConfig c = a;
-  c.compact = !c.compact;
   // Tags come from the adapter layer.
   // (Constructed inline to keep this test free of the registry.)
-  const std::string ta = EadAttack(a).tag();
-  const std::string tb = EadAttack(b).tag();
-  const std::string tc = EadAttack(c).tag();
-  EXPECT_NE(ta, tb);
-  EXPECT_EQ(ta, tc);
+  EXPECT_NE(EadAttack(a).tag(), EadAttack(b).tag());
 }
 
 // --- ead_attack vs ead_attack_multi (single-rule extraction) --------------
@@ -273,7 +213,7 @@ TEST(EadMulti, SingleRuleMatchesMultiRuleZero) {
   expect_bitwise_equal(single, multi[0]);
 }
 
-// --- forward reuse (plain ISTA) --------------------------------------------
+// --- forwarding targets and the defense fixture ---------------------------
 
 /// Forwarding target whose input_grad first re-runs the Eval forward on
 /// the batch it is given, so every gradient comes from fresh tapes. An
@@ -321,8 +261,19 @@ class CountingTarget final : public AttackTarget {
     ++backwards;
     return inner_.input_grad(batch, upstream);
   }
+  bool has_aux() const override { return inner_.has_aux(); }
+  std::vector<float> aux_loss(const Tensor& batch) override {
+    std::vector<float> loss = inner_.aux_loss(batch);
+    for (const float v : loss) aux_rows_over += v > 0.0f;
+    return loss;
+  }
+  Tensor aux_input_grad(const Tensor& batch,
+                        const std::vector<float>& weight) override {
+    return inner_.aux_input_grad(batch, weight);
+  }
 
   std::size_t evals = 0, infers = 0, backwards = 0;
+  std::size_t aux_rows_over = 0;  // aux_loss rows over a detector threshold
   std::size_t min_rows = static_cast<std::size_t>(-1);
 
  private:
@@ -343,6 +294,21 @@ struct Defense {
     m->emplace<nn::Sigmoid>();
     return m;
   }();
+  // Detector thresholds: by default low enough that both penalties are
+  // active.
+  float recon_threshold = 0.05f;
+  float jsd_threshold = 1e-5f;
+
+  /// Turns the reformer into a near-identity map, sigmoid(4x - 2) plus a
+  /// little of its random mixing, so attacks through it can succeed.
+  void pass_through_reformer() {
+    const std::vector<Tensor*> p = ae->parameters();
+    scale_inplace(*p[0], 0.1f);
+    scale_inplace(*p[2], 0.1f);
+    (*p[0])[4] += 1.0f;   // conv 1: channel 0 copies the 3x3 centre
+    (*p[2])[4] += 4.0f;   // conv 2: reads channel 0's centre ...
+    (*p[3])[0] -= 2.0f;   // ... minus 2, into the sigmoid
+  }
 
   std::unique_ptr<AttackTarget> target(ThreatModel tm) const {
     switch (tm) {
@@ -351,36 +317,162 @@ struct Defense {
       case ThreatModel::GrayBox:
         return std::make_unique<GrayBoxTarget>(*ae, *clf);
       case ThreatModel::DetectorAware:
-        // Thresholds low enough that both penalties are active.
         return std::make_unique<DetectorAwareTarget>(
             ae.get(), *clf,
             std::vector<std::shared_ptr<AuxObjective>>{
-                std::make_shared<magnet::ReconErrorTerm>(ae, 1, 0.05f, "l1"),
-                std::make_shared<magnet::JsdEvasionTerm>(ae, clf, 10.0f,
-                                                         1e-5f, "jsd")});
+                std::make_shared<magnet::ReconErrorTerm>(
+                    ae, 1, recon_threshold, "l1"),
+                std::make_shared<magnet::JsdEvasionTerm>(
+                    ae, clf, 10.0f, jsd_threshold, "jsd")});
     }
     return nullptr;
   }
 };
 
+// --- batched == each image crafted alone, attack by attack ---------------
+
+/// Defense the per-image tests attack: a near-identity reformer and
+/// detector thresholds at which some crafted rows evade and some do not.
+Defense pass_through_defense() {
+  Defense def;
+  def.pass_through_reformer();
+  def.recon_threshold = 0.04f;
+  def.jsd_threshold = 1e-4f;
+  return def;
+}
+
+using Craft = std::function<AttackResult(AttackTarget&, const Tensor&,
+                                         const std::vector<int>&)>;
+
+/// Crafts `x` as one batch and each image alone, under every threat model.
+/// Every attack treats its images independently and every layer is per-row
+/// independent, so the batch's row i — crafted on compacted sub-batches
+/// once rows retire — must equal image i crafted alone (a one-row batch
+/// never gathers) bit for bit. Each case must really have gathered
+/// sub-batches and made at least one row succeed, and the detector-aware
+/// case must have met an active detector penalty, else it shows nothing.
+void expect_batched_equals_per_image(const Defense& def, const Tensor& x,
+                                     const std::vector<int>& labels,
+                                     const Craft& craft) {
+  const std::size_t n = x.dim(0);
+  const std::size_t row = x.numel() / n;
+  for (const ThreatModel tm : {ThreatModel::Oblivious, ThreatModel::GrayBox,
+                               ThreatModel::DetectorAware}) {
+    SCOPED_TRACE(to_string(tm));
+    const std::unique_ptr<AttackTarget> bare = def.target(tm);
+    CountingTarget counted(*bare);
+    const AttackResult batched = craft(counted, x, labels);
+    EXPECT_LT(counted.min_rows, n);
+    EXPECT_GT(batched.success_count(), 0u);
+    if (tm == ThreatModel::DetectorAware) {
+      EXPECT_GT(counted.aux_rows_over, 0u);
+    }
+
+    const std::unique_ptr<AttackTarget> single = def.target(tm);
+    for (std::size_t i = 0; i < n; ++i) {
+      SCOPED_TRACE(i);
+      const AttackResult alone =
+          craft(*single, gather_rows(x, {i}), {labels[i]});
+      EXPECT_EQ(0, std::memcmp(batched.adversarial.data() + i * row,
+                               alone.adversarial.data(),
+                               row * sizeof(float)));
+      EXPECT_EQ(batched.success[i], alone.success[0]);
+      EXPECT_EQ(batched.l1[i], alone.l1[0]);
+      EXPECT_EQ(batched.l2[i], alone.l2[0]);
+      EXPECT_EQ(batched.linf[i], alone.linf[0]);
+    }
+  }
+}
+
+TEST(BatchedEqualsPerImage, Ead) {
+  EadConfig cfg;
+  cfg.beta = 0.01f;
+  cfg.kappa = 1.0f;
+  cfg.iterations = 60;
+  cfg.binary_search_steps = 3;
+  cfg.initial_c = 0.5f;
+  cfg.use_fista = true;
+  // Early abort on so rows retire and later passes gather sub-batches.
+  cfg.abort_early_window = 4;
+  cfg.abort_early_rel_tol = 1e-3f;
+  const Defense def = pass_through_defense();
+  auto [x, labels] = labeled_batch(*def.clf, 8, 6);
+  expect_batched_equals_per_image(
+      def, x, labels,
+      [&](AttackTarget& t, const Tensor& b, const std::vector<int>& y) {
+        return ead_attack(t, b, y, cfg);
+      });
+}
+
+TEST(BatchedEqualsPerImage, CwL2) {
+  CwL2Config cfg;
+  cfg.kappa = 0.5f;
+  cfg.iterations = 50;
+  cfg.binary_search_steps = 3;
+  cfg.initial_c = 0.5f;
+  cfg.abort_early_window = 4;
+  cfg.abort_early_rel_tol = 1e-3f;
+  const Defense def = pass_through_defense();
+  auto [x, labels] = labeled_batch(*def.clf, 18, 6);
+  expect_batched_equals_per_image(
+      def, x, labels,
+      [&](AttackTarget& t, const Tensor& b, const std::vector<int>& y) {
+        return cw_l2_attack(t, b, y, cfg);
+      });
+}
+
+TEST(BatchedEqualsPerImage, Ifgsm) {
+  FgsmConfig cfg;
+  cfg.epsilon = 0.2f;
+  cfg.iterations = 12;
+  // I-FGSM retires a row only at a fixed point of its sign step. Lowering
+  // the classifier's first-layer bias and dimming two images to 5% makes
+  // every first-layer ReLU dead on them: their cross-entropy gradient is
+  // exactly zero, so they stop moving and retire.
+  Defense def = pass_through_defense();
+  Tensor& bias = *def.clf->parameters()[1];
+  for (std::size_t c = 0; c < bias.numel(); ++c) bias[c] -= 0.3f;
+  auto [x, labels] = labeled_batch(*def.clf, 28, 8);
+  const std::size_t row = x.numel() / x.dim(0);
+  for (std::size_t j = 0; j < 2 * row; ++j) x[j] *= 0.05f;
+  const Tensor logits = def.clf->forward(x, nn::Mode::Infer);
+  for (std::size_t i = 0; i < 2; ++i) {
+    labels[i] = static_cast<int>(argmax_row(logits, i));
+  }
+  expect_batched_equals_per_image(
+      def, x, labels,
+      [&](AttackTarget& t, const Tensor& b, const std::vector<int>& y) {
+        return fgsm_attack(t, b, y, cfg);
+      });
+}
+
+TEST(BatchedEqualsPerImage, DeepFool) {
+  DeepFoolConfig cfg;
+  cfg.max_iterations = 25;
+  const Defense def = pass_through_defense();
+  auto [x, labels] = labeled_batch(*def.clf, 38, 8);
+  expect_batched_equals_per_image(
+      def, x, labels,
+      [&](AttackTarget& t, const Tensor& b, const std::vector<int>& y) {
+        return deepfool_attack(t, b, y, cfg);
+      });
+}
+
+// --- forward reuse (plain ISTA) --------------------------------------------
+
 struct ReuseCase {
   const char* name;
   ThreatModel tm;
-  bool compact;
   std::size_t abort_window;  // 0: no early abort
   bool fista;
 };
 
 constexpr ReuseCase kReuseCases[] = {
-    {"ista", ThreatModel::Oblivious, true, 0, false},
-    {"ista dense", ThreatModel::Oblivious, false, 0, false},
-    {"ista abort", ThreatModel::Oblivious, true, 3, false},
-    {"ista abort dense", ThreatModel::Oblivious, false, 3, false},
-    {"fista abort", ThreatModel::Oblivious, true, 3, true},
-    {"gray-box abort", ThreatModel::GrayBox, true, 3, false},
-    {"detector-aware abort", ThreatModel::DetectorAware, true, 3, false},
-    {"detector-aware abort dense", ThreatModel::DetectorAware, false, 3,
-     false},
+    {"ista", ThreatModel::Oblivious, 0, false},
+    {"ista abort", ThreatModel::Oblivious, 3, false},
+    {"fista abort", ThreatModel::Oblivious, 3, true},
+    {"gray-box abort", ThreatModel::GrayBox, 3, false},
+    {"detector-aware abort", ThreatModel::DetectorAware, 3, false},
 };
 
 EadConfig reuse_config(const ReuseCase& rc) {
@@ -391,19 +483,17 @@ EadConfig reuse_config(const ReuseCase& rc) {
   cfg.binary_search_steps = 3;
   cfg.initial_c = 0.5f;
   cfg.use_fista = rc.fista;
-  cfg.compact = rc.compact;
   cfg.abort_early_window = rc.abort_window;
   cfg.abort_early_rel_tol = 1e-3f;
   return cfg;
 }
 
-using Craft = std::function<AttackResult(AttackTarget&, const Tensor&,
-                                         const std::vector<int>&,
-                                         const EadConfig&)>;
+using CraftEad = std::function<AttackResult(
+    AttackTarget&, const Tensor&, const std::vector<int>&, const EadConfig&)>;
 
 /// Runs `craft` on every case through a bare target and through a
 /// FreshTapeTarget over another one; the two must agree bitwise.
-void expect_reuse_invisible(const Craft& craft) {
+void expect_reuse_invisible(const CraftEad& craft) {
   const Defense def;
   auto [x, labels] = labeled_batch(*def.clf, 89, 6);
   for (const ReuseCase& rc : kReuseCases) {
@@ -415,7 +505,7 @@ void expect_reuse_invisible(const Craft& craft) {
     const std::unique_ptr<AttackTarget> inner = def.target(rc.tm);
     FreshTapeTarget fresh(*inner);
     expect_bitwise_equal(reused, craft(fresh, x, labels, cfg));
-    if (rc.compact && rc.abort_window > 0) {
+    if (rc.abort_window > 0) {
       // Rows retired mid-step, so compacted sub-batches were gathered.
       EXPECT_LT(counted.min_rows, x.dim(0));
     }
@@ -439,7 +529,6 @@ TEST(ForwardReuse, CwL2BitwiseEqualToFreshForwards) {
     cw.initial_c = cfg.initial_c;
     cw.abort_early_window = cfg.abort_early_window;
     cw.abort_early_rel_tol = cfg.abort_early_rel_tol;
-    cw.compact = cfg.compact;
     return cw_l2_attack(t, x, y, cw);
   });
 }
@@ -450,7 +539,7 @@ TEST(ForwardReuse, IstaRunsIterationsPlusOneForwardsPerStep) {
   for (const bool fista : {false, true}) {
     SCOPED_TRACE(fista ? "fista" : "ista");
     EadConfig cfg = reuse_config(
-        {"", ThreatModel::Oblivious, true, /*abort_window=*/0, fista});
+        {"", ThreatModel::Oblivious, /*abort_window=*/0, fista});
     const std::unique_ptr<AttackTarget> bare =
         def.target(ThreatModel::Oblivious);
     CountingTarget counted(*bare);

@@ -1,10 +1,16 @@
 // Attack tests: shrinkage operator, hinge loss machinery, and the full
-// C&W / EAD / FGSM / DeepFool attacks against small analyzable models.
+// C&W / EAD / FGSM / DeepFool attacks against small analyzable models,
+// and the shared result tail FGSM and DeepFool end in.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "attacks/common.hpp"
 #include "attacks/cw.hpp"
 #include "attacks/deepfool.hpp"
 #include "attacks/ead.hpp"
@@ -153,6 +159,66 @@ TEST(FillDistortions, ComputesRowwiseNorms) {
   EXPECT_FLOAT_EQ(r.l2[0], 0.5f);
   EXPECT_FLOAT_EQ(r.linf[0], 0.4f);
   EXPECT_FLOAT_EQ(r.l1[1], 0.0f);
+}
+
+/// Target with fixed per-row detector losses; records the batch they were
+/// asked for. It is never run forward or backward.
+class FixedAuxTarget final : public AttackTarget {
+ public:
+  explicit FixedAuxTarget(std::vector<float> aux) : aux_(std::move(aux)) {}
+  ThreatModel threat_model() const override {
+    return ThreatModel::DetectorAware;
+  }
+  std::string tag_suffix() const override { return "fixed-aux"; }
+  Tensor logits(const Tensor&, nn::Mode) override {
+    throw std::logic_error("FixedAuxTarget::logits");
+  }
+  Tensor input_grad(const Tensor&, const Tensor&) override {
+    throw std::logic_error("FixedAuxTarget::input_grad");
+  }
+  bool has_aux() const override { return true; }
+  std::vector<float> aux_loss(const Tensor& batch) override {
+    scored = batch;
+    return aux_;
+  }
+
+  Tensor scored;
+
+ private:
+  std::vector<float> aux_;
+};
+
+TEST(FinishResult, DetectorVetoAndFailuresRestoreNaturalRows) {
+  const Tensor nat = Tensor::from_data(Shape({3, 1, 1, 2}), {0, 0, 0, 0, 0, 0});
+  const Tensor x = Tensor::from_data(Shape({3, 1, 1, 2}),
+                                     {0.3f, -0.4f, 0.1f, 0.2f, 0.5f, 0.5f});
+  // Row 0 fools and evades, row 1 fools but trips a detector, row 2 fails.
+  FixedAuxTarget target({0.0f, 0.5f, 0.0f});
+  const AttackResult r = finish_result(target, x, {true, true, false}, nat);
+  // The detectors score the crafted iterate, before any row is restored.
+  ASSERT_EQ(target.scored.numel(), x.numel());
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    EXPECT_EQ(target.scored[i], x[i]);
+  }
+  EXPECT_EQ(r.success, (std::vector<bool>{true, false, false}));
+  EXPECT_FLOAT_EQ(r.adversarial[0], 0.3f);
+  EXPECT_FLOAT_EQ(r.adversarial[1], -0.4f);
+  for (std::size_t i = 2; i < 6; ++i) EXPECT_FLOAT_EQ(r.adversarial[i], 0.0f);
+  EXPECT_FLOAT_EQ(r.l1[0], 0.7f);
+  EXPECT_FLOAT_EQ(r.l2[0], 0.5f);
+  EXPECT_FLOAT_EQ(r.linf[0], 0.4f);
+  EXPECT_FLOAT_EQ(r.l1[1], 0.0f);
+  EXPECT_FLOAT_EQ(r.l1[2], 0.0f);
+
+  // Without detectors only the classifier's verdict counts.
+  nn::Sequential m = linear_model();
+  ObliviousTarget bare(m);
+  const AttackResult plain = finish_result(bare, x, {true, true, false}, nat);
+  EXPECT_EQ(plain.success, (std::vector<bool>{true, true, false}));
+  EXPECT_FLOAT_EQ(plain.adversarial[2], 0.1f);
+  EXPECT_FLOAT_EQ(plain.adversarial[3], 0.2f);
+  EXPECT_FLOAT_EQ(plain.adversarial[4], 0.0f);
+  EXPECT_NEAR(plain.l1[1], 0.3f, 1e-6f);
 }
 
 // --- EAD / C&W ---------------------------------------------------------------

@@ -1,5 +1,5 @@
 // adv::obs unit tests: registry thread-safety under the pool, timer
-// nesting, JSON/CSV emission, and the disabled path registering nothing.
+// nesting, JSON emission, and the disabled path registering nothing.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -155,18 +155,6 @@ TEST(Obs, JsonEmissionRoundTrips) {
   std::filesystem::remove(path);
 }
 
-TEST(Obs, CsvEmission) {
-  MetricsRegistry reg;
-  reg.counter("c/one").add(3);
-  reg.timer("t/one").record_ns(42);
-  const std::string csv = obs::to_csv(reg);
-  EXPECT_EQ(csv.rfind("key,kind,value,count,total_ns,min_ns,max_ns\n", 0),
-            0u);
-  EXPECT_NE(csv.find("c/one,counter,3"), std::string::npos);
-  EXPECT_NE(csv.find("t/one,timer,"), std::string::npos);
-  EXPECT_NE(csv.find("42"), std::string::npos);
-}
-
 TEST(Obs, JsonEscapesControlCharactersAndBackslashes) {
   MetricsRegistry reg;
   reg.counter("path\\with\\backslash").add(1);
@@ -208,19 +196,6 @@ TEST(Obs, SamplesToJsonMatchesRegistryEmission) {
   reg.gauge("s/g").set(0.25);
   reg.timer("s/t").record_ns(9);
   EXPECT_EQ(obs::samples_to_json(reg.snapshot()), obs::to_json(reg));
-}
-
-TEST(Obs, CsvQuotesKeysWithCommasAndQuotes) {
-  MetricsRegistry reg;
-  reg.counter("plain/key").add(1);
-  reg.counter("with,comma").add(2);
-  reg.counter("with\"quote").add(3);
-  const std::string csv = obs::to_csv(reg);
-  EXPECT_NE(csv.find("plain/key,counter,1"), std::string::npos);
-  // RFC 4180: embedded comma -> whole field quoted; embedded quote ->
-  // quoted and doubled.
-  EXPECT_NE(csv.find("\"with,comma\",counter,2"), std::string::npos);
-  EXPECT_NE(csv.find("\"with\"\"quote\",counter,3"), std::string::npos);
 }
 
 // With instrumentation off (the default for tests), running the full set

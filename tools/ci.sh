@@ -9,8 +9,9 @@
 # serving benches (each holds its own gates: a FAIL: line and a nonzero
 # exit), a ThreadSanitizer pass over the concurrency tests (its own build
 # tree, <build-dir>-tsan), and an AddressSanitizer + UBSan pass over the
-# parsers, the daemon, row-block passes, sliced attacks, the thread pool
-# and the GEMM and direct-conv microkernels (<build-dir>-asan).
+# parsers, the daemon, row-block passes, sliced attacks, the active-set
+# engine's gathered sub-batches, the thread pool and the GEMM and
+# direct-conv microkernels (<build-dir>-asan).
 #
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 # Env:   ADV_OBS=0 pins the instrumentation off (overhead A/B runs);
@@ -47,8 +48,9 @@ echo "== micro benchmarks (metrics emission and gates) =="
 # BENCH_layers.json on exit. It also holds the A/B gates and exits
 # non-zero with a FAIL: line when one fails: direct conv bitwise-identical
 # to im2col on every benched shape, the MagNet 3x3 "same" forwards at
-# least 2x faster than im2col, and the active-set attack engine at least
-# 2x faster end to end.
+# least 2x faster than im2col, and the active-set attack engine's EAD run
+# skipping exactly 8970 row-passes (its retirement schedule, counted by a
+# forwarding target, so it holds with ADV_OBS=0 too).
 fail=0
 (cd "$build_dir" &&
  ./bench/micro_benchmarks --benchmark_filter='BM_Gemm/256' \
@@ -269,7 +271,8 @@ done
 echo "== address + undefined-behaviour sanitizer =="
 # The byte parsers (tensor files, and the serve wire protocol with its
 # corpus of truncation and byte-flip sweeps), the daemon, row-block
-# passes, sliced attacks, the thread pool, and the GEMM and direct-conv
+# passes, sliced attacks, the active-set engine (every attack's gather
+# and scatter indexing), the thread pool, and the GEMM and direct-conv
 # microkernels (their tail tiles store fewer lanes than a vector holds;
 # a store past the row's end fails here), rebuilt with
 # -fsanitize=address,undefined. UB is fatal (-fno-sanitize-recover), and
@@ -277,10 +280,11 @@ echo "== address + undefined-behaviour sanitizer =="
 sanitize_build asan \
   "-fsanitize=address,undefined -fno-sanitize-recover=undefined" \
   serialize_test protocol_test serve_test row_block_test thread_pool_test \
-  oblivious_slice_test gemm_test gemm_blocked_test nn_layers_test
+  oblivious_slice_test attack_engine_test gemm_test gemm_blocked_test \
+  nn_layers_test
 for t in serialize_test protocol_test serve_test row_block_test \
-         thread_pool_test oblivious_slice_test gemm_test gemm_blocked_test \
-         nn_layers_test; do
+         thread_pool_test oblivious_slice_test attack_engine_test gemm_test \
+         gemm_blocked_test nn_layers_test; do
   sanitize_run asan ASAN_OPTIONS=detect_leaks=1 "" "$t"
 done
 exit "$fail"
