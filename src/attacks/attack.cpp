@@ -14,13 +14,6 @@ std::string fmt(float v) {
   return buf;
 }
 
-// Early-abort tag suffix. Aborting changes which iterates are visited, so
-// the knobs must be part of the cache identity.
-std::string abort_suffix(std::size_t window, float rel_tol) {
-  if (window == 0) return "";
-  return "_ae" + std::to_string(window) + "x" + fmt(rel_tol);
-}
-
 }  // namespace
 
 std::vector<std::string> overrides_set_fields(const AttackOverrides& o) {
@@ -35,8 +28,6 @@ std::vector<std::string> overrides_set_fields(const AttackOverrides& o) {
   if (o.binary_search_steps) out.emplace_back("binary_search_steps");
   if (o.rule) out.emplace_back("rule");
   if (o.mode) out.emplace_back("mode");
-  if (o.abort_early_window) out.emplace_back("abort_early_window");
-  if (o.abort_early_rel_tol) out.emplace_back("abort_early_rel_tol");
   return out;
 }
 
@@ -124,8 +115,7 @@ std::string CwL2Attack::name() const { return "cw-l2"; }
 std::string CwL2Attack::tag() const {
   return "cw_k" + fmt(cfg_.kappa) + "_i" + std::to_string(cfg_.iterations) +
          "_s" + std::to_string(cfg_.binary_search_steps) + "_c" +
-         fmt(cfg_.initial_c) + "_lr" + fmt(cfg_.learning_rate) +
-         abort_suffix(cfg_.abort_early_window, cfg_.abort_early_rel_tol);
+         fmt(cfg_.initial_c) + "_lr" + fmt(cfg_.learning_rate);
 }
 
 AttackResult CwL2Attack::run_impl(AttackTarget& target,
@@ -154,9 +144,7 @@ std::string EadAttack::tag() const {
          "_" + to_string(cfg_.rule) + "_i" + std::to_string(cfg_.iterations) +
          "_s" + std::to_string(cfg_.binary_search_steps) + "_c" +
          fmt(cfg_.initial_c) + "_lr" + fmt(cfg_.learning_rate) +
-         (cfg_.use_fista ? "_fista" : "") +
-         (cfg_.mode == HingeMode::Targeted ? "_tgt" : "") +
-         abort_suffix(cfg_.abort_early_window, cfg_.abort_early_rel_tol);
+         (cfg_.mode == HingeMode::Targeted ? "_tgt" : "");
 }
 
 AttackResult EadAttack::run_impl(AttackTarget& target, const Tensor& images,
@@ -181,7 +169,7 @@ AttackRegistry::AttackRegistry() {
   });
   add("cw-l2",
       {"kappa", "iterations", "binary_search_steps", "initial_c",
-       "learning_rate", "abort_early_window", "abort_early_rel_tol"},
+       "learning_rate"},
       [](const AttackOverrides& o) {
         CwL2Config cfg;
         if (o.kappa) cfg.kappa = *o.kappa;
@@ -190,10 +178,6 @@ AttackRegistry::AttackRegistry() {
           cfg.binary_search_steps = *o.binary_search_steps;
         if (o.initial_c) cfg.initial_c = *o.initial_c;
         if (o.learning_rate) cfg.learning_rate = *o.learning_rate;
-        if (o.abort_early_window)
-          cfg.abort_early_window = *o.abort_early_window;
-        if (o.abort_early_rel_tol)
-          cfg.abort_early_rel_tol = *o.abort_early_rel_tol;
         return std::make_unique<CwL2Attack>(cfg);
       });
   add("deepfool", {"iterations", "overshoot"},
@@ -205,8 +189,7 @@ AttackRegistry::AttackRegistry() {
       });
   add("ead",
       {"kappa", "beta", "iterations", "binary_search_steps", "initial_c",
-       "learning_rate", "rule", "mode", "abort_early_window",
-       "abort_early_rel_tol"},
+       "learning_rate", "rule", "mode"},
       [](const AttackOverrides& o) {
         EadConfig cfg;
         if (o.beta) cfg.beta = *o.beta;
@@ -218,10 +201,6 @@ AttackRegistry::AttackRegistry() {
         if (o.learning_rate) cfg.learning_rate = *o.learning_rate;
         if (o.rule) cfg.rule = *o.rule;
         if (o.mode) cfg.mode = *o.mode;
-        if (o.abort_early_window)
-          cfg.abort_early_window = *o.abort_early_window;
-        if (o.abort_early_rel_tol)
-          cfg.abort_early_rel_tol = *o.abort_early_rel_tol;
         return std::make_unique<EadAttack>(cfg);
       });
 }

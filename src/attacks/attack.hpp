@@ -43,10 +43,6 @@ struct AttackOverrides {
   std::optional<std::size_t> binary_search_steps;
   std::optional<DecisionRule> rule;
   std::optional<HingeMode> mode;
-  // Early abort of the active-set engine (attacks/engine.hpp); ead and
-  // cw-l2 only.
-  std::optional<std::size_t> abort_early_window;
-  std::optional<float> abort_early_rel_tol;
 };
 
 /// Names of the fields set (non-nullopt) in `o`, in declaration order.

@@ -13,10 +13,6 @@ EadConfig to_ead(const CwL2Config& cfg) {
   ead.initial_c = cfg.initial_c;
   ead.learning_rate = cfg.learning_rate;
   ead.rule = DecisionRule::L2;
-  ead.use_fista = false;
-  ead.abort_early_window = cfg.abort_early_window;
-  ead.abort_early_rel_tol = cfg.abort_early_rel_tol;
-  ead.metrics_name = "cw-l2";
   return ead;
 }
 

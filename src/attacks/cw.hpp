@@ -14,9 +14,6 @@ struct CwL2Config {
   std::size_t binary_search_steps = 9;
   float initial_c = 1e-3f;
   float learning_rate = 1e-2f;
-  // Active-set engine knobs, forwarded to EadConfig (see ead.hpp).
-  std::size_t abort_early_window = 0;
-  float abort_early_rel_tol = 1e-4f;
 };
 
 /// Untargeted C&W L2 attack against `target` (any threat model; the

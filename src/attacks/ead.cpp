@@ -5,8 +5,8 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
-#include "attacks/engine.hpp"
 #include "attacks/fused.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -45,7 +45,7 @@ void shrink_project(const Tensor& z, const Tensor& x0, float beta,
 namespace {
 
 /// (sum |d|, sum d^2) of one row's perturbation d = adv - nat: the one
-/// sweep every decision rule and the early-abort objective read.
+/// sweep every decision rule reads.
 struct RowDistortion {
   double l1 = 0.0;
   double l2sq = 0.0;
@@ -105,142 +105,78 @@ std::vector<AttackResult> ead_attack_multi(
   std::vector<float> c(n, cfg.initial_c);
   std::vector<float> lower(n, 0.0f);
   std::vector<float> upper(n, 1e10f);
-  EngineStats stats;
 
   for (std::size_t bs = 0; bs < cfg.binary_search_steps; ++bs) {
     Tensor x = images;  // current iterate x^(k)
-    Tensor y = images;  // FISTA auxiliary point (== x^(k) for plain ISTA)
+    Tensor x_new;       // next iterate x^(k+1); swapped into x
     std::vector<bool> succeeded_this_step(n, false);
-    ActiveSet rows(n);
-    PlateauDetector plateau(n, cfg.abort_early_window,
-                            cfg.abort_early_rel_tol);
-    std::vector<std::size_t> to_retire;
-    // Plain ISTA sets y^(k+1) = x^(k+1), so the candidate forward at
-    // x^(k+1), run in Eval mode, is also the next iteration's gradient
-    // forward: same rows, same kernels, same bits. `carried` holds it
-    // across the loop edge; the next iteration then runs only the
-    // backward. DESIGN.md §11 lists the cases that drop it.
+    // Plain ISTA takes its next gradient at x^(k+1) itself, so the
+    // candidate forward at x^(k+1), run in Eval mode, is also the next
+    // iteration's gradient forward: same rows, same kernels, same bits.
+    // `carried` holds it across the loop edge; the next iteration then
+    // runs only the backward. Only the first iteration of a step runs a
+    // gradient forward of its own (DESIGN.md §11).
     std::optional<HingeEval> carried;
 
-    for (std::size_t k = 0;
-         k < cfg.iterations && !rows.none_active(); ++k) {
+    for (std::size_t k = 0; k < cfg.iterations; ++k) {
       // Square-root polynomial decay of the step size (reference EAD).
       const float lr = cfg.learning_rate *
                        std::sqrt(1.0f - static_cast<float>(k) /
                                             static_cast<float>(cfg.iterations));
 
-      // Compacted sub-batch: the model passes below run on the active
-      // rows only, [na, ...] instead of [n, ...]; row a is global row
-      // idx[a].
-      const std::vector<std::size_t>& idx = rows.indices();
-      const std::size_t na = idx.size();
-      Tensor y_g, x0_g;
-      std::vector<int> lab_g;
-      std::vector<float> w_g;
-      const Tensor& ycur = rows.pick(y, y_g);
-      const Tensor& x0 = rows.pick(images, x0_g);
-      const std::vector<int>& lab = rows.pick(labels, lab_g);
-      const std::vector<float>& w = rows.pick(c, w_g);
-
-      // Gradient of g(y) = c*f(y) + ||y - x0||_2^2 at the (FISTA) point y
-      // — plus, on detector-aware targets, the c-weighted detector
-      // penalty c*aux(y) (the Carlini–Wagner detector-evasion objective).
-      const bool reused = carried.has_value();
+      // Gradient of g(x) = c*f(x) + ||x - x0||_2^2 at the iterate x — plus,
+      // on detector-aware targets, the c-weighted detector penalty
+      // c*aux(x) (the Carlini–Wagner detector-evasion objective).
       const HingeEval eval =
-          reused ? *std::move(carried)
-                 : eval_attack_hinge(target, ycur, lab, cfg.kappa, cfg.mode);
+          carried ? *std::move(carried)
+                  : eval_attack_hinge(target, x, labels, cfg.kappa, cfg.mode);
       carried.reset();
-      Tensor grad = attack_hinge_input_gradient(target, ycur, eval, lab,
-                                                cfg.kappa, w, cfg.mode);
-      rows.record_passes(stats, reused ? 1 : 2);  // (forward +) backward
+      Tensor grad = attack_hinge_input_gradient(target, x, eval, labels,
+                                                cfg.kappa, c, cfg.mode);
       if (aux) {
-        const Tensor ag = target.aux_input_grad(ycur, w);
+        const Tensor ag = target.aux_input_grad(x, c);
         for (std::size_t i = 0, m = grad.numel(); i < m; ++i) {
           grad[i] += ag[i];
         }
       }
-      // ISTA step x^(k+1) = S_beta(y - lr * (grad + 2*(y - x0))) (paper
+      // ISTA step x^(k+1) = S_beta(x - lr * (grad + 2*(x - x0))) (paper
       // eq. (4)) as ONE pass over the batch: the regularizer-gradient
       // add, the gradient step and shrink_project used to be three
       // separate sweeps — fused_ista_step does the identical arithmetic
       // in one (bitwise identical, see attacks/fused.hpp).
-      Tensor x_new;
-      fused_ista_step(ycur, grad, x0, lr, cfg.beta, x_new);
+      fused_ista_step(x, grad, images, lr, cfg.beta, x_new);
 
-      // Candidate bookkeeping on the new iterate under every rule. Under
-      // plain ISTA with an iteration to follow, the forward records the
-      // target's tapes (Mode::Eval) so that iteration can reuse it;
-      // otherwise it is forward-only (Mode::Infer skips the tape copies).
-      const bool carry = !cfg.use_fista && k + 1 < cfg.iterations;
+      // Candidate bookkeeping on the new iterate under every rule. With
+      // an iteration to follow, the forward records the target's tapes
+      // (Mode::Eval) so that iteration can reuse it; the last one is
+      // forward-only (Mode::Infer skips the tape copies).
+      const bool carry = k + 1 < cfg.iterations;
       HingeEval cand =
-          eval_attack_hinge(target, x_new, lab, cfg.kappa, cfg.mode,
+          eval_attack_hinge(target, x_new, labels, cfg.kappa, cfg.mode,
                             carry ? nn::Mode::Eval : nn::Mode::Infer);
-      rows.record_passes(stats, 1);
       // Detector-aware candidates only count when they also evade the
-      // detector bank (aux <= 0), and their early-abort objective tracks
-      // the penalized loss.
+      // detector bank (aux <= 0).
       std::vector<float> aux_cand;
       if (aux) aux_cand = target.aux_loss(x_new);
-      to_retire.clear();
-      for (std::size_t a = 0; a < na; ++a) {
-        const std::size_t g = idx[a];  // global batch row
-        const float* adv = x_new.data() + a * row;
-        const float* nat = images.data() + g * row;
-        const bool evades = !aux || aux_cand[a] <= 0.0f;
-        const bool succeeded =
-            attack_succeeded(cand.margin[a], cfg.kappa) && evades;
-        if (!succeeded && !plateau.enabled()) continue;
-        const RowDistortion dist = row_distortion(adv, nat, row);
-        if (succeeded) {
-          succeeded_this_step[g] = true;
-          for (std::size_t r = 0; r < nrules; ++r) {
-            const float d = rule_distance(rules[r], cfg.beta, dist);
-            if (d < best_dist[r][g]) {
-              best_dist[r][g] = d;
-              results[r].success[g] = true;
-              std::copy_n(adv, row,
-                          results[r].adversarial.data() + g * row);
-            }
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool evades = !aux || aux_cand[i] <= 0.0f;
+        if (!evades || !attack_succeeded(cand.margin[i], cfg.kappa)) continue;
+        succeeded_this_step[i] = true;
+        const float* adv = x_new.data() + i * row;
+        const RowDistortion dist =
+            row_distortion(adv, images.data() + i * row, row);
+        for (std::size_t r = 0; r < nrules; ++r) {
+          const float d = rule_distance(rules[r], cfg.beta, dist);
+          if (d < best_dist[r][i]) {
+            best_dist[r][i] = d;
+            results[r].success[i] = true;
+            std::copy_n(adv, row, results[r].adversarial.data() + i * row);
           }
-        }
-        if (plateau.enabled()) {
-          // Per-row objective: c*f(x) + elastic-net distortion (plus the
-          // c-weighted detector penalty on detector-aware targets).
-          const float penalty = aux ? aux_cand[a] : 0.0f;
-          const float obj =
-              c[g] * (cand.f[a] + penalty) +
-              rule_distance(DecisionRule::EN, cfg.beta, dist);
-          if (plateau.observe(g, obj)) to_retire.push_back(g);
         }
       }
 
-      // FISTA / ISTA iterate updates, written back to the full-size x and
-      // y.
-      const float zeta = static_cast<float>(k) / static_cast<float>(k + 3);
-      for (std::size_t a = 0; a < na; ++a) {
-        const std::size_t g = idx[a];
-        const float* pn = x_new.data() + a * row;
-        float* py = y.data() + g * row;
-        float* px = x.data() + g * row;
-        if (cfg.use_fista) {
-          // y^(k+1) = x^(k+1) + k/(k+3) * (x^(k+1) - x^(k)).
-          for (std::size_t d = 0; d < row; ++d) {
-            py[d] = pn[d];
-            py[d] += zeta * (pn[d] - px[d]);
-          }
-        } else {
-          std::copy_n(pn, row, py);
-        }
-        std::copy_n(pn, row, px);
-      }
-
-      // A retirement changes the next sub-batch's gather, so its gradient
-      // forward runs afresh.
-      if (carry && to_retire.empty()) carried = std::move(cand);
-      for (const std::size_t g : to_retire) {
-        rows.retire(g);
-        ++stats.rows_retired;
-      }
+      std::swap(x, x_new);
+      if (carry) carried = std::move(cand);
     }
 
     // Per-image binary search over c (standard C&W/EAD schedule).
@@ -254,7 +190,6 @@ std::vector<AttackResult> ead_attack_multi(
       }
     }
   }
-  stats.flush(cfg.metrics_name);
 
   for (std::size_t r = 0; r < nrules; ++r) {
     fill_distortions(results[r], images);

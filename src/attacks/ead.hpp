@@ -3,11 +3,11 @@
 //
 // Solves (paper eq. (1), untargeted form):
 //   min_x  c * f(x) + ||x - x0||_2^2 + beta * ||x - x0||_1   s.t. x in [0,1]^p
-// via ISTA iterations (eq. (4)) with the pixel-wise projected
-// shrinkage-thresholding operator S_beta (eq. (5)), an optional FISTA
-// momentum term (the reference implementation's default), per-image binary
+// via plain ISTA iterations (eq. (4)) with the pixel-wise projected
+// shrinkage-thresholding operator S_beta (eq. (5)), per-image binary
 // search over c, and the EN / L1 decision rules for selecting the final
-// adversarial example. C&W's L2 attack is the beta = 0 special case.
+// adversarial example. Every row runs the full iteration budget of every
+// search step. C&W's L2 attack is the beta = 0 special case.
 #pragma once
 
 #include <cstdint>
@@ -35,22 +35,9 @@ struct EadConfig {
   float initial_c = 1e-3f;  // paper: binary search starts from 0.001
   float learning_rate = 1e-2f;
   DecisionRule rule = DecisionRule::EN;
-  bool use_fista = false;   // plain ISTA per paper eq. (4); FISTA optional
   // Untargeted uses the paper's eq. (3) loss with `labels` = true labels;
   // Targeted uses eq. (2) with `labels` = desired target labels.
   HingeMode mode = HingeMode::Untargeted;
-
-  // --- active-set engine knobs (see attacks/engine.hpp) ---------------
-  // Early abort: retire a row inside a binary-search step once its
-  // objective c*f(x) + ||x-x0||_2^2 + beta*||x-x0||_1 has gone
-  // `abort_early_window` consecutive iterations without improving by more
-  // than abort_early_rel_tol * |best|. 0 disables (the default — results
-  // are then exactly the full-schedule optimization).
-  std::size_t abort_early_window = 0;
-  float abort_early_rel_tol = 1e-4f;
-  // Name under which engine/observability counters are recorded
-  // ("attack/<metrics_name>/..."). The C&W-L2 wrapper sets "cw-l2".
-  std::string metrics_name = "ead";
 };
 
 /// Runs batched EAD against `target` (logit outputs). In untargeted mode

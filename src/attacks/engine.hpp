@@ -1,23 +1,19 @@
 // Active-set attack engine: shared machinery that lets the iterative
-// attacks (EAD / C&W-L2 / I-FGSM / DeepFool) stop paying model passes for
-// batch rows that no longer need them.
+// attacks whose rows finish at different times (I-FGSM at a fixed point
+// of its sign step, DeepFool once a row is fooled) stop paying model
+// passes for batch rows that no longer need them. EAD and C&W-L2 run every
+// row for the full schedule and do not use it.
 //
-// Three cooperating pieces:
+// Two cooperating pieces:
 //   * ActiveSet — an index map of still-active rows. Every iteration the
 //     attacks gather the active rows into a dense sub-batch, run the model
-//     on it, and scatter the results back. Because every layer in this
-//     library is per-row independent (conv/GEMM accumulate each output
-//     element over a fixed reduction order that does not depend on the
-//     batch size), a row's forward/backward values are bitwise identical
-//     whether it is passed alone, in a compacted sub-batch, or in the full
-//     batch — so compaction is an observable no-op and there is no other
-//     path.
-//   * PlateauDetector — per-row early abort. A row is retired once its
-//     objective has failed to improve by more than rel_tol * |best| for
-//     `window` consecutive observations. Retirement freezes the row (its
-//     iterate stops updating and stops being considered for bookkeeping),
-//     so the retirement *schedule* is a pure function of the per-row
-//     objective series.
+//     on it, and write the results back through indices(). Because every
+//     layer in this library is per-row independent (conv/GEMM accumulate
+//     each output element over a fixed reduction order that does not
+//     depend on the batch size), a row's forward/backward values are
+//     bitwise identical whether it is passed alone, in a compacted
+//     sub-batch, or in the full batch — so compaction is an observable
+//     no-op and there is no other path.
 //   * EngineStats — counters flushed to adv::obs under
 //     "attack/<name>/rows_retired" and "attack/<name>/passes_saved"
 //     (row-passes avoided relative to running the same schedule on the
@@ -38,7 +34,7 @@ namespace adv::attacks {
 
 /// Counters one attack run accumulates and flushes to adv::obs.
 struct EngineStats {
-  std::size_t rows_retired = 0;  // early-abort retirements
+  std::size_t rows_retired = 0;  // rows removed from the active set
   std::size_t passes_saved = 0;  // row-passes avoided via compaction
 
   /// Adds the counters to "attack/<name>/rows_retired" and
@@ -70,9 +66,6 @@ class ActiveSet {
   /// Removes row i (no-op if already retired).
   void retire(std::size_t i);
 
-  /// Re-activates every row (new binary-search step).
-  void reset();
-
   /// Returns the batch the model should see: `full` itself while every
   /// row is active, else a gather of the active rows materialized into
   /// `storage`.
@@ -89,38 +82,9 @@ class ActiveSet {
   std::vector<std::size_t> indices_;
 };
 
-/// Per-row loss-plateau detector. window == 0 disables early abort:
-/// observe() then never reports a plateau.
-class PlateauDetector {
- public:
-  PlateauDetector(std::size_t n, std::size_t window, float rel_tol);
-
-  bool enabled() const { return window_ > 0; }
-
-  /// Feeds row i's objective for this iteration. Returns true when the
-  /// row has now gone `window` consecutive observations without improving
-  /// on its best value by more than rel_tol * |best| (i.e. it should be
-  /// retired).
-  bool observe(std::size_t i, float value);
-
-  /// Forgets all history (new binary-search step).
-  void reset();
-
- private:
-  std::size_t window_;
-  float rel_tol_;
-  std::vector<float> best_;
-  std::vector<std::uint32_t> stale_;
-};
-
 /// Copies rows `idx` of `batch` (leading dim = rows) into a dense
 /// [idx.size(), ...] tensor, preserving order.
 Tensor gather_rows(const Tensor& batch, const std::vector<std::size_t>& idx);
-
-/// Scatters the rows of `sub` back into `batch` at positions `idx`
-/// (inverse of gather_rows).
-void scatter_rows(const Tensor& sub, const std::vector<std::size_t>& idx,
-                  Tensor& batch);
 
 /// gather_rows for flat per-row metadata (labels, weights, ...).
 template <typename T>

@@ -1,11 +1,12 @@
 #include "attacks/fgsm.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "attacks/engine.hpp"
 #include "attacks/fused.hpp"
-#include "nn/loss.hpp"
+#include "nn/softmax.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace adv::attacks {
@@ -24,7 +25,6 @@ AttackResult fgsm_attack(AttackTarget& target, const Tensor& images,
   const float step = cfg.epsilon / static_cast<float>(cfg.iterations);
 
   Tensor x = images;
-  nn::SoftmaxCrossEntropy loss;
   ActiveSet rows(n);
   EngineStats stats;
   std::vector<std::size_t> to_retire;
@@ -37,29 +37,34 @@ AttackResult fgsm_attack(AttackTarget& target, const Tensor& images,
     const Tensor& xcur = rows.pick(x, x_g);
     const std::vector<int>& lab = rows.pick(labels, lab_g);
 
-    const Tensor logits = target.logits(xcur, nn::Mode::Eval);
-    loss.forward(logits, lab);
-    Tensor grad = target.input_grad(xcur, loss.backward());
+    // Cross-entropy ascent seed: each row's own softmax - onehot, not
+    // divided by the batch size, so a row's gradient is bitwise the same
+    // in any sub-batch and alone, even where a saturated softmax's tail
+    // is subnormal.
+    Tensor seed = nn::log_softmax_rows(target.logits(xcur, nn::Mode::Eval));
+    for (float& v : seed.values()) v = std::exp(v);
+    const std::size_t classes = seed.dim(1);
+    for (std::size_t a = 0; a < na; ++a) {
+      const auto t = static_cast<std::size_t>(lab[a]);
+      if (t >= classes) {
+        throw std::invalid_argument("fgsm_attack: label out of range");
+      }
+      seed[a * classes + t] -= 1.0f;
+    }
+    Tensor grad = target.input_grad(xcur, seed);
     rows.record_passes(stats, 2);  // forward + backward
 
     if (target.has_aux()) {
-      // Descend the detector penalty alongside the CE ascent. The CE seed
-      // is (softmax - onehot) / batch, so weighting the aux term by
-      // 1/batch keeps the two at the same per-row scale whatever the
-      // sub-batch size.
-      const float w = 1.0f / static_cast<float>(xcur.dim(0));
-      aux_w.assign(xcur.dim(0), w);
+      // Descend the detector penalty alongside the CE ascent, at the same
+      // per-row weight as the un-normalized CE seed.
+      aux_w.assign(na, 1.0f);
       const Tensor ag = target.aux_input_grad(xcur, aux_w);
       for (std::size_t i = 0, m = grad.numel(); i < m; ++i) grad[i] -= ag[i];
     }
 
-    // Sign step + eps-ball/[0,1] projection per active row. The CE seed is
-    // (softmax - onehot) / batch, so the sub-batch gradient differs from
-    // the full-batch one only by a positive per-row scale — the sign (and
-    // hence the update) is identical either way while the seed stays a
-    // normal float (a saturated softmax's subnormal tail can round
-    // differently at another batch size). A row left bitwise
-    // unchanged is at a fixed point of this deterministic map and retires.
+    // Sign step + eps-ball/[0,1] projection per active row. A row left
+    // bitwise unchanged is at a fixed point of this deterministic map and
+    // retires.
     to_retire.clear();
     for (std::size_t a = 0; a < na; ++a) {
       const std::size_t g = idx[a];

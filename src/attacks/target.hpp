@@ -38,7 +38,7 @@
 //
 // Oblivious slices: the oblivious attacks have no RNG and treat every
 // image on its own (per-row losses, per-image binary search over c,
-// per-row early abort), so an image's trajectory does not depend on the
+// per-row retirement), so an image's trajectory does not depend on the
 // batch it is crafted in. craft_oblivious_slices uses that to spread one
 // attack across the global ThreadPool: it cuts the images into min(T, N)
 // contiguous slices, crafts each on one pool chunk against its own

@@ -1,15 +1,19 @@
 // Active-set attack engine tests: every attack must craft each row of a
-// batch (on compacted sub-batches) exactly as it crafts that image alone,
-// under every threat model, early abort must never un-succeed a row,
-// plain ISTA's reuse of the candidate forward must be bitwise invisible
-// under every threat model, and the Workspace arena must hand out
-// correctly-sized (and, when requested, zeroed) buffers under concurrency.
+// batch exactly as it crafts that image alone, under every threat model
+// (I-FGSM and DeepFool on compacted sub-batches once rows retire; EAD and
+// C&W-L2 on the full batch throughout), plain ISTA's reuse of the
+// candidate forward must be bitwise invisible under every threat model,
+// and the Workspace arena must hand out correctly-sized (and, when
+// requested, zeroed) buffers under concurrency.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "attacks/attack.hpp"
@@ -26,6 +30,7 @@
 #include "nn/pool.hpp"
 #include "nn/sequential.hpp"
 #include "nn/structural.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "tensor/thread_pool.hpp"
 #include "tensor/workspace.hpp"
@@ -75,7 +80,7 @@ void expect_bitwise_equal(const AttackResult& a, const AttackResult& b) {
   EXPECT_EQ(a.linf, b.linf);
 }
 
-// --- ActiveSet / PlateauDetector units ------------------------------------
+// --- ActiveSet units -------------------------------------------------------
 
 TEST(ActiveSet, RetireKeepsIndicesSortedAndFlagsConsistent) {
   ActiveSet rows(5);
@@ -89,8 +94,6 @@ TEST(ActiveSet, RetireKeepsIndicesSortedAndFlagsConsistent) {
   rows.retire(2);
   rows.retire(4);
   EXPECT_TRUE(rows.none_active());
-  rows.reset();
-  EXPECT_TRUE(rows.all_active());
 }
 
 TEST(ActiveSet, PickGathersOnlyOnceARowRetires) {
@@ -118,76 +121,14 @@ TEST(ActiveSet, PickGathersOnlyOnceARowRetires) {
   EXPECT_EQ(stats.passes_saved, 2u);
 }
 
-TEST(PlateauDetector, RetiresAfterWindowStaleObservations) {
-  PlateauDetector det(1, /*window=*/3, /*rel_tol=*/1e-3f);
-  EXPECT_FALSE(det.observe(0, 10.0f));  // first value always improves
-  EXPECT_FALSE(det.observe(0, 5.0f));   // improvement resets
-  EXPECT_FALSE(det.observe(0, 5.0f));   // stale 1
-  EXPECT_FALSE(det.observe(0, 4.9999f));  // within rel_tol: stale 2
-  EXPECT_TRUE(det.observe(0, 5.0f));    // stale 3 -> plateau
-  det.reset();
-  EXPECT_FALSE(det.observe(0, 5.0f));
-}
-
-TEST(PlateauDetector, WindowZeroNeverRetires) {
-  PlateauDetector det(1, 0, 1e-3f);
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(det.observe(0, 1.0f));
-}
-
 TEST(GatherScatter, RoundTripsRowsInOrder) {
-  Tensor batch = Tensor::from_data(Shape({4, 2}),
-                                   {0, 1, 10, 11, 20, 21, 30, 31});
+  const Tensor batch = Tensor::from_data(Shape({4, 2}),
+                                         {0, 1, 10, 11, 20, 21, 30, 31});
   const std::vector<std::size_t> idx{1, 3};
   const Tensor sub = gather_rows(batch, idx);
   ASSERT_EQ(sub.shape(), Shape({2, 2}));
   EXPECT_FLOAT_EQ(sub[0], 10.0f);
   EXPECT_FLOAT_EQ(sub[3], 31.0f);
-  Tensor modified = sub;
-  modified[0] = -1.0f;
-  modified[3] = -2.0f;
-  scatter_rows(modified, idx, batch);
-  EXPECT_FLOAT_EQ(batch[2], -1.0f);   // row 1 updated
-  EXPECT_FLOAT_EQ(batch[7], -2.0f);   // row 3 updated
-  EXPECT_FLOAT_EQ(batch[0], 0.0f);    // row 0 untouched
-}
-
-// --- early abort ----------------------------------------------------------
-
-TEST(EarlyAbort, NeverFlipsASuccessToFailure) {
-  EadConfig cfg;
-  cfg.beta = 0.01f;
-  cfg.kappa = 0.5f;
-  cfg.iterations = 80;
-  cfg.binary_search_steps = 3;
-  cfg.initial_c = 0.5f;
-
-  nn::Sequential m1 = conv_classifier(47);
-  nn::Sequential m2 = conv_classifier(47);
-  auto [x, labels] = labeled_batch(m1, 48, 6);
-
-  cfg.abort_early_window = 0;
-  const AttackResult full = ead_attack(m1, x, labels, cfg);
-  cfg.abort_early_window = 3;
-  cfg.abort_early_rel_tol = 1e-3f;
-  const AttackResult aborted = ead_attack(m2, x, labels, cfg);
-
-  // The aborted run visits a prefix of the full run's iterates per row, so
-  // any success it reports was also reported by the full run.
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (aborted.success[i]) {
-      EXPECT_TRUE(full.success[i]) << "row " << i;
-    }
-  }
-}
-
-TEST(EarlyAbort, AbortKnobsChangeTheCacheTag) {
-  // Abort changes results, so it must be part of the cache identity.
-  EadConfig a;
-  EadConfig b = a;
-  b.abort_early_window = 5;
-  // Tags come from the adapter layer.
-  // (Constructed inline to keep this test free of the registry.)
-  EXPECT_NE(EadAttack(a).tag(), EadAttack(b).tag());
 }
 
 // --- ead_attack vs ead_attack_multi (single-rule extraction) --------------
@@ -255,10 +196,12 @@ class CountingTarget final : public AttackTarget {
   Tensor logits(const Tensor& batch, nn::Mode mode) override {
     ++(mode == nn::Mode::Eval ? evals : infers);
     min_rows = std::min(min_rows, batch.dim(0));
+    rows += batch.dim(0);
     return inner_.logits(batch, mode);
   }
   Tensor input_grad(const Tensor& batch, const Tensor& upstream) override {
     ++backwards;
+    rows += batch.dim(0);
     return inner_.input_grad(batch, upstream);
   }
   bool has_aux() const override { return inner_.has_aux(); }
@@ -275,6 +218,12 @@ class CountingTarget final : public AttackTarget {
   std::size_t evals = 0, infers = 0, backwards = 0;
   std::size_t aux_rows_over = 0;  // aux_loss rows over a detector threshold
   std::size_t min_rows = static_cast<std::size_t>(-1);
+  std::size_t rows = 0;  // batch rows over every forward and backward
+
+  /// Row-passes left out of the passes relative to an `n`-row batch.
+  std::size_t skipped(std::size_t n) const {
+    return (evals + infers + backwards) * n - rows;
+  }
 
  private:
   AttackTarget& inner_;
@@ -344,25 +293,37 @@ Defense pass_through_defense() {
 using Craft = std::function<AttackResult(AttackTarget&, const Tensor&,
                                          const std::vector<int>&)>;
 
-/// Crafts `x` as one batch and each image alone, under every threat model.
-/// Every attack treats its images independently and every layer is per-row
-/// independent, so the batch's row i — crafted on compacted sub-batches
-/// once rows retire — must equal image i crafted alone (a one-row batch
-/// never gathers) bit for bit. Each case must really have gathered
-/// sub-batches and made at least one row succeed, and the detector-aware
-/// case must have met an active detector penalty, else it shows nothing.
-void expect_batched_equals_per_image(const Defense& def, const Tensor& x,
-                                     const std::vector<int>& labels,
-                                     const Craft& craft) {
+/// Whether an attack's model passes shrink to sub-batches as rows retire
+/// (I-FGSM, DeepFool) or always see the full batch (EAD, C&W-L2).
+enum class Passes { Gathered, FullBatch };
+
+constexpr ThreatModel kAllThreatModels[] = {
+    ThreatModel::Oblivious, ThreatModel::GrayBox, ThreatModel::DetectorAware};
+
+/// Crafts `x` as one batch and each image alone, under each threat model
+/// in `tms`. Every attack treats its images independently and every layer
+/// is per-row independent, so the batch's row i — crafted on compacted
+/// sub-batches once rows retire — must equal image i crafted alone (a
+/// one-row batch never gathers) bit for bit. Each case must have taken
+/// the `passes` path and made at least one row succeed, and the
+/// detector-aware case must have met an active detector penalty, else it
+/// shows nothing.
+void expect_batched_equals_per_image(
+    const Defense& def, const Tensor& x, const std::vector<int>& labels,
+    const Craft& craft, Passes passes,
+    std::span<const ThreatModel> tms = kAllThreatModels) {
   const std::size_t n = x.dim(0);
   const std::size_t row = x.numel() / n;
-  for (const ThreatModel tm : {ThreatModel::Oblivious, ThreatModel::GrayBox,
-                               ThreatModel::DetectorAware}) {
+  for (const ThreatModel tm : tms) {
     SCOPED_TRACE(to_string(tm));
     const std::unique_ptr<AttackTarget> bare = def.target(tm);
     CountingTarget counted(*bare);
     const AttackResult batched = craft(counted, x, labels);
-    EXPECT_LT(counted.min_rows, n);
+    if (passes == Passes::Gathered) {
+      EXPECT_LT(counted.min_rows, n);
+    } else {
+      EXPECT_EQ(counted.min_rows, n);
+    }
     EXPECT_GT(batched.success_count(), 0u);
     if (tm == ThreatModel::DetectorAware) {
       EXPECT_GT(counted.aux_rows_over, 0u);
@@ -391,17 +352,14 @@ TEST(BatchedEqualsPerImage, Ead) {
   cfg.iterations = 60;
   cfg.binary_search_steps = 3;
   cfg.initial_c = 0.5f;
-  cfg.use_fista = true;
-  // Early abort on so rows retire and later passes gather sub-batches.
-  cfg.abort_early_window = 4;
-  cfg.abort_early_rel_tol = 1e-3f;
   const Defense def = pass_through_defense();
   auto [x, labels] = labeled_batch(*def.clf, 8, 6);
   expect_batched_equals_per_image(
       def, x, labels,
       [&](AttackTarget& t, const Tensor& b, const std::vector<int>& y) {
         return ead_attack(t, b, y, cfg);
-      });
+      },
+      Passes::FullBatch);
 }
 
 TEST(BatchedEqualsPerImage, CwL2) {
@@ -410,40 +368,80 @@ TEST(BatchedEqualsPerImage, CwL2) {
   cfg.iterations = 50;
   cfg.binary_search_steps = 3;
   cfg.initial_c = 0.5f;
-  cfg.abort_early_window = 4;
-  cfg.abort_early_rel_tol = 1e-3f;
   const Defense def = pass_through_defense();
   auto [x, labels] = labeled_batch(*def.clf, 18, 6);
   expect_batched_equals_per_image(
       def, x, labels,
       [&](AttackTarget& t, const Tensor& b, const std::vector<int>& y) {
         return cw_l2_attack(t, b, y, cfg);
-      });
+      },
+      Passes::FullBatch);
 }
 
-TEST(BatchedEqualsPerImage, Ifgsm) {
-  FgsmConfig cfg;
-  cfg.epsilon = 0.2f;
-  cfg.iterations = 12;
-  // I-FGSM retires a row only at a fixed point of its sign step. Lowering
-  // the classifier's first-layer bias and dimming two images to 5% makes
-  // every first-layer ReLU dead on them: their cross-entropy gradient is
-  // exactly zero, so they stop moving and retire.
-  Defense def = pass_through_defense();
-  Tensor& bias = *def.clf->parameters()[1];
-  for (std::size_t c = 0; c < bias.numel(); ++c) bias[c] -= 0.3f;
-  auto [x, labels] = labeled_batch(*def.clf, 28, 8);
-  const std::size_t row = x.numel() / x.dim(0);
-  for (std::size_t j = 0; j < 2 * row; ++j) x[j] *= 0.05f;
-  const Tensor logits = def.clf->forward(x, nn::Mode::Infer);
-  for (std::size_t i = 0; i < 2; ++i) {
-    labels[i] = static_cast<int>(argmax_row(logits, i));
-  }
+TEST(BatchedEqualsPerImage, TargetedEad) {
+  EadConfig cfg;
+  cfg.beta = 0.01f;
+  cfg.kappa = 0.5f;
+  cfg.iterations = 60;
+  cfg.binary_search_steps = 3;
+  cfg.initial_c = 0.5f;
+  cfg.mode = HingeMode::Targeted;
+  const Defense def = pass_through_defense();
+  auto [x, targets] = labeled_batch(*def.clf, 48, 6);
+  for (int& t : targets) t = (t + 1) % 4;  // any class but the predicted
   expect_batched_equals_per_image(
-      def, x, labels,
+      def, x, targets,
       [&](AttackTarget& t, const Tensor& b, const std::vector<int>& y) {
-        return fgsm_attack(t, b, y, cfg);
-      });
+        return ead_attack(t, b, y, cfg);
+      },
+      Passes::FullBatch);
+}
+
+/// An I-FGSM case in which rows retire. I-FGSM retires a row only at a
+/// fixed point of its sign step. Lowering the classifier's first-layer
+/// bias and dimming two images to 5% makes every first-layer ReLU dead on
+/// them: their cross-entropy gradient is exactly zero, so they stop
+/// moving and retire.
+struct RetiringIfgsm {
+  Defense def = pass_through_defense();
+  Tensor x;
+  std::vector<int> labels;
+  FgsmConfig cfg{.epsilon = 0.2f, .iterations = 12};
+
+  RetiringIfgsm() {
+    Tensor& bias = *def.clf->parameters()[1];
+    for (std::size_t c = 0; c < bias.numel(); ++c) bias[c] -= 0.3f;
+    std::tie(x, labels) = labeled_batch(*def.clf, 28, 8);
+    const std::size_t row = x.numel() / x.dim(0);
+    for (std::size_t j = 0; j < 2 * row; ++j) x[j] *= 0.05f;
+    const Tensor logits = def.clf->forward(x, nn::Mode::Infer);
+    for (std::size_t i = 0; i < 2; ++i) {
+      labels[i] = static_cast<int>(argmax_row(logits, i));
+    }
+  }
+};
+
+TEST(BatchedEqualsPerImage, Ifgsm) {
+  const RetiringIfgsm c;
+  const FgsmConfig& cfg = c.cfg;
+  const Craft craft = [&](AttackTarget& t, const Tensor& b,
+                          const std::vector<int>& y) {
+    return fgsm_attack(t, b, y, cfg);
+  };
+  expect_batched_equals_per_image(c.def, c.x, c.labels, craft,
+                                  Passes::Gathered);
+
+  // Saturated softmax: with the head scaled 50x the off-label
+  // probabilities are subnormal or zero, where a cross-entropy seed
+  // divided by the batch size rounds differently in a batch than alone.
+  // Each row's own un-normalized seed keeps the sign step batch-invariant.
+  SCOPED_TRACE("saturated head");
+  Defense sat = pass_through_defense();
+  scale_inplace(*sat.clf->parameters()[4], 50.0f);
+  auto [xs, ys] = labeled_batch(*sat.clf, 8, 8);
+  const ThreatModel gray_box[] = {ThreatModel::GrayBox};
+  expect_batched_equals_per_image(sat, xs, ys, craft, Passes::Gathered,
+                                  gray_box);
 }
 
 TEST(BatchedEqualsPerImage, DeepFool) {
@@ -455,7 +453,86 @@ TEST(BatchedEqualsPerImage, DeepFool) {
       def, x, labels,
       [&](AttackTarget& t, const Tensor& b, const std::vector<int>& y) {
         return deepfool_attack(t, b, y, cfg);
-      });
+      },
+      Passes::Gathered);
+}
+
+// --- engine counters --------------------------------------------------------
+
+/// Turns adv::obs on for one test and restores it after.
+class ObsOn {
+ public:
+  ObsOn() : was_(obs::enabled()) { obs::set_enabled(true); }
+  ~ObsOn() { obs::set_enabled(was_); }
+  ObsOn(const ObsOn&) = delete;
+  ObsOn& operator=(const ObsOn&) = delete;
+
+ private:
+  bool was_;
+};
+
+std::uint64_t counter(const std::string& key) {
+  return obs::MetricsRegistry::global().counter(key).value();
+}
+
+TEST(EngineStats, PassesSavedCountsRowsTheTargetSkipped) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  const ObsOn on;
+  if (!obs::enabled()) GTEST_SKIP() << "ADV_OBS pinned off";
+  const RetiringIfgsm ifgsm;
+  const Defense deepfool_def = pass_through_defense();
+  auto [x, labels] = labeled_batch(*deepfool_def.clf, 38, 8);
+  const DeepFoolConfig deepfool{.max_iterations = 25};
+  struct Run {
+    const char* name;
+    const Defense& def;
+    std::size_t n;
+    std::function<void(AttackTarget&)> craft;
+  } runs[] = {
+      {"ifgsm", ifgsm.def, ifgsm.x.dim(0),
+       [&](AttackTarget& t) {
+         fgsm_attack(t, ifgsm.x, ifgsm.labels, ifgsm.cfg);
+       }},
+      {"deepfool", deepfool_def, x.dim(0),
+       [&](AttackTarget& t) { deepfool_attack(t, x, labels, deepfool); }},
+  };
+  for (const Run& run : runs) {
+    SCOPED_TRACE(run.name);
+    const std::string prefix = std::string("attack/") + run.name + "/";
+    const std::uint64_t saved0 = counter(prefix + "passes_saved");
+    const std::uint64_t retired0 = counter(prefix + "rows_retired");
+    const std::unique_ptr<AttackTarget> bare =
+        run.def.target(ThreatModel::Oblivious);
+    CountingTarget counted(*bare);
+    run.craft(counted);
+    EXPECT_GT(counted.skipped(run.n), 0u);
+    EXPECT_EQ(counter(prefix + "passes_saved") - saved0,
+              counted.skipped(run.n));
+    EXPECT_GT(counter(prefix + "rows_retired") - retired0, 0u);
+  }
+}
+
+TEST(EngineStats, EadAndCwL2RecordNoEngineCounters) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  const ObsOn on;
+  if (!obs::enabled()) GTEST_SKIP() << "ADV_OBS pinned off";
+  // They run every row for the full schedule: nothing retires, so there
+  // is nothing to count.
+  nn::Sequential m = conv_classifier(47);
+  auto [x, labels] = labeled_batch(m, 48, 4);
+  const EadConfig ead{.kappa = 0.5f, .iterations = 10,
+                      .binary_search_steps = 2, .initial_c = 0.5f};
+  ead_attack(m, x, labels, ead);
+  const CwL2Config cw{.kappa = 0.5f, .iterations = 10,
+                      .binary_search_steps = 2, .initial_c = 0.5f};
+  cw_l2_attack(m, x, labels, cw);
+  for (const std::string prefix : {"attack/ead/", "attack/cw-l2/"}) {
+    for (const auto& sample :
+         obs::MetricsRegistry::global().snapshot(prefix)) {
+      EXPECT_NE(sample.key, prefix + "rows_retired");
+      EXPECT_NE(sample.key, prefix + "passes_saved");
+    }
+  }
 }
 
 // --- forward reuse (plain ISTA) --------------------------------------------
@@ -463,28 +540,21 @@ TEST(BatchedEqualsPerImage, DeepFool) {
 struct ReuseCase {
   const char* name;
   ThreatModel tm;
-  std::size_t abort_window;  // 0: no early abort
-  bool fista;
 };
 
 constexpr ReuseCase kReuseCases[] = {
-    {"ista", ThreatModel::Oblivious, 0, false},
-    {"ista abort", ThreatModel::Oblivious, 3, false},
-    {"fista abort", ThreatModel::Oblivious, 3, true},
-    {"gray-box abort", ThreatModel::GrayBox, 3, false},
-    {"detector-aware abort", ThreatModel::DetectorAware, 3, false},
+    {"oblivious", ThreatModel::Oblivious},
+    {"gray-box", ThreatModel::GrayBox},
+    {"detector-aware", ThreatModel::DetectorAware},
 };
 
-EadConfig reuse_config(const ReuseCase& rc) {
+EadConfig reuse_config() {
   EadConfig cfg;
   cfg.beta = 0.01f;
   cfg.kappa = 1.0f;
   cfg.iterations = 30;
   cfg.binary_search_steps = 3;
   cfg.initial_c = 0.5f;
-  cfg.use_fista = rc.fista;
-  cfg.abort_early_window = rc.abort_window;
-  cfg.abort_early_rel_tol = 1e-3f;
   return cfg;
 }
 
@@ -496,19 +566,14 @@ using CraftEad = std::function<AttackResult(
 void expect_reuse_invisible(const CraftEad& craft) {
   const Defense def;
   auto [x, labels] = labeled_batch(*def.clf, 89, 6);
+  const EadConfig cfg = reuse_config();
   for (const ReuseCase& rc : kReuseCases) {
     SCOPED_TRACE(rc.name);
-    const EadConfig cfg = reuse_config(rc);
     const std::unique_ptr<AttackTarget> bare = def.target(rc.tm);
-    CountingTarget counted(*bare);
-    const AttackResult reused = craft(counted, x, labels, cfg);
+    const AttackResult reused = craft(*bare, x, labels, cfg);
     const std::unique_ptr<AttackTarget> inner = def.target(rc.tm);
     FreshTapeTarget fresh(*inner);
     expect_bitwise_equal(reused, craft(fresh, x, labels, cfg));
-    if (rc.abort_window > 0) {
-      // Rows retired mid-step, so compacted sub-batches were gathered.
-      EXPECT_LT(counted.min_rows, x.dim(0));
-    }
   }
 }
 
@@ -527,8 +592,6 @@ TEST(ForwardReuse, CwL2BitwiseEqualToFreshForwards) {
     cw.iterations = cfg.iterations;
     cw.binary_search_steps = cfg.binary_search_steps;
     cw.initial_c = cfg.initial_c;
-    cw.abort_early_window = cfg.abort_early_window;
-    cw.abort_early_rel_tol = cfg.abort_early_rel_tol;
     return cw_l2_attack(t, x, y, cw);
   });
 }
@@ -536,26 +599,19 @@ TEST(ForwardReuse, CwL2BitwiseEqualToFreshForwards) {
 TEST(ForwardReuse, IstaRunsIterationsPlusOneForwardsPerStep) {
   const Defense def;
   auto [x, labels] = labeled_batch(*def.clf, 90, 5);
-  for (const bool fista : {false, true}) {
-    SCOPED_TRACE(fista ? "fista" : "ista");
-    EadConfig cfg = reuse_config(
-        {"", ThreatModel::Oblivious, /*abort_window=*/0, fista});
-    const std::unique_ptr<AttackTarget> bare =
-        def.target(ThreatModel::Oblivious);
+  const EadConfig cfg = reuse_config();
+  const std::size_t steps = cfg.binary_search_steps;
+  const std::size_t iters = cfg.iterations;
+  for (const ReuseCase& rc : kReuseCases) {
+    SCOPED_TRACE(rc.name);
+    const std::unique_ptr<AttackTarget> bare = def.target(rc.tm);
     CountingTarget counted(*bare);
     ead_attack(counted, x, labels, cfg);
-    const std::size_t steps = cfg.binary_search_steps;
-    const std::size_t iters = cfg.iterations;
     EXPECT_EQ(counted.backwards, steps * iters);
-    if (fista) {
-      // y != x: every iteration runs its own gradient forward.
-      EXPECT_EQ(counted.evals + counted.infers, steps * 2 * iters);
-    } else {
-      // One gradient forward per step, then each candidate forward is the
-      // next iteration's gradient forward; the last one stays Infer.
-      EXPECT_EQ(counted.evals + counted.infers, steps * (iters + 1));
-      EXPECT_EQ(counted.infers, steps);
-    }
+    // One gradient forward per step, then each candidate forward is the
+    // next iteration's gradient forward; the last one stays Infer.
+    EXPECT_EQ(counted.evals + counted.infers, steps * (iters + 1));
+    EXPECT_EQ(counted.infers, steps);
   }
 }
 

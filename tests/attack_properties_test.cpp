@@ -304,7 +304,6 @@ TEST_P(AttackProperties, BetaZeroEadReducesToCwL2) {
   ead.initial_c = cw.initial_c;
   ead.learning_rate = cw.learning_rate;
   ead.rule = DecisionRule::L2;
-  ead.use_fista = false;
   const AttackResult re = ead_attack(m, x, labels, ead);
 
   ASSERT_EQ(rc.success, re.success);

@@ -174,6 +174,17 @@ TEST(AttackRegistry, TagsDistinguishConfigurations) {
   EXPECT_EQ(a->tag(), make_attack("ead", {.kappa = 1.0f})->tag());
 }
 
+TEST(AttackRegistry, DefaultTagsArePinned) {
+  // Cached attack artifacts (atk_*.bin) are keyed on these strings: a
+  // changed default tag silently orphans every cache built before it.
+  EXPECT_EQ(make_attack("ead")->tag(),
+            "ead_b0.01_k0_EN_i1000_s9_c0.001_lr0.01");
+  EXPECT_EQ(make_attack("cw-l2")->tag(), "cw_k0_i1000_s9_c0.001_lr0.01");
+  EXPECT_EQ(make_attack("fgsm")->tag(), "fgsm_e0.1_i1");
+  EXPECT_EQ(make_attack("ifgsm")->tag(), "ifgsm_e0.1_i10");
+  EXPECT_EQ(make_attack("deepfool")->tag(), "deepfool_i30_o0.02");
+}
+
 TEST(AttackRegistry, OutOfTreeAttackCanRegister) {
   // A throwaway attack under a unique name: registry extension point.
   class NullAttack final : public Attack {

@@ -490,6 +490,8 @@ TEST(Fgsm, ValidatesInputs) {
   cfg.iterations = 1;
   EXPECT_THROW(fgsm_attack(m, class0_image(), {0, 1}, cfg),
                std::invalid_argument);
+  EXPECT_THROW(fgsm_attack(m, class0_image(), {7}, cfg),
+               std::invalid_argument);
 }
 
 // --- DeepFool -------------------------------------------------------------------

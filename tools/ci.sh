@@ -48,9 +48,10 @@ echo "== micro benchmarks (metrics emission and gates) =="
 # BENCH_layers.json on exit. It also holds the A/B gates and exits
 # non-zero with a FAIL: line when one fails: direct conv bitwise-identical
 # to im2col on every benched shape, the MagNet 3x3 "same" forwards at
-# least 2x faster than im2col, and the active-set attack engine's EAD run
-# skipping exactly 8970 row-passes (its retirement schedule, counted by a
-# forwarding target, so it holds with ADV_OBS=0 too).
+# least 2x faster than im2col, and the active-set attack engine's DeepFool
+# run skipping exactly 2814 row-passes (its retirement schedule of fooled
+# rows, counted by a forwarding target, so it holds with ADV_OBS=0 too).
+# The timed EAD run next to it (plain ISTA, kappa = 15) has no gate.
 fail=0
 (cd "$build_dir" &&
  ./bench/micro_benchmarks --benchmark_filter='BM_Gemm/256' \
