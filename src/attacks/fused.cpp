@@ -15,36 +15,37 @@ void fused_ista_step(const Tensor& y, const Tensor& grad, const Tensor& x0,
   const float* pg = grad.data();
   const float* p0 = x0.data();
   float* po = out.data();
-  for (std::size_t i = 0, n = y.numel(); i < n; ++i) {
+  for (std::size_t i = 0, n = y.numel(); i < n; ++i) {  // ci:vectorized
     // Keeping each intermediate in a named float reproduces the rounding
     // of the former store-to-memory passes exactly (no excess precision).
-    const float g = pg[i] + 2.0f * (py[i] - p0[i]);
+    // Both shrinkage arms are computed unconditionally and picked by a
+    // select over values (DESIGN.md §6), so the loop has no branch.
+    const float x0i = p0[i];
+    const float g = pg[i] + 2.0f * (py[i] - x0i);
     const float z = py[i] + (-lr) * g;
-    const float diff = z - p0[i];
-    if (diff > beta) {
-      po[i] = std::min(z - beta, 1.0f);
-    } else if (diff < -beta) {
-      po[i] = std::max(z + beta, 0.0f);
-    } else {
-      po[i] = p0[i];
-    }
+    const float diff = z - x0i;
+    const float up = std::min(z - beta, 1.0f);
+    const float dn = std::max(z + beta, 0.0f);
+    po[i] = diff > beta ? up : (diff < -beta ? dn : x0i);
   }
 }
 
 bool fused_sign_step(float* x, const float* grad, const float* x0,
                      std::size_t row, float step, float epsilon) {
-  bool moved = false;
-  for (std::size_t d = 0; d < row; ++d) {
-    float v = x[d] + step * (grad[d] > 0.0f ? 1.0f
-                             : grad[d] < 0.0f ? -1.0f
-                                              : 0.0f);
+  int moved = 0;
+  for (std::size_t d = 0; d < row; ++d) {  // ci:vectorized
+    // sign(g) as a difference of two selects: +0 for a zero or NaN g.
+    const float g = grad[d];
+    const float s = (g > 0.0f ? 1.0f : 0.0f) - (g < 0.0f ? 1.0f : 0.0f);
+    const float xd = x[d];
+    float v = xd + step * s;
     // Project back into the eps-ball around x0, then into [0,1].
     v = std::clamp(v, x0[d] - epsilon, x0[d] + epsilon);
     v = std::clamp(v, 0.0f, 1.0f);
-    if (v != x[d]) moved = true;
+    moved |= v != xd;
     x[d] = v;
   }
-  return moved;
+  return moved != 0;
 }
 
 }  // namespace adv::attacks

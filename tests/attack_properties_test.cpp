@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "attacks/cw.hpp"
 #include "attacks/ead.hpp"
@@ -145,19 +148,10 @@ TEST_P(AttackProperties, ShrinkageIsContractionTowardNatural) {
   }
 }
 
-TEST_P(AttackProperties, FusedIstaStepMatchesSeparateSweepsBitwise) {
-  // fused_ista_step must reproduce the former three-sweep update —
-  // regularizer-gradient add, axpy gradient step, shrink_project — bit
-  // for bit (the attacks/fused.hpp contract EAD's identity gates assume).
-  Rng rng(GetParam() + 71);
-  const float lr = 0.013f;
-  const float beta = 0.04f;
-  Tensor y({3, 17}), grad({3, 17}), x0({3, 17});
-  fill_uniform(y, rng, -0.3f, 1.3f);
-  fill_uniform(grad, rng, -2.0f, 2.0f);
-  fill_uniform(x0, rng, 0.0f, 1.0f);
-
-  // Reference: the literal former code path, one sweep per pass.
+/// fused_ista_step against the literal former code path, one sweep per
+/// pass: regularizer-gradient add, axpy gradient step, shrink_project.
+void expect_ista_step_matches_sweeps(const Tensor& y, const Tensor& grad,
+                                     const Tensor& x0, float lr, float beta) {
   Tensor g2 = grad;
   for (std::size_t i = 0; i < g2.numel(); ++i) {
     g2[i] += 2.0f * (y[i] - x0[i]);
@@ -171,7 +165,53 @@ TEST_P(AttackProperties, FusedIstaStepMatchesSeparateSweepsBitwise) {
   fused_ista_step(y, grad, x0, lr, beta, got);
   ASSERT_EQ(got.numel(), want.numel());
   EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
-                           want.numel() * sizeof(float)));
+                           want.numel() * sizeof(float)))
+      << "lr " << lr << ", beta " << beta << ", length " << y.numel();
+}
+
+TEST_P(AttackProperties, FusedIstaStepMatchesSeparateSweepsBitwise) {
+  // fused_ista_step must reproduce the former three-sweep update bit for
+  // bit (the attacks/fused.hpp contract EAD's identity gates assume),
+  // edge cases included: it picks between the shrinkage arms with a
+  // select, not a branch.
+  Rng rng(GetParam() + 71);
+  Tensor y({3, 17}), grad({3, 17}), x0({3, 17});
+  fill_uniform(y, rng, -0.3f, 1.3f);
+  fill_uniform(grad, rng, -2.0f, 2.0f);
+  fill_uniform(x0, rng, 0.0f, 1.0f);
+  expect_ista_step_matches_sweeps(y, grad, x0, 0.013f, 0.04f);
+  expect_ista_step_matches_sweeps(y, grad, x0, 0.013f, 0.0f);  // C&W
+
+  // Every (y, grad, x0) triple of a grid with ±0 in all three, NaN and
+  // ±inf in grad, and y and large gradients that put z outside [0, 1].
+  // 9 * 10 * 5 = 450 elements, not a multiple of 16: the vector tail runs.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> ys = {0.0f,  -0.0f, 0.25f, 0.5f, 0.75f,
+                                 1.0f,  0.3f,  -0.4f, 1.6f};
+  const std::vector<float> gs = {0.0f,  -0.0f, 0.7f, -3.0f, 40.0f,
+                                 -40.0f, nan,  -nan, inf,   -inf};
+  const std::vector<float> x0s = {0.0f, -0.0f, 0.25f, 0.5f, 1.0f};
+  const std::size_t n = ys.size() * gs.size() * x0s.size();
+  Tensor gy({n}), gg({n}), gx0({n});
+  std::size_t k = 0;
+  for (const float a : ys) {
+    for (const float b : gs) {
+      for (const float c : x0s) {
+        gy[k] = a;
+        gg[k] = b;
+        gx0[k] = c;
+        ++k;
+      }
+    }
+  }
+  // lr = 0 keeps z = y for a finite gradient, so with beta = 0.25 the
+  // grid holds diff = z - x0 at exactly +beta and -beta (0.75 - 0.5,
+  // 0.25 - 0.5, ...), and with beta = 0 at exactly 0.
+  for (const auto& [lr, beta] : {std::pair{0.013f, 0.04f}, {0.013f, 0.0f},
+                                 {0.0f, 0.25f}, {0.0f, 0.0f}, {0.5f, 0.1f}}) {
+    expect_ista_step_matches_sweeps(gy, gg, gx0, lr, beta);
+  }
 }
 
 TEST_P(AttackProperties, FusedSignStepMatchesSeparateSweepsBitwise) {
@@ -185,6 +225,11 @@ TEST_P(AttackProperties, FusedSignStepMatchesSeparateSweepsBitwise) {
   fill_uniform(x0, rng, 0.0f, 1.0f);
   fill_uniform(grad, rng, -1.0f, 1.0f);
   grad[3] = 0.0f;  // exercise the zero-gradient (no-step) branch
+  grad[7] = -0.0f;
+  grad[11] = std::numeric_limits<float>::quiet_NaN();  // sign(NaN) = 0
+  grad[12] = -std::numeric_limits<float>::quiet_NaN();
+  x0[5] = 0.0f;  // on the box edge: the eps-ball crosses it
+  x0[6] = 1.0f;
   Tensor xa = x0;
   Tensor xb = x0;
   for (int k = 0; k < 10; ++k) {

@@ -203,6 +203,22 @@ TEST(LeakyReLUTest, BackwardMatchesScalarReferenceBitwise) {
   expect_bitwise_equal(lrelu.backward(gin, saved), want, "LeakyReLU backward");
 }
 
+TEST(LeakyReLUTest, ForwardMatchesScalarReferenceBitwise) {
+  // The forward blends x * slope and x as integer masks; every special
+  // value must come out as the plain ternary computes it, at every
+  // special slope too (NaN, ±0, ±inf and denormal products).
+  const Tensor x = special_pairs().first;
+  for (const float slope : special_values()) {
+    LeakyReLU lrelu(slope);
+    Tensor want(x.shape());
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+      want[i] = x[i] < 0.0f ? x[i] * slope : x[i];
+    }
+    expect_bitwise_equal(lrelu.forward(x, nn::Mode::Eval), want,
+                         "LeakyReLU forward");
+  }
+}
+
 TEST(SigmoidTest, MapsToUnitInterval) {
   Sigmoid sig;
   Tensor x = Tensor::from_data(Shape({3}), {-10.0f, 0.0f, 10.0f});

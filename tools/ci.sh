@@ -13,6 +13,10 @@
 # engine's gathered sub-batches, the thread pool and the GEMM and
 # direct-conv microkernels (<build-dir>-asan).
 #
+# A vectorization stage fails unless GCC reports every loop marked
+# `// ci:vectorized` as vectorized: a loop that falls back to a branch
+# per element computes the same bits, so no identity gate sees it.
+#
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 # Env:   ADV_OBS=0 pins the instrumentation off (overhead A/B runs);
 #        JOBS=N overrides the parallelism (default: nproc).
@@ -25,13 +29,57 @@ jobs="${JOBS:-$(nproc)}"
 cd "$repo_root"
 
 echo "== configure ($build_dir) =="
-cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release
+cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 
 echo "== build (-j$jobs) =="
 cmake --build "$build_dir" -j"$jobs"
 
 echo "== ctest =="
 ctest --test-dir "$build_dir" --output-on-failure -j"$jobs"
+
+fail=0
+
+echo "== vectorization (// ci:vectorized loops) =="
+# The element-wise hot loops (the fused ISTA and sign steps every attack
+# iteration runs, ReLU backward, both LeakyReLU loops) are written as
+# selects over values so GCC vectorizes them at the baseline ISA
+# (DESIGN.md §6). Each carries a `// ci:vectorized` marker on its `for`
+# line; the source is recompiled with its compile_commands.json command
+# plus -fopt-info-vec-optimized, and every marked line must appear in the
+# report as "loop vectorized".
+vec_report() {  # vec_report <source>: the compiler's vectorization report
+  python3 - "$build_dir/compile_commands.json" "$repo_root/$1" <<'PY'
+import json, os, shlex, subprocess, sys
+db, src = sys.argv[1], sys.argv[2]
+entry = next(e for e in json.load(open(db)) if e["file"] == src)
+args = shlex.split(entry["command"])
+args[args.index("-o") + 1] = os.devnull
+sys.exit(subprocess.run(args + ["-fopt-info-vec-optimized"],
+                        cwd=entry["directory"]).returncode)
+PY
+}
+for src in src/attacks/fused.cpp src/nn/activations.cpp; do
+  if ! report="$(vec_report "$src" 2>&1)"; then
+    echo "FAIL: recompiling $src for its vectorization report" >&2
+    echo "$report" >&2
+    fail=1
+    continue
+  fi
+  marked="$(grep -n 'ci:vectorized' "$src" | cut -d: -f1 || true)"
+  if [ -z "$marked" ]; then
+    echo "FAIL: $src has no // ci:vectorized loop" >&2
+    fail=1
+  fi
+  for line in $marked; do
+    if grep -q "$src:$line:[0-9]*: optimized: loop vectorized" <<<"$report"; then
+      echo "ok: $src:$line vectorized"
+    else
+      echo "FAIL: $src:$line is marked // ci:vectorized but did not vectorize" >&2
+      fail=1
+    fi
+  done
+done
 
 echo "== fault injection (ADV_FAULT, label: fault) =="
 # Re-run the recovery-path tests with ADV_FAULT set in the environment.
@@ -52,7 +100,6 @@ echo "== micro benchmarks (metrics emission and gates) =="
 # run skipping exactly 2814 row-passes (its retirement schedule of fooled
 # rows, counted by a forwarding target, so it holds with ADV_OBS=0 too).
 # The timed EAD run next to it (plain ISTA, kappa = 15) has no gate.
-fail=0
 (cd "$build_dir" &&
  ./bench/micro_benchmarks --benchmark_filter='BM_Gemm/256' \
                           --benchmark_min_time=0.05) || fail=1
