@@ -32,7 +32,6 @@
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "tensor/thread_pool.hpp"
-#include "tensor/workspace.hpp"
 
 namespace {
 
@@ -119,8 +118,9 @@ BENCHMARK(BM_ConvBackward);
 
 // The element-wise layers at craft's CIFAR row-block shape (15 images of a
 // 16-channel 32x32 activation): MaxPool2d forward recording its argmax on
-// a ReLU'd input, and ReLU backward over normal pre-activations. Both draw
-// their outputs from a workspace, as nn::Sequential's passes do.
+// a ReLU'd input, and ReLU backward over normal pre-activations. Each call
+// allocates its zero-filled output, as in nn::Sequential's passes, so the
+// timings include that allocation.
 void BM_MaxPool2dForward(benchmark::State& state) {
   const nn::MaxPool2d pool(2);
   Rng rng(4);
@@ -128,12 +128,10 @@ void BM_MaxPool2dForward(benchmark::State& state) {
   fill_normal(x, rng, 0.0f, 1.0f);
   for (float& v : x.values()) v = std::max(v, 0.0f);
   nn::TapeEntry saved;
-  Workspace ws;
   for (auto _ : state) {
-    Tensor y = pool.forward(x, nn::Mode::Eval, &saved, &ws);
+    Tensor y = pool.forward(x, nn::Mode::Eval, &saved);
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
-    ws.release(std::move(y));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(x.numel()));
@@ -152,12 +150,10 @@ void BM_MaxPool2dBackward(benchmark::State& state) {
   const Tensor y = pool.forward(x, nn::Mode::Eval, &saved);
   Tensor g(y.shape());
   fill_normal(g, rng, 0.0f, 1.0f);
-  Workspace ws;
   for (auto _ : state) {
-    Tensor dx = pool.backward(g, saved, {}, &ws);
+    Tensor dx = pool.backward(g, saved);
     benchmark::DoNotOptimize(dx.data());
     benchmark::ClobberMemory();
-    ws.release(std::move(dx));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(x.numel()));
@@ -172,12 +168,10 @@ void BM_ReLUBackward(benchmark::State& state) {
   fill_normal(g, rng, 0.0f, 1.0f);
   nn::TapeEntry saved;
   relu.forward(x, nn::Mode::Eval, &saved);
-  Workspace ws;
   for (auto _ : state) {
-    Tensor dx = relu.backward(g, saved, {}, &ws);
+    Tensor dx = relu.backward(g, saved);
     benchmark::DoNotOptimize(dx.data());
     benchmark::ClobberMemory();
-    ws.release(std::move(dx));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(x.numel()));
@@ -663,9 +657,9 @@ bool write_attack_engine_json(const char* path) {
 /// Drives a few instrumented forward/backward passes of the small
 /// classifier so BENCH_layers.json carries per-layer timings even when the
 /// benchmark filter skips the model-level cases. No-op when adv::obs is
-/// compiled out or pinned off via ADV_OBS=0.
+/// pinned off via ADV_OBS=0.
 void emit_layer_metrics(const char* path) {
-  if (!obs::kCompiledIn || !obs::enabled()) return;
+  if (!obs::enabled()) return;
   Rng rng(8);
   nn::Sequential m = small_classifier(rng);
   Tensor x({8, 1, 28, 28});

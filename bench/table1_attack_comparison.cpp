@@ -82,7 +82,7 @@ int main() {
               "EAD ~80%%)\n");
   dataset_block(zoo, core::DatasetId::Mnist, 15.0f, 15.0f);
   dataset_block(zoo, core::DatasetId::Cifar, 20.0f, 15.0f);
-  if (obs::kCompiledIn && obs::enabled() &&
+  if (obs::enabled() &&
       obs::write_json("BENCH_attacks.json", "attack/")) {
     std::printf("wrote BENCH_attacks.json\n");
   }

@@ -106,10 +106,10 @@ class MagNetPipeline {
   /// to need: on the CIFAR default under Full the detectors stage runs all
   /// three passes and the reformer and classifier stages read close to 0.
   ///
-  /// Every model pass is a forward-only pass over read-only layers (the
-  /// shared per-model Workspace arena is internally synchronized), so
-  /// concurrent calls on one pipeline are safe and each returns exactly
-  /// what a lone call would.
+  /// Every model pass is a forward-only pass over read-only layers that
+  /// allocates its own buffers and shares no mutable state, so concurrent
+  /// calls on one pipeline are safe and each returns exactly what a lone
+  /// call would.
   DefenseOutcome classify(const Tensor& batch,
                           DefenseScheme scheme = DefenseScheme::Full) const;
 

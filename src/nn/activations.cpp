@@ -32,10 +32,10 @@ float blend(bool pick, float a, float b) {
 
 }  // namespace
 
-Tensor ReLU::forward_impl(const Tensor& input, Mode /*mode*/, TapeEntry* saved,
-                          Workspace* ws) const {
+Tensor ReLU::forward_impl(const Tensor& input, Mode /*mode*/,
+                          TapeEntry* saved) const {
   if (saved) saved->tensor = input;
-  Tensor out = make_buffer(ws, input.shape());
+  Tensor out(input.shape());
   const float* x = input.data();
   float* o = out.data();
   for (std::size_t i = 0, n = out.numel(); i < n; ++i) {
@@ -45,9 +45,9 @@ Tensor ReLU::forward_impl(const Tensor& input, Mode /*mode*/, TapeEntry* saved,
 }
 
 Tensor ReLU::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                           GradSlots /*grads*/, Workspace* ws) const {
+                           GradSlots /*grads*/) const {
   require_same_shape(saved.tensor, grad_output, "ReLU");
-  Tensor grad = make_buffer(ws, grad_output.shape());
+  Tensor grad(grad_output.shape());
   const float* x = saved.tensor.data();
   const float* gin = grad_output.data();
   float* g = grad.data();
@@ -61,9 +61,9 @@ Tensor ReLU::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
 }
 
 Tensor LeakyReLU::forward_impl(const Tensor& input, Mode /*mode*/,
-                               TapeEntry* saved, Workspace* ws) const {
+                               TapeEntry* saved) const {
   if (saved) saved->tensor = input;
-  Tensor out = make_buffer(ws, input.shape());
+  Tensor out(input.shape());
   const float* x = input.data();
   float* o = out.data();
   const float slope = negative_slope_;
@@ -75,10 +75,10 @@ Tensor LeakyReLU::forward_impl(const Tensor& input, Mode /*mode*/,
 }
 
 Tensor LeakyReLU::backward_impl(const Tensor& grad_output,
-                                const TapeEntry& saved, GradSlots /*grads*/,
-                                Workspace* ws) const {
+                                const TapeEntry& saved,
+                                GradSlots /*grads*/) const {
   require_same_shape(saved.tensor, grad_output, "LeakyReLU");
-  Tensor grad = make_buffer(ws, grad_output.shape());
+  Tensor grad(grad_output.shape());
   const float* x = saved.tensor.data();
   const float* gin = grad_output.data();
   float* g = grad.data();
@@ -91,23 +91,23 @@ Tensor LeakyReLU::backward_impl(const Tensor& grad_output,
 }
 
 Tensor Sigmoid::forward_impl(const Tensor& input, Mode /*mode*/,
-                             TapeEntry* saved, Workspace* ws) const {
-  Tensor out = make_buffer(ws, input.shape());
+                             TapeEntry* saved) const {
+  Tensor out(input.shape());
   const float* x = input.data();
   float* o = out.data();
   for (std::size_t i = 0, n = out.numel(); i < n; ++i) {
     o[i] = 1.0f / (1.0f + std::exp(-x[i]));
   }
   // The entry is a copy of the *output* (sigmoid' = y(1-y)): the buffer
-  // itself travels on and may be recycled by the workspace.
+  // itself travels on as the next layer's input.
   if (saved) saved->tensor = out;
   return out;
 }
 
 Tensor Sigmoid::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                              GradSlots /*grads*/, Workspace* ws) const {
+                              GradSlots /*grads*/) const {
   require_same_shape(saved.tensor, grad_output, "Sigmoid");
-  Tensor grad = make_buffer(ws, grad_output.shape());
+  Tensor grad(grad_output.shape());
   const float* y = saved.tensor.data();
   const float* gin = grad_output.data();
   float* g = grad.data();
@@ -117,9 +117,9 @@ Tensor Sigmoid::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
   return grad;
 }
 
-Tensor Tanh::forward_impl(const Tensor& input, Mode /*mode*/, TapeEntry* saved,
-                          Workspace* ws) const {
-  Tensor out = make_buffer(ws, input.shape());
+Tensor Tanh::forward_impl(const Tensor& input, Mode /*mode*/,
+                          TapeEntry* saved) const {
+  Tensor out(input.shape());
   const float* x = input.data();
   float* o = out.data();
   for (std::size_t i = 0, n = out.numel(); i < n; ++i) {
@@ -130,9 +130,9 @@ Tensor Tanh::forward_impl(const Tensor& input, Mode /*mode*/, TapeEntry* saved,
 }
 
 Tensor Tanh::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                           GradSlots /*grads*/, Workspace* ws) const {
+                           GradSlots /*grads*/) const {
   require_same_shape(saved.tensor, grad_output, "Tanh");
-  Tensor grad = make_buffer(ws, grad_output.shape());
+  Tensor grad(grad_output.shape());
   const float* y = saved.tensor.data();
   const float* gin = grad_output.data();
   float* g = grad.data();

@@ -16,10 +16,10 @@ class ReLU final : public Layer {
   std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
-                      Workspace* ws) const override;
+  Tensor forward_impl(const Tensor& input, Mode mode,
+                      TapeEntry* saved) const override;
   Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                       GradSlots grads, Workspace* ws) const override;
+                       GradSlots grads) const override;
 };
 
 class LeakyReLU final : public Layer {
@@ -29,10 +29,10 @@ class LeakyReLU final : public Layer {
   std::string name() const override { return "LeakyReLU"; }
 
  private:
-  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
-                      Workspace* ws) const override;
+  Tensor forward_impl(const Tensor& input, Mode mode,
+                      TapeEntry* saved) const override;
   Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                       GradSlots grads, Workspace* ws) const override;
+                       GradSlots grads) const override;
   float negative_slope_;
 };
 
@@ -41,10 +41,10 @@ class Sigmoid final : public Layer {
   std::string name() const override { return "Sigmoid"; }
 
  private:
-  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
-                      Workspace* ws) const override;
+  Tensor forward_impl(const Tensor& input, Mode mode,
+                      TapeEntry* saved) const override;
   Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                       GradSlots grads, Workspace* ws) const override;
+                       GradSlots grads) const override;
 };
 
 class Tanh final : public Layer {
@@ -52,10 +52,10 @@ class Tanh final : public Layer {
   std::string name() const override { return "Tanh"; }
 
  private:
-  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
-                      Workspace* ws) const override;
+  Tensor forward_impl(const Tensor& input, Mode mode,
+                      TapeEntry* saved) const override;
   Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                       GradSlots grads, Workspace* ws) const override;
+                       GradSlots grads) const override;
 };
 
 }  // namespace adv::nn

@@ -137,12 +137,12 @@ obs::Timer* Conv2d::observe_path(bool direct, bool forward) const {
 }
 
 Tensor Conv2d::forward_impl(const Tensor& input, Mode /*mode*/,
-                            TapeEntry* saved, Workspace* ws) const {
-  return forward_fused(input, conv::Epilogue::None, saved, ws);
+                            TapeEntry* saved) const {
+  return forward_fused(input, conv::Epilogue::None, saved);
 }
 
 Tensor Conv2d::forward_fused(const Tensor& input, conv::Epilogue epi,
-                             TapeEntry* saved, Workspace* ws) const {
+                             TapeEntry* saved) const {
   if (input.rank() != 4 || input.dim(1) != cfg_.in_channels) {
     throw std::invalid_argument("Conv2d::forward: expected [N, " +
                                 std::to_string(cfg_.in_channels) +
@@ -154,40 +154,36 @@ Tensor Conv2d::forward_fused(const Tensor& input, conv::Epilogue epi,
     throw std::invalid_argument("Conv2d::forward: input smaller than kernel");
   }
   const std::size_t n = input.dim(0);
-  Tensor out =
-      make_buffer(ws, {n, cfg_.out_channels, output_dim(h), output_dim(w)});
+  Tensor out({n, cfg_.out_channels, output_dim(h), output_dim(w)});
   const bool direct = uses_direct();
   obs::ScopedTimer timer(observe_path(direct, /*forward=*/true));
   ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
   if (direct) {
-    forward_direct(input, out, h, w, epi, pool, ws);
+    forward_direct(input, out, h, w, epi, pool);
   } else {
-    forward_im2col(input, out, h, w, epi, pool, ws);
+    forward_im2col(input, out, h, w, epi, pool);
   }
   return out;
 }
 
 void Conv2d::forward_direct(const Tensor& input, Tensor& out, std::size_t h,
                             std::size_t w, conv::Epilogue epi,
-                            ThreadPool& pool, Workspace* ws) const {
+                            ThreadPool& pool) const {
   const std::size_t n = input.dim(0);
   const std::size_t k2 = cfg_.in_channels * cfg_.kernel * cfg_.kernel;
   const std::size_t plane = out.dim(2) * out.dim(3);
   // Weights are repacked per call (training mutates them; the pack is one
   // small copy). All chunks read the pack shared; the per-chunk padded
-  // sample copy replaces the k^2-times-larger im2col matrix, which is why
-  // the workspace high-water drops on this path. Scratch is acquired
-  // before the parallel region — the workspace mutex is never touched
-  // inside it — and both buffers are fully overwritten before use.
-  Tensor wpack =
-      make_buffer(ws, {conv::packed_fwd_size(cfg_.out_channels, k2)});
+  // sample copy replaces the k^2-times-larger im2col matrix. Scratch is
+  // allocated before the parallel region, one buffer per chunk.
+  Tensor wpack({conv::packed_fwd_size(cfg_.out_channels, k2)});
   conv::pack_weights_fwd(weight_.data(), cfg_.out_channels, k2, wpack.data());
   const std::size_t padsz =
       conv::padded_size(cfg_.in_channels, h, w, cfg_.padding);
   std::vector<Tensor> pads;
   pads.reserve(pool.max_chunks());
   for (std::size_t c = 0; c < pool.max_chunks(); ++c) {
-    pads.push_back(make_buffer(ws, {padsz}));
+    pads.push_back(Tensor({padsz}));
   }
   pool.parallel_for_indexed(0, n, [&](std::size_t chunk, std::size_t b0,
                                       std::size_t b1) {
@@ -201,23 +197,19 @@ void Conv2d::forward_direct(const Tensor& input, Tensor& out, std::size_t h,
                            out.data() + s * cfg_.out_channels * plane);
     }
   });
-  for (auto& t : pads) recycle(ws, std::move(t));
-  recycle(ws, std::move(wpack));
 }
 
 void Conv2d::forward_im2col(const Tensor& input, Tensor& out, std::size_t h,
                             std::size_t w, conv::Epilogue epi,
-                            ThreadPool& pool, Workspace* ws) const {
+                            ThreadPool& pool) const {
   const std::size_t n = input.dim(0);
   const std::size_t k2 = cfg_.in_channels * cfg_.kernel * cfg_.kernel;
   const std::size_t plane = out.dim(2) * out.dim(3);
-  // Column scratch is acquired per chunk up front: the workspace mutex is
-  // never touched inside the parallel region. im2col fully overwrites the
-  // buffer, so recycled contents are invisible.
+  // Column scratch is allocated per chunk before the parallel region.
   std::vector<Tensor> cols;
   cols.reserve(pool.max_chunks());
   for (std::size_t c = 0; c < pool.max_chunks(); ++c) {
-    cols.push_back(make_buffer(ws, {k2, plane}));
+    cols.push_back(Tensor({k2, plane}));
   }
   pool.parallel_for_indexed(0, n, [&](std::size_t chunk, std::size_t b0,
                                       std::size_t b1) {
@@ -247,11 +239,10 @@ void Conv2d::forward_im2col(const Tensor& input, Tensor& out, std::size_t h,
       }
     }
   });
-  for (auto& c : cols) recycle(ws, std::move(c));
 }
 
 Tensor Conv2d::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                             GradSlots grads, Workspace* ws) const {
+                             GradSlots grads) const {
   const Tensor& input = saved.tensor;
   const std::size_t n = input.dim(0);
   const std::size_t h = input.dim(2), w = input.dim(3);
@@ -267,16 +258,16 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
   const bool direct = uses_direct();
   const bool want_params = !grads.empty();
   obs::ScopedTimer timer(observe_path(direct, /*forward=*/false));
-  // col2im accumulates, so the input gradient must start zeroed on the
-  // im2col path; the direct kernel fully overwrites it instead.
-  Tensor grad_input = make_buffer(ws, input.shape(), /*zeroed=*/!direct);
+  // col2im accumulates into the zero-filled input gradient; the direct
+  // kernel overwrites it.
+  Tensor grad_input(input.shape());
 
   ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
   const std::size_t chunks = pool.max_chunks();
   const std::size_t bpad = cfg_.kernel - 1 - cfg_.padding;  // direct only
   const std::size_t gpsz =
       direct ? conv::padded_size(cfg_.out_channels, oh, ow, bpad) : 0;
-  // Scratch per chunk, acquired outside the parallel region. Parameter
+  // Scratch per chunk, allocated before the parallel region. Parameter
   // gradients (only when asked for) need zeroed dW/db parts, reduced in
   // chunk order below, and a column buffer for the dW GEMM (weight
   // gradients stay on im2col+GEMM, whose pixel-major strip reduction the
@@ -286,19 +277,19 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
   std::vector<Tensor> dw_parts, db_parts, cols, dcols, gpads;
   for (std::size_t c = 0; c < chunks; ++c) {
     if (want_params) {
-      dw_parts.push_back(make_buffer(ws, weight_.shape(), /*zeroed=*/true));
-      db_parts.push_back(make_buffer(ws, bias_.shape(), /*zeroed=*/true));
-      cols.push_back(make_buffer(ws, {k2, plane}));
+      dw_parts.push_back(Tensor(weight_.shape()));
+      db_parts.push_back(Tensor(bias_.shape()));
+      cols.push_back(Tensor({k2, plane}));
     }
     if (direct) {
-      gpads.push_back(make_buffer(ws, {gpsz}));
+      gpads.push_back(Tensor({gpsz}));
     } else {
-      dcols.push_back(make_buffer(ws, {k2, plane}));
+      dcols.push_back(Tensor({k2, plane}));
     }
   }
   Tensor wpackb;
   if (direct) {
-    wpackb = make_buffer(ws, {conv::packed_bwd_size(
+    wpackb = Tensor({conv::packed_bwd_size(
         cfg_.in_channels, cfg_.out_channels, cfg_.kernel)});
     conv::pack_weights_bwd(weight_.data(), cfg_.in_channels,
                            cfg_.out_channels, cfg_.kernel, wpackb.data());
@@ -354,10 +345,6 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
       for (std::size_t i = 0, m = bias_.numel(); i < m; ++i) gb[i] += pb[i];
     }
   }
-  for (auto* scratch : {&dw_parts, &db_parts, &cols, &dcols, &gpads}) {
-    for (auto& t : *scratch) recycle(ws, std::move(t));
-  }
-  recycle(ws, std::move(wpackb));
   return grad_input;
 }
 

@@ -63,8 +63,7 @@ class Conv2d final : public Layer {
   /// im2col fallback applies the epilogue as a post-pass), so fusion never
   /// depends on path selection.
   Tensor forward_fused(const Tensor& input, conv::Epilogue epi,
-                       TapeEntry* saved = nullptr,
-                       Workspace* ws = nullptr) const;
+                       TapeEntry* saved = nullptr) const;
 
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<const Tensor*> parameters() const override {
@@ -95,16 +94,16 @@ class Conv2d final : public Layer {
  private:
   // Tape entry: the input batch. Without `grads` ({dW, db}) backward
   // skips the weight-gradient work (column rebuild + GEMM per sample).
-  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
-                      Workspace* ws) const override;
+  Tensor forward_impl(const Tensor& input, Mode mode,
+                      TapeEntry* saved) const override;
   Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                       GradSlots grads, Workspace* ws) const override;
+                       GradSlots grads) const override;
   void forward_direct(const Tensor& input, Tensor& out, std::size_t h,
-                      std::size_t w, conv::Epilogue epi, ThreadPool& pool,
-                      Workspace* ws) const;
+                      std::size_t w, conv::Epilogue epi,
+                      ThreadPool& pool) const;
   void forward_im2col(const Tensor& input, Tensor& out, std::size_t h,
-                      std::size_t w, conv::Epilogue epi, ThreadPool& pool,
-                      Workspace* ws) const;
+                      std::size_t w, conv::Epilogue epi,
+                      ThreadPool& pool) const;
   // Resolves the per-shape path timer (nullptr when obs is off) and, on
   // forward, bumps the global path-split counters.
   obs::Timer* observe_path(bool direct, bool forward) const;

@@ -9,15 +9,14 @@
 // call produces lives in caller-owned objects (nn/tape.hpp), so concurrent
 // passes over one layer are safe. The one state a call advances is
 // Dropout's mask RNG, in Mode::Train.
-//   * forward(x, mode, saved, ws) records what backward needs into `saved`
+//   * forward(x, mode, saved) records what backward needs into `saved`
 //     when non-null (a Train/Eval pass); with none, no backward may follow.
-//   * backward(g, saved, grads, ws) treats `saved` as READ-ONLY: it may be
+//   * backward(g, saved, grads) treats `saved` as READ-ONLY: it may be
 //     called any number of times after one recording forward (DeepFool
 //     seeds one backward per class). Parameter gradients accumulate into
 //     `grads` when non-empty; otherwise that work is skipped.
-//   * Buffers come from `ws` (fresh tensors when null) and are fully
-//     overwritten (or acquired zeroed) before being returned, so recycling
-//     them through a Workspace is bitwise-invisible.
+//   * Each call allocates its output and scratch as fresh zero-filled
+//     tensors that it owns; nothing is shared between calls.
 #pragma once
 
 #include <memory>
@@ -27,13 +26,8 @@
 #include "nn/mode.hpp"
 #include "nn/tape.hpp"
 #include "tensor/tensor.hpp"
-#include "tensor/workspace.hpp"
 
 namespace adv::nn {
-
-/// Arena of reusable buffers, handed to layer calls by the owning model;
-/// defined in src/tensor (shape-keyed storage is a tensor-library concern).
-using Workspace = ::adv::Workspace;
 
 class Layer {
  public:
@@ -41,16 +35,16 @@ class Layer {
 
   /// Computes the layer output for `input` (leading dimension = batch).
   /// Mode::Train toggles train-only behaviour (dropout).
-  Tensor forward(const Tensor& input, Mode mode, TapeEntry* saved = nullptr,
-                 Workspace* ws = nullptr) const {
-    return forward_impl(input, mode, saved, ws);
+  Tensor forward(const Tensor& input, Mode mode,
+                 TapeEntry* saved = nullptr) const {
+    return forward_impl(input, mode, saved);
   }
 
   /// Given d(loss)/d(output) and the entry a recording forward filled,
   /// returns d(loss)/d(input).
   Tensor backward(const Tensor& grad_output, const TapeEntry& saved,
-                  GradSlots grads = {}, Workspace* ws = nullptr) const {
-    return backward_impl(grad_output, saved, grads, ws);
+                  GradSlots grads = {}) const {
+    return backward_impl(grad_output, saved, grads);
   }
 
   /// Learnable parameters (empty for stateless layers). Pointers remain
@@ -67,24 +61,10 @@ class Layer {
  protected:
   // What each layer kind implements (the public pair supplies defaults).
   virtual Tensor forward_impl(const Tensor& input, Mode mode,
-                              TapeEntry* saved, Workspace* ws) const = 0;
+                              TapeEntry* saved) const = 0;
   virtual Tensor backward_impl(const Tensor& grad_output,
-                               const TapeEntry& saved, GradSlots grads,
-                               Workspace* ws) const = 0;
-
-  /// Output/scratch buffer of `shape` from `ws` (fresh zero-filled tensor
-  /// when null). `zeroed` must be true whenever the caller accumulates
-  /// into the buffer instead of overwriting it.
-  static Tensor make_buffer(Workspace* ws, const Shape& shape,
-                            bool zeroed = false) {
-    return ws ? ws->acquire(shape, zeroed) : Tensor(shape);
-  }
-
-  /// Returns a make_buffer() scratch tensor to the arena once it is no
-  /// longer referenced (no-op when `ws` is null).
-  static void recycle(Workspace* ws, Tensor&& t) {
-    if (ws) ws->release(std::move(t));
-  }
+                               const TapeEntry& saved,
+                               GradSlots grads) const = 0;
 };
 
 }  // namespace adv::nn

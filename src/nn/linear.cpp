@@ -16,16 +16,16 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng)
 }
 
 Tensor Linear::forward_impl(const Tensor& input, Mode /*mode*/,
-                            TapeEntry* saved, Workspace* ws) const {
+                            TapeEntry* saved) const {
   if (input.rank() != 2 || input.dim(1) != in_) {
     throw std::invalid_argument("Linear::forward: expected [N, " +
                                 std::to_string(in_) + "], got " +
                                 input.shape_string());
   }
   if (saved) saved->tensor = input;
-  // gemm's prepare_c keeps an already-correctly-shaped c, so the recycled
-  // buffer is used in place and fully overwritten.
-  Tensor out = make_buffer(ws, {input.dim(0), out_});
+  // gemm's prepare_c keeps an already-correctly-shaped c, so this buffer
+  // is used in place and fully overwritten.
+  Tensor out({input.dim(0), out_});
   gemm(input, weight_, out);
   const std::size_t n = out.dim(0);
   float* o = out.data();
@@ -37,7 +37,7 @@ Tensor Linear::forward_impl(const Tensor& input, Mode /*mode*/,
 }
 
 Tensor Linear::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                             GradSlots grads, Workspace* ws) const {
+                             GradSlots grads) const {
   const Tensor& input = saved.tensor;
   if (grad_output.rank() != 2 || grad_output.dim(1) != out_ ||
       grad_output.dim(0) != input.dim(0)) {
@@ -56,7 +56,7 @@ Tensor Linear::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
     }
   }
   // dx = dy * W^T
-  Tensor dx = make_buffer(ws, input.shape());
+  Tensor dx(input.shape());
   gemm_a_bt(grad_output, weight_, dx);
   return dx;
 }

@@ -21,10 +21,10 @@ class Linear final : public Layer {
  private:
   // Tape entry: the input batch. Backward's `grads`, when non-empty, is
   // {dW [in, out], db [out]}.
-  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
-                      Workspace* ws) const override;
+  Tensor forward_impl(const Tensor& input, Mode mode,
+                      TapeEntry* saved) const override;
   Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                       GradSlots grads, Workspace* ws) const override;
+                       GradSlots grads) const override;
 
   std::size_t in_;
   std::size_t out_;

@@ -41,14 +41,14 @@ struct WindowMax {
 }  // namespace
 
 Tensor AvgPool2d::forward_impl(const Tensor& input, Mode /*mode*/,
-                               TapeEntry* saved, Workspace* ws) const {
+                               TapeEntry* saved) const {
   require_poolable(input, window_, "AvgPool2d");
   if (saved) saved->shape = input.shape();
   const std::size_t n = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = h / window_, ow = w / window_;
   const float inv = 1.0f / static_cast<float>(window_ * window_);
-  Tensor out = make_buffer(ws, {n, c, oh, ow});
+  Tensor out({n, c, oh, ow});
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* src = input.data() + nc * h * w;
     float* dst = out.data() + nc * oh * ow;
@@ -67,8 +67,8 @@ Tensor AvgPool2d::forward_impl(const Tensor& input, Mode /*mode*/,
 }
 
 Tensor AvgPool2d::backward_impl(const Tensor& grad_output,
-                                const TapeEntry& saved, GradSlots /*grads*/,
-                                Workspace* ws) const {
+                                const TapeEntry& saved,
+                                GradSlots /*grads*/) const {
   const std::size_t n = saved.shape[0], c = saved.shape[1];
   const std::size_t h = saved.shape[2], w = saved.shape[3];
   const std::size_t oh = h / window_, ow = w / window_;
@@ -77,7 +77,7 @@ Tensor AvgPool2d::backward_impl(const Tensor& grad_output,
                                 grad_output.shape_string());
   }
   const float inv = 1.0f / static_cast<float>(window_ * window_);
-  Tensor grad = make_buffer(ws, saved.shape, /*zeroed=*/true);
+  Tensor grad(saved.shape);
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* src = grad_output.data() + nc * oh * ow;
     float* dst = grad.data() + nc * h * w;
@@ -95,12 +95,12 @@ Tensor AvgPool2d::backward_impl(const Tensor& grad_output,
 }
 
 Tensor MaxPool2d::forward_impl(const Tensor& input, Mode /*mode*/,
-                               TapeEntry* saved, Workspace* ws) const {
+                               TapeEntry* saved) const {
   require_poolable(input, window_, "MaxPool2d");
   const std::size_t n = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = h / window_, ow = w / window_;
-  Tensor out = make_buffer(ws, {n, c, oh, ow});
+  Tensor out({n, c, oh, ow});
   if (saved) {
     saved->shape = input.shape();
     saved->index.resize(out.numel());  // every slot is written below
@@ -144,14 +144,14 @@ Tensor MaxPool2d::forward_impl(const Tensor& input, Mode /*mode*/,
 }
 
 Tensor MaxPool2d::backward_impl(const Tensor& grad_output,
-                                const TapeEntry& saved, GradSlots /*grads*/,
-                                Workspace* ws) const {
+                                const TapeEntry& saved,
+                                GradSlots /*grads*/) const {
   const std::vector<std::size_t>& argmax = saved.index;
   if (grad_output.numel() != argmax.size()) {
     throw std::invalid_argument("MaxPool2d::backward: bad grad shape " +
                                 grad_output.shape_string());
   }
-  Tensor grad = make_buffer(ws, saved.shape, /*zeroed=*/true);
+  Tensor grad(saved.shape);
   const float* g = grad_output.data();
   float* dst = grad.data();
   for (std::size_t i = 0, m = argmax.size(); i < m; ++i) {
@@ -161,7 +161,7 @@ Tensor MaxPool2d::backward_impl(const Tensor& grad_output,
 }
 
 Tensor Upsample2d::forward_impl(const Tensor& input, Mode /*mode*/,
-                                TapeEntry* saved, Workspace* ws) const {
+                                TapeEntry* saved) const {
   if (input.rank() != 4) {
     throw std::invalid_argument("Upsample2d: expected NCHW, got " +
                                 input.shape_string());
@@ -170,7 +170,7 @@ Tensor Upsample2d::forward_impl(const Tensor& input, Mode /*mode*/,
   const std::size_t n = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = h * factor_, ow = w * factor_;
-  Tensor out = make_buffer(ws, {n, c, oh, ow});
+  Tensor out({n, c, oh, ow});
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* src = input.data() + nc * h * w;
     float* dst = out.data() + nc * oh * ow;
@@ -184,8 +184,8 @@ Tensor Upsample2d::forward_impl(const Tensor& input, Mode /*mode*/,
 }
 
 Tensor Upsample2d::backward_impl(const Tensor& grad_output,
-                                 const TapeEntry& saved, GradSlots /*grads*/,
-                                 Workspace* ws) const {
+                                 const TapeEntry& saved,
+                                 GradSlots /*grads*/) const {
   const std::size_t n = saved.shape[0], c = saved.shape[1];
   const std::size_t h = saved.shape[2], w = saved.shape[3];
   const std::size_t oh = h * factor_, ow = w * factor_;
@@ -193,7 +193,7 @@ Tensor Upsample2d::backward_impl(const Tensor& grad_output,
     throw std::invalid_argument("Upsample2d::backward: bad grad shape " +
                                 grad_output.shape_string());
   }
-  Tensor grad = make_buffer(ws, saved.shape, /*zeroed=*/true);
+  Tensor grad(saved.shape);
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* src = grad_output.data() + nc * oh * ow;
     float* dst = grad.data() + nc * h * w;

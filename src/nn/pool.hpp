@@ -15,10 +15,10 @@ class AvgPool2d final : public Layer {
   std::string name() const override { return "AvgPool2d"; }
 
  private:
-  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
-                      Workspace* ws) const override;
+  Tensor forward_impl(const Tensor& input, Mode mode,
+                      TapeEntry* saved) const override;
   Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                       GradSlots grads, Workspace* ws) const override;
+                       GradSlots grads) const override;
 
   std::size_t window_;
 };
@@ -29,10 +29,10 @@ class MaxPool2d final : public Layer {
   std::string name() const override { return "MaxPool2d"; }
 
  private:
-  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
-                      Workspace* ws) const override;
+  Tensor forward_impl(const Tensor& input, Mode mode,
+                      TapeEntry* saved) const override;
   Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                       GradSlots grads, Workspace* ws) const override;
+                       GradSlots grads) const override;
 
   std::size_t window_;
 };
@@ -44,10 +44,10 @@ class Upsample2d final : public Layer {
   std::string name() const override { return "Upsample2d"; }
 
  private:
-  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
-                      Workspace* ws) const override;
+  Tensor forward_impl(const Tensor& input, Mode mode,
+                      TapeEntry* saved) const override;
   Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                       GradSlots grads, Workspace* ws) const override;
+                       GradSlots grads) const override;
 
   std::size_t factor_;
 };

@@ -25,7 +25,6 @@ void Sequential::append(Sequential&& tail) {
 }
 
 void Sequential::layers_changed() {
-  if (!ws_) ws_ = std::make_unique<Workspace>();  // fresh or moved-from
   fuse_.assign(layers_.size(), conv::Epilogue::None);
   for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
     if (!dynamic_cast<const Conv2d*>(layers_[i].get())) continue;
@@ -55,29 +54,15 @@ const Sequential::LayerTimers* Sequential::obs_timers() const {
 
 namespace {
 
-// Rows [begin, end) of `t`'s leading dimension, in an arena buffer (not
-// Tensor::slice_rows: steady-state passes allocate nothing).
-Tensor rows_of(const Tensor& t, std::size_t begin, std::size_t end,
-               Workspace* ws) {
-  std::vector<std::size_t> dims = t.shape().dims();
-  const std::size_t stride = t.numel() / dims[0];
-  dims[0] = end - begin;
-  Tensor out = ws->acquire(Shape(dims));
-  std::copy(t.data() + begin * stride, t.data() + end * stride, out.data());
-  return out;
-}
-
-// Stacks per-block results, in block order, into one [n, ...] tensor and
-// hands the parts back to the arena.
-Tensor stack_rows(std::vector<Tensor>& parts, std::size_t n, Workspace* ws) {
+// Stacks per-block results, in block order, into one [n, ...] tensor.
+Tensor stack_rows(const std::vector<Tensor>& parts, std::size_t n) {
   std::vector<std::size_t> dims = parts.front().shape().dims();
   dims[0] = n;
-  Tensor out = ws->acquire(Shape(dims));
+  Tensor out{Shape(dims)};
   std::size_t row = 0;
-  for (Tensor& part : parts) {
+  for (const Tensor& part : parts) {
     out.set_rows(row, part);
     row += part.dim(0);
-    ws->release(std::move(part));
   }
   return out;
 }
@@ -114,18 +99,16 @@ Tensor Sequential::forward(const Tensor& input, Mode mode, Tape* tape) const {
     tape->entries.clear();
     tape->blocks.resize(blocks);
   }
-  Workspace* ws = ws_.get();
   std::vector<Tensor> outs(blocks);
   pool.parallel_for(0, blocks, [&](std::size_t b0, std::size_t b1) {
     for (std::size_t b = b0; b < b1; ++b) {
-      Tensor rows = rows_of(input, block_row(b, n, blocks),
-                            block_row(b + 1, n, blocks), ws);
+      const Tensor rows = input.slice_rows(block_row(b, n, blocks),
+                                           block_row(b + 1, n, blocks));
       outs[b] = forward_rows(rows, mode, tape ? &tape->blocks[b] : nullptr,
                              timers);
-      ws->release(std::move(rows));
     }
   });
-  return stack_rows(outs, n, ws);
+  return stack_rows(outs, n);
 }
 
 Tensor Sequential::forward_rows(const Tensor& input, Mode mode, Tape* tape,
@@ -138,7 +121,6 @@ Tensor Sequential::forward_rows(const Tensor& input, Mode mode, Tape* tape,
   // conv applies the activation in its store epilogue and the pass writes
   // (a copy of) the result as the activation's tape entry. The
   // activation's own timer stays silent; the conv's covers the fused op.
-  Workspace* ws = ws_.get();
   Tensor x;
   bool have_x = false;
   for (std::size_t i = 0; i < layers_.size();) {
@@ -146,16 +128,13 @@ Tensor Sequential::forward_rows(const Tensor& input, Mode mode, Tape* tape,
     const conv::Epilogue epi =
         fusion_enabled_ ? fuse_[i] : conv::Epilogue::None;
     const bool fused = epi != conv::Epilogue::None;
-    Tensor next;
     {
       obs::ScopedTimer t(timers ? timers[i].forward : nullptr);
-      next = fused ? static_cast<const Conv2d&>(*layers_[i])
-                         .forward_fused(in, epi, entry(i), ws)
-                   : layers_[i]->forward(in, mode, entry(i), ws);
+      x = fused ? static_cast<const Conv2d&>(*layers_[i])
+                      .forward_fused(in, epi, entry(i))
+                : layers_[i]->forward(in, mode, entry(i));
     }
-    if (fused && tape) tape->entries[i + 1].tensor = next;
-    if (have_x) ws->release(std::move(x));  // consumed by this step
-    x = std::move(next);
+    if (fused && tape) tape->entries[i + 1].tensor = x;
     have_x = true;
     i += fused ? 2 : 1;
   }
@@ -190,16 +169,14 @@ Tensor Sequential::backward(const Tensor& grad_output, const Tape& tape,
   // A split tape: each block pulls its own rows back. Weight gradients
   // accumulate into shared slots, so those walks run one block at a time,
   // in block order (their kernels still use the pool).
-  Workspace* ws = ws_.get();
   const std::size_t blocks = tape.blocks.size();
   const std::size_t n = grad_output.dim(0);
   std::vector<Tensor> outs(blocks);
   const auto run = [&](std::size_t b0, std::size_t b1) {
     for (std::size_t b = b0; b < b1; ++b) {
-      Tensor rows = rows_of(grad_output, block_row(b, n, blocks),
-                            block_row(b + 1, n, blocks), ws);
+      const Tensor rows = grad_output.slice_rows(block_row(b, n, blocks),
+                                                 block_row(b + 1, n, blocks));
       outs[b] = backward_rows(rows, tape.blocks[b], grads, timers);
-      ws->release(std::move(rows));
     }
   };
   if (grads.empty()) {
@@ -207,28 +184,21 @@ Tensor Sequential::backward(const Tensor& grad_output, const Tape& tape,
   } else {
     run(0, blocks);
   }
-  return stack_rows(outs, n, ws);
+  return stack_rows(outs, n);
 }
 
 Tensor Sequential::backward_rows(const Tensor& grad_output, const Tape& tape,
                                  GradSlots grads,
                                  const LayerTimers* timers) const {
-  Workspace* ws = ws_.get();
   Tensor g;
   std::size_t slot_end = grads.size();  // slots are handed out back to front
   for (std::size_t i = layers_.size(); i-- > 0;) {
     const std::size_t n =
         grads.empty() ? 0 : std::as_const(*layers_[i]).parameters().size();
     slot_end -= n;
-    Tensor next;
-    {
-      obs::ScopedTimer t(timers ? timers[i].backward : nullptr);
-      next = layers_[i]->backward(i + 1 == layers_.size() ? grad_output : g,
-                                  tape.entries[i], grads.subspan(slot_end, n),
-                                  ws);
-    }
-    ws->release(std::move(g));  // consumed (a no-op before the first step)
-    g = std::move(next);
+    obs::ScopedTimer t(timers ? timers[i].backward : nullptr);
+    g = layers_[i]->backward(i + 1 == layers_.size() ? grad_output : g,
+                             tape.entries[i], grads.subspan(slot_end, n));
   }
   return g;
 }

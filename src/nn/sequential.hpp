@@ -1,8 +1,9 @@
 // Sequential: an ordered stack of layers with whole-model forward,
 // backward (including gradient w.r.t. the input) and weight serialization.
 //
-// Forward and backward are const (the per-call state is the caller's
-// Tape, see nn/layer.hpp), so concurrent passes may share one model.
+// Forward and backward are const and take no lock: the only state a pass
+// touches is the caller's Tape (see nn/layer.hpp), and every layer call
+// allocates its own outputs, so concurrent passes may share one model.
 //
 // Row blocks: rows are independent outside Mode::Train, so an Eval or
 // Infer pass over N >= 2 rows, called outside a pool task while the
@@ -14,14 +15,6 @@
 // computes each row independently of the others, so the result is
 // bitwise what a row-by-row pass computes. A Train pass never splits, so
 // training and its weights do not depend on the split.
-//
-// Each model owns a Workspace (an arena of reusable buffers, see
-// tensor/workspace.hpp, internally synchronized) that its passes hand to
-// the layers: intermediate activations/gradients are released back to the
-// arena as soon as the next layer has consumed them, so steady-state
-// passes over a fixed batch shape allocate nothing.
-// set_workspace_enabled(false) restores the allocate-per-pass profile (the
-// benchmark baseline); outputs are bitwise identical either way.
 #pragma once
 
 #include <filesystem>
@@ -87,14 +80,6 @@ class Sequential {
   std::vector<const Tensor*> parameters() const;
   std::size_t parameter_count() const;
 
-  /// This model's buffer arena (always present; handed to the layers).
-  Workspace& workspace() { return *ws_; }
-  const Workspace& workspace() const { return *ws_; }
-
-  /// Toggles buffer recycling for this model (on by default). Off, every
-  /// pass allocates fresh tensors — the A/B baseline for benchmarks.
-  void set_workspace_enabled(bool on) { ws_->set_enabled(on); }
-
   /// Toggles the Conv->ReLU/Sigmoid peephole (on by default): detected
   /// pairs run as one Conv2d::forward_fused call with the activation
   /// applied in the conv store epilogue, and the pass writes the
@@ -140,8 +125,6 @@ class Sequential {
   // successor is the ReLU/Sigmoid the epilogue applies.
   std::vector<conv::Epilogue> fuse_;
   std::unique_ptr<ObsTimers> obs_;
-  // Held by pointer so Sequential stays movable (the arena has a mutex).
-  std::unique_ptr<Workspace> ws_;
   bool fusion_enabled_ = true;
 };
 

@@ -7,7 +7,7 @@
 namespace adv::nn {
 
 Tensor Flatten::forward_impl(const Tensor& input, Mode /*mode*/,
-                             TapeEntry* saved, Workspace* /*ws*/) const {
+                             TapeEntry* saved) const {
   if (input.rank() < 2) {
     throw std::invalid_argument("Flatten: expected rank >= 2, got " +
                                 input.shape_string());
@@ -18,7 +18,7 @@ Tensor Flatten::forward_impl(const Tensor& input, Mode /*mode*/,
 }
 
 Tensor Flatten::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                              GradSlots /*grads*/, Workspace* /*ws*/) const {
+                              GradSlots /*grads*/) const {
   if (grad_output.numel() != saved.shape.numel()) {
     throw std::invalid_argument("Flatten::backward: bad grad shape " +
                                 grad_output.shape_string());
@@ -32,8 +32,8 @@ Dropout::Dropout(float rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
   }
 }
 
-Tensor Dropout::forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
-                             Workspace* /*ws*/) const {
+Tensor Dropout::forward_impl(const Tensor& input, Mode mode,
+                             TapeEntry* saved) const {
   if (saved) saved->tensor = Tensor();
   if (!is_training(mode) || rate_ == 0.0f) return input;
   const float keep = 1.0f - rate_;
@@ -52,7 +52,7 @@ Tensor Dropout::forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
 }
 
 Tensor Dropout::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                              GradSlots /*grads*/, Workspace* /*ws*/) const {
+                              GradSlots /*grads*/) const {
   if (saved.tensor.empty()) return grad_output;
   Tensor grad = grad_output;
   mul_inplace(grad, saved.tensor);

@@ -12,10 +12,10 @@ class Flatten final : public Layer {
   std::string name() const override { return "Flatten"; }
 
  private:
-  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
-                      Workspace* ws) const override;
+  Tensor forward_impl(const Tensor& input, Mode mode,
+                      TapeEntry* saved) const override;
   Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                       GradSlots grads, Workspace* ws) const override;
+                       GradSlots grads) const override;
 };
 
 /// Inverted dropout: activations are scaled by 1/(1-rate) at train time so
@@ -30,10 +30,10 @@ class Dropout final : public Layer {
   std::string name() const override { return "Dropout"; }
 
  private:
-  Tensor forward_impl(const Tensor& input, Mode mode, TapeEntry* saved,
-                      Workspace* ws) const override;
+  Tensor forward_impl(const Tensor& input, Mode mode,
+                      TapeEntry* saved) const override;
   Tensor backward_impl(const Tensor& grad_output, const TapeEntry& saved,
-                       GradSlots grads, Workspace* ws) const override;
+                       GradSlots grads) const override;
 
   float rate_;
   mutable Rng rng_;

@@ -144,11 +144,6 @@ TrainStats fit_classifier(Sequential& model, const Tensor& images,
         batches ? static_cast<float>(epoch_loss / static_cast<double>(batches))
                 : std::numeric_limits<float>::quiet_NaN());
     if (stats.skipped_batches == skipped_before) guard.refresh_snapshot();
-    // Long runs must not pin peak-batch memory: between epochs the pool
-    // holds every shape the epoch touched (full batches plus the trailing
-    // partial batch); trimming to half the high-water mark releases the
-    // cold tail while the hot shapes are re-acquired within one batch.
-    model.workspace().trim(0.5);
     if (cfg.verbose) {
       std::printf("  epoch %zu/%zu  loss %.4f\n", epoch + 1, cfg.epochs,
                   stats.epoch_losses.back());
@@ -205,7 +200,6 @@ TrainStats fit_autoencoder(Sequential& model, const Tensor& images,
         batches ? static_cast<float>(epoch_loss / static_cast<double>(batches))
                 : std::numeric_limits<float>::quiet_NaN());
     if (stats.skipped_batches == skipped_before) guard.refresh_snapshot();
-    model.workspace().trim(0.5);  // see fit_classifier
     if (cfg.verbose) {
       std::printf("  epoch %zu/%zu  recon loss %.5f\n", epoch + 1, cfg.epochs,
                   stats.epoch_losses.back());

@@ -4,7 +4,6 @@
 
 namespace adv::obs {
 
-#ifndef ADV_OBS_DISABLED
 namespace {
 
 struct EnabledState {
@@ -35,7 +34,6 @@ void set_enabled(bool on) {
 }
 
 bool enabled_pinned_by_env() { return state().pinned; }
-#endif  // ADV_OBS_DISABLED
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;

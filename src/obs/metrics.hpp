@@ -11,15 +11,13 @@
 // statics.
 //
 // Gating. Instrumented sites (Sequential, ThreadPool, gemm, the attack
-// adapters) test obs::enabled() before doing any clock or registry work:
-//   * runtime: enabled() starts false (or from the ADV_OBS env var, which
-//     wins over later set_enabled calls made by the bench drivers), so
-//     tests and library users pay one relaxed atomic load per site;
-//   * compile time: configuring with -DADV_OBS=OFF defines
-//     ADV_OBS_DISABLED, making enabled() a constant false that
-//     dead-code-eliminates every site.
-// The registry itself always works (it is plain data); gating applies to
-// the instrumentation points, not to direct registry calls.
+// adapters) test obs::enabled() before doing any clock or registry work.
+// The one switch is at runtime: enabled() starts false (or from the
+// ADV_OBS env var, which wins over later set_enabled calls made by the
+// bench drivers), so with it off tests and library users pay one relaxed
+// atomic load per site. The registry itself always works (it is plain
+// data); gating applies to the instrumentation points, not to direct
+// registry calls.
 #pragma once
 
 #include <atomic>
@@ -35,15 +33,6 @@
 
 namespace adv::obs {
 
-#ifdef ADV_OBS_DISABLED
-/// Compiled-out build: instrumentation sites fold to nothing.
-inline constexpr bool kCompiledIn = false;
-constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline bool enabled_pinned_by_env() { return true; }
-#else
-inline constexpr bool kCompiledIn = true;
-
 /// Process-wide instrumentation switch (one relaxed atomic load).
 bool enabled();
 
@@ -54,7 +43,6 @@ void set_enabled(bool on);
 
 /// True when ADV_OBS was present in the environment.
 bool enabled_pinned_by_env();
-#endif
 
 /// Monotonic counter. add() is a relaxed fetch_add — concurrent
 /// increments from pool workers sum exactly.

@@ -21,6 +21,7 @@ struct ByteWriter {
   void i32(std::int32_t v) { raw(&v, sizeof v); }
   void f32(float v) { raw(&v, sizeof v); }
   void raw(const void* p, std::size_t n) {
+    if (n == 0) return;  // p may be null (an empty vector's data())
     const std::size_t off = buf.size();
     buf.resize(off + n);
     std::memcpy(buf.data() + off, p, n);
@@ -58,6 +59,7 @@ struct ByteReader {
   }
   void raw(void* out, std::size_t n) {
     need(n);
+    if (n == 0) return;  // out may be null (an empty vector's data())
     std::memcpy(out, data.data() + pos, n);
     pos += n;
   }

@@ -137,9 +137,9 @@ void pad_image(const float* src, std::size_t c, std::size_t h, std::size_t w,
   }
   // Zero only the border bytes: every interior row is fully overwritten
   // by the memcpy, so a whole-buffer memset would touch each image byte
-  // twice. The buffer may be recycled (arbitrary contents), so every
-  // byte of [dst, dst + c*ph*pw + NR) must still be written — the
-  // segments below tile that range exactly.
+  // twice. The buffer is reused for every sample of a chunk (it holds the
+  // previous sample), so every byte of [dst, dst + c*ph*pw + NR) must
+  // still be written — the segments below tile that range exactly.
   float* d = dst;
   for (std::size_t ch = 0; ch < c; ++ch) {
     // Top pad rows plus the first interior row's left pad.

@@ -1,5 +1,6 @@
 #include "tensor/serialize.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <fstream>
@@ -57,6 +58,26 @@ std::vector<std::size_t> read_dims(std::istream& is) {
   return dims;
 }
 
+// Reads the payload of a tensor of `shape`. Until the payload is read
+// nothing vouches for the dims (v1 has no checksum, and v2's covers the
+// payload too), so the buffer grows a chunk at a time as bytes arrive:
+// dims that claim more than the stream holds fail as truncation after
+// allocating about what the stream held, not what the dims claimed.
+Tensor read_payload(std::istream& is, Shape shape) {
+  constexpr std::size_t kChunk = std::size_t{1} << 20;  // floats
+  const std::size_t numel = shape.numel();
+  std::vector<float> data;
+  for (std::size_t done = 0; done < numel;) {
+    const std::size_t n = std::min(kChunk, numel - done);
+    data.resize(done + n);
+    is.read(reinterpret_cast<char*>(data.data() + done),
+            static_cast<std::streamsize>(n * sizeof(float)));
+    if (!is) throw std::runtime_error("tensor stream truncated");
+    done += n;
+  }
+  return Tensor::from_data(std::move(shape), std::move(data));
+}
+
 // CRC over the dims (as the u64 values we serialize) then the payload.
 std::uint32_t tensor_crc(const std::vector<std::size_t>& dims,
                          const Tensor& t) {
@@ -96,10 +117,7 @@ void write_tensor_v2(std::ostream& os, const Tensor& t,
 Tensor read_tensor_v2(std::istream& is, std::uint32_t* file_crc) {
   const std::vector<std::size_t> dims = read_dims(is);
   const auto stored_crc = read_pod<std::uint32_t>(is);
-  Tensor t{Shape(dims)};
-  is.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(t.numel() * sizeof(float)));
-  if (!is) throw std::runtime_error("tensor stream truncated");
+  Tensor t = read_payload(is, Shape(dims));
   if (tensor_crc(dims, t) != stored_crc) {
     throw std::runtime_error("tensor CRC mismatch: corrupt file");
   }
@@ -117,12 +135,7 @@ Tensor read_tensor_v2(std::istream& is, std::uint32_t* file_crc) {
 
 // Legacy v1 record: rank/dims/payload, no checksum.
 Tensor read_tensor_v1(std::istream& is) {
-  const std::vector<std::size_t> dims = read_dims(is);
-  Tensor t{Shape(dims)};
-  is.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(t.numel() * sizeof(float)));
-  if (!is) throw std::runtime_error("tensor stream truncated");
-  return t;
+  return read_payload(is, Shape(read_dims(is)));
 }
 
 }  // namespace
@@ -213,8 +226,9 @@ std::vector<Tensor> load_tensors(const std::filesystem::path& path) {
   if (count > kMaxPlausibleNumel) {
     throw std::runtime_error("tensor count implausible: corrupt file");
   }
+  // No reserve(count): every record takes at least 8 bytes, so `out`
+  // grows only as far as the file's real records go.
   std::vector<Tensor> out;
-  out.reserve(count);
   if (version == kTensorFileVersionLegacy) {
     for (std::uint64_t i = 0; i < count; ++i) {
       out.push_back(read_tensor_v1(is));

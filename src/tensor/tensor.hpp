@@ -43,13 +43,6 @@ class Tensor {
   /// Adopts existing data. Throws std::invalid_argument on size mismatch.
   static Tensor from_data(Shape shape, std::vector<float> data);
 
-  /// Steals the underlying storage, leaving the tensor empty (rank 0).
-  /// Used by Workspace to recycle buffers without copying.
-  std::vector<float> take_data() && {
-    shape_ = Shape();
-    return std::move(data_);
-  }
-
   const Shape& shape() const { return shape_; }
   std::size_t rank() const { return shape_.rank(); }
   std::size_t dim(std::size_t i) const { return shape_[i]; }

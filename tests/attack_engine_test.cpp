@@ -2,12 +2,9 @@
 // batch exactly as it crafts that image alone, under every threat model
 // (I-FGSM and DeepFool on compacted sub-batches once rows retire; EAD and
 // C&W-L2 on the full batch throughout), plain ISTA's reuse of the
-// candidate forward must be bitwise invisible under every threat model,
-// and the Workspace arena must hand out correctly-sized (and, when
-// requested, zeroed) buffers under concurrency.
+// candidate forward must be bitwise invisible under every threat model.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -32,8 +29,6 @@
 #include "nn/structural.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/tensor_ops.hpp"
-#include "tensor/thread_pool.hpp"
-#include "tensor/workspace.hpp"
 
 namespace adv::attacks {
 namespace {
@@ -476,7 +471,6 @@ std::uint64_t counter(const std::string& key) {
 }
 
 TEST(EngineStats, PassesSavedCountsRowsTheTargetSkipped) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   const ObsOn on;
   if (!obs::enabled()) GTEST_SKIP() << "ADV_OBS pinned off";
   const RetiringIfgsm ifgsm;
@@ -513,7 +507,6 @@ TEST(EngineStats, PassesSavedCountsRowsTheTargetSkipped) {
 }
 
 TEST(EngineStats, EadAndCwL2RecordNoEngineCounters) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   const ObsOn on;
   if (!obs::enabled()) GTEST_SKIP() << "ADV_OBS pinned off";
   // They run every row for the full schedule: nothing retires, so there
@@ -613,184 +606,6 @@ TEST(ForwardReuse, IstaRunsIterationsPlusOneForwardsPerStep) {
     EXPECT_EQ(counted.evals + counted.infers, steps * (iters + 1));
     EXPECT_EQ(counted.infers, steps);
   }
-}
-
-// --- workspace ------------------------------------------------------------
-
-TEST(WorkspaceArena, RecyclesBuffersAndTracksStats) {
-  Workspace ws;
-  Tensor a = ws.acquire(Shape({2, 3}));
-  EXPECT_EQ(a.shape(), Shape({2, 3}));
-  a.fill(7.0f);
-  ws.release(std::move(a));
-  EXPECT_EQ(ws.pooled_buffers(), 1u);
-  EXPECT_EQ(ws.pooled_bytes(), 6u * sizeof(float));
-
-  // Pooling is keyed on the full dims vector: a [3, 2] request must NOT
-  // be served by the parked [2, 3] buffer even though numel matches.
-  Tensor b = ws.acquire(Shape({3, 2}));
-  EXPECT_EQ(b.shape(), Shape({3, 2}));
-  EXPECT_EQ(ws.reuses(), 0u);
-  EXPECT_EQ(ws.misses(), 2u);
-  ws.release(std::move(b));
-  EXPECT_EQ(ws.pooled_buffers(), 2u);
-
-  // A same-shape request is a reuse and keeps the old bytes when not
-  // zeroed.
-  Tensor c = ws.acquire(Shape({2, 3}));
-  EXPECT_EQ(ws.reuses(), 1u);
-  EXPECT_FLOAT_EQ(c[0], 7.0f);
-  c.fill(9.0f);
-  ws.release(std::move(c));
-
-  // zeroed=true must scrub recycled contents.
-  Tensor z = ws.acquire(Shape({2, 3}), /*zeroed=*/true);
-  EXPECT_EQ(ws.reuses(), 2u);
-  for (std::size_t i = 0; i < z.numel(); ++i) {
-    ASSERT_FLOAT_EQ(z[i], 0.0f) << i;
-  }
-}
-
-TEST(WorkspaceArena, TrimFreesLargestShapesFirstAndResetsHighWater) {
-  Workspace ws;
-  // Park one big and two small buffers: 1000, 10, 10 floats.
-  ws.release(ws.acquire(Shape({1000})));
-  ws.release(ws.acquire(Shape({10})));
-  ws.release(ws.acquire(Shape({2, 5})));
-  const std::uint64_t full = (1000 + 10 + 10) * sizeof(float);
-  EXPECT_EQ(ws.pooled_bytes(), full);
-  EXPECT_EQ(ws.high_water_bytes(), full);
-
-  // Trimming to half the high-water mark must evict the big buffer (the
-  // largest shape goes first) and keep both small ones.
-  ws.trim(0.5);
-  EXPECT_EQ(ws.pooled_bytes(), 20u * sizeof(float));
-  EXPECT_EQ(ws.pooled_buffers(), 2u);
-  // ... and the mark resets to the trimmed level.
-  EXPECT_EQ(ws.high_water_bytes(), 20u * sizeof(float));
-
-  // trim(0) empties the pool; subsequent acquires still work (plain
-  // allocation miss).
-  ws.trim(0.0);
-  EXPECT_EQ(ws.pooled_buffers(), 0u);
-  EXPECT_EQ(ws.pooled_bytes(), 0u);
-  Tensor t = ws.acquire(Shape({10}), /*zeroed=*/true);
-  for (std::size_t i = 0; i < t.numel(); ++i) ASSERT_FLOAT_EQ(t[i], 0.0f);
-}
-
-TEST(WorkspaceArena, PerShapePoolIsCapped) {
-  Workspace ws;
-  std::vector<Tensor> live;
-  for (int i = 0; i < 40; ++i) live.push_back(ws.acquire(Shape({4})));
-  for (auto& t : live) ws.release(std::move(t));
-  // Only kMaxPooledPerShape (16) buffers of one shape may park; the rest
-  // are dropped to the allocator.
-  EXPECT_EQ(ws.pooled_buffers(), 16u);
-}
-
-TEST(WorkspaceArena, DisabledMeansFreshZeroedAllocations) {
-  Workspace ws;
-  ws.set_enabled(false);
-  Tensor a = ws.acquire(Shape({4}));
-  a.fill(3.0f);
-  ws.release(std::move(a));  // dropped, not pooled
-  EXPECT_EQ(ws.pooled_buffers(), 0u);
-  Tensor b = ws.acquire(Shape({4}));
-  EXPECT_EQ(ws.reuses(), 0u);
-  for (std::size_t i = 0; i < b.numel(); ++i) {
-    ASSERT_FLOAT_EQ(b[i], 0.0f);
-  }
-}
-
-TEST(WorkspaceArena, ConcurrentAcquireReleaseIsSafeAndCorrect) {
-  Workspace ws;
-  auto& pool = ThreadPool::global();
-  std::atomic<int> failures{0};
-  // Hammer the arena from every pool worker: each task acquires a zeroed
-  // buffer (must be all-zero), stamps it, and releases it back.
-  pool.parallel_for(0, 256, [&](std::size_t b0, std::size_t b1) {
-    for (std::size_t t = b0; t < b1; ++t) {
-      const Shape shape({(t % 7) + 1, 5});
-      Tensor buf = ws.acquire(shape, /*zeroed=*/true);
-      if (buf.shape() != shape) failures.fetch_add(1);
-      for (std::size_t i = 0; i < buf.numel(); ++i) {
-        if (buf[i] != 0.0f) {
-          failures.fetch_add(1);
-          break;
-        }
-      }
-      buf.fill(static_cast<float>(t));
-      ws.release(std::move(buf));
-    }
-  });
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(ws.reuses() + ws.misses(), 0u);
-}
-
-TEST(WorkspaceArena, ModelOutputsIdenticalWithWorkspaceOnAndOff) {
-  nn::Sequential m1 = conv_classifier(67);
-  nn::Sequential m2 = conv_classifier(67);
-  m2.set_workspace_enabled(false);
-  Rng rng(68);
-  Tensor x({5, 1, 8, 8});
-  fill_uniform(x, rng, 0.0f, 1.0f);
-
-  for (int pass = 0; pass < 3; ++pass) {
-    nn::Tape t1, t2;
-    const Tensor y1 = m1.forward(x, nn::Mode::Eval, &t1);
-    const Tensor y2 = m2.forward(x, nn::Mode::Eval, &t2);
-    ASSERT_EQ(0, std::memcmp(y1.data(), y2.data(),
-                             y1.numel() * sizeof(float)));
-    Tensor seed(y1.shape());
-    seed.fill(0.25f);
-    const Tensor g1 = m1.backward(seed, t1);
-    const Tensor g2 = m2.backward(seed, t2);
-    ASSERT_EQ(0, std::memcmp(g1.data(), g2.data(),
-                             g1.numel() * sizeof(float)));
-  }
-  EXPECT_GT(m1.workspace().reuses(), 0u);
-  EXPECT_EQ(m2.workspace().reuses(), 0u);
-}
-
-TEST(WorkspaceArena, DirectConvForwardDropsHighWaterVsIm2col) {
-  // The direct-convolution forward needs only the padded-input scratch —
-  // it never materializes the im2col column matrix — so a conv-heavy
-  // forward pass must leave a strictly lower workspace high-water mark
-  // than the same model forced onto the im2col fallback.
-  auto build = [](bool force_im2col) {
-    Rng rng(91);
-    nn::Sequential m;
-    nn::Conv2d& c1 = m.emplace<nn::Conv2d>(nn::Conv2d::same(1, 8), rng);
-    m.emplace<nn::ReLU>();
-    nn::Conv2d& c2 = m.emplace<nn::Conv2d>(nn::Conv2d::same(8, 8), rng);
-    m.emplace<nn::Sigmoid>();
-    c1.set_force_im2col(force_im2col);
-    c2.set_force_im2col(force_im2col);
-    return m;
-  };
-  nn::Sequential direct = build(false);
-  nn::Sequential im2col = build(true);
-  Rng rng(92);
-  Tensor x({4, 1, 8, 8});
-  fill_uniform(x, rng, 0.0f, 1.0f);
-  const Tensor yd = direct.forward(x, nn::Mode::Infer);
-  const Tensor yi = im2col.forward(x, nn::Mode::Infer);
-  ASSERT_EQ(0,
-            std::memcmp(yd.data(), yi.data(), yd.numel() * sizeof(float)));
-  EXPECT_GT(im2col.workspace().high_water_bytes(), 0u);
-  EXPECT_LT(direct.workspace().high_water_bytes(),
-            im2col.workspace().high_water_bytes());
-}
-
-TEST(WorkspaceArena, InferMatchesEvalForwardBitwise) {
-  nn::Sequential m = conv_classifier(77);
-  Rng rng(78);
-  Tensor x({4, 1, 8, 8});
-  fill_uniform(x, rng, 0.0f, 1.0f);
-  const Tensor eval_out = m.forward(x, nn::Mode::Eval);
-  const Tensor infer_out = m.forward(x, nn::Mode::Infer);
-  ASSERT_EQ(0, std::memcmp(eval_out.data(), infer_out.data(),
-                           eval_out.numel() * sizeof(float)));
 }
 
 }  // namespace

@@ -253,7 +253,6 @@ TEST(AttackRegistry, StrictOverridesAcceptRelevantFields) {
 }
 
 TEST(AttackRegistry, RejectedOverrideBumpsCounter) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   auto& counter =

@@ -339,7 +339,6 @@ TEST(ObliviousSlices, RejectsLabelCountMismatch) {
 }
 
 TEST(ObliviousSlices, OneMetricsScopeCountsTheRunOnce) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   if (!obs::enabled()) GTEST_SKIP() << "ADV_OBS pinned off";

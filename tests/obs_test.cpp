@@ -202,10 +202,10 @@ TEST(Obs, SamplesToJsonMatchesRegistryEmission) {
 // of instrumented operations must not register a single key: the global
 // registry's size is unchanged, proving the hot paths do no metric work.
 TEST(Obs, DisabledPathRegistersNothing) {
-  if (obs::kCompiledIn && obs::enabled_pinned_by_env() && obs::enabled()) {
+  if (obs::enabled_pinned_by_env() && obs::enabled()) {
     GTEST_SKIP() << "ADV_OBS=1 pins instrumentation on";
   }
-  obs::set_enabled(false);  // no-op when compiled out or pinned off
+  obs::set_enabled(false);  // no-op when pinned
   ASSERT_FALSE(obs::enabled());
   const std::size_t size0 = MetricsRegistry::global().size();
 
@@ -231,12 +231,9 @@ TEST(Obs, DisabledPathRegistersNothing) {
   EXPECT_EQ(MetricsRegistry::global().size(), size0);
 }
 
-// When instrumentation is compiled in and switched on, the same
+// When instrumentation is switched on, the same
 // operations register and advance the expected keys.
 TEST(Obs, EnabledPathRecordsModelAndPoolMetrics) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "built with -DADV_OBS=OFF";
-  }
   if (obs::enabled_pinned_by_env() && !obs::enabled()) {
     GTEST_SKIP() << "ADV_OBS=0 pins instrumentation off";
   }
@@ -271,9 +268,6 @@ TEST(Obs, EnabledPathRecordsModelAndPoolMetrics) {
 // Every gemm call from every thread lands in its per-shape "gemm/MxKxN"
 // timer and "gemm/MxKxN/flops" counter.
 TEST(Obs, GemmShapeMetricsCountEveryCallFromEveryThread) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "built with -DADV_OBS=OFF";
-  }
   if (obs::enabled_pinned_by_env() && !obs::enabled()) {
     GTEST_SKIP() << "ADV_OBS=0 pins instrumentation off";
   }
@@ -312,9 +306,6 @@ TEST(Obs, GemmShapeMetricsCountEveryCallFromEveryThread) {
 // serve/batch_forward and serve/queue_wait sample per batch, and the
 // serve/queue_depth gauge.
 TEST(Obs, ServingStageMetricsKeepTheirNames) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "built with -DADV_OBS=OFF";
-  }
   if (obs::enabled_pinned_by_env() && !obs::enabled()) {
     GTEST_SKIP() << "ADV_OBS=0 pins instrumentation off";
   }

@@ -4,7 +4,9 @@
 // detectors, and each non-Ok status). Each body must re-encode to its own
 // bytes, every truncation must throw ProtocolError, and every single-byte
 // flip must either decode or throw ProtocolError: no other exception may
-// escape the decoders, however the count fields are corrupted.
+// escape the decoders, however the count fields are corrupted. Seeded
+// mutants of the corpus (byte overwrites, inserts, deletes and splices
+// between bodies) are held to the same rule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "mutation_fuzz.hpp"
 #include "serve/protocol.hpp"
 
 namespace adv::serve {
@@ -152,6 +155,55 @@ INSTANTIATE_TEST_SUITE_P(
     Corpus, ProtocolCorpusTest, ::testing::ValuesIn(corpus()),
     [](const ::testing::TestParamInfo<CorpusBody>& info) {
       return info.param.name;
+    });
+
+/// Decodes `mutant` as a `side` body; a mutant that decodes must encode to
+/// a body that decodes again. Any exception but ProtocolError fails.
+void expect_decodes_or_protocol_error(Side side, const fuzz::Bytes& mutant,
+                                      std::size_t index) {
+  try {
+    const auto again = decode_and_reencode(side, mutant);
+    EXPECT_NO_THROW(decode_and_reencode(side, again)) << "mutant " << index;
+  } catch (const ProtocolError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "mutant " << index << " (" << mutant.size()
+                  << " bytes) threw " << e.what();
+  }
+}
+
+/// The corpus bodies of one side, as the fuzz seed.
+std::vector<fuzz::Bytes> side_corpus(Side side) {
+  std::vector<fuzz::Bytes> out;
+  for (const CorpusBody& c : corpus()) {
+    if (c.side == side) out.push_back(c.body);
+  }
+  return out;
+}
+
+class ProtocolFuzzTest : public ::testing::TestWithParam<fuzz::Mutation> {};
+
+TEST_P(ProtocolFuzzTest, DecodeRequestMutantsDecodeOrThrowProtocolError) {
+  const std::vector<fuzz::Bytes> seeds = side_corpus(Side::Request);
+  Rng rng(fuzz::kSeed);
+  for (std::size_t i = 0; i < fuzz::kMutants; ++i) {
+    expect_decodes_or_protocol_error(
+        Side::Request, fuzz::mutate(seeds, GetParam(), rng), i);
+  }
+}
+
+TEST_P(ProtocolFuzzTest, DecodeResponseMutantsDecodeOrThrowProtocolError) {
+  const std::vector<fuzz::Bytes> seeds = side_corpus(Side::Response);
+  Rng rng(fuzz::kSeed);
+  for (std::size_t i = 0; i < fuzz::kMutants; ++i) {
+    expect_decodes_or_protocol_error(
+        Side::Response, fuzz::mutate(seeds, GetParam(), rng), i);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mutations, ProtocolFuzzTest, ::testing::ValuesIn(fuzz::kAllMutations),
+    [](const ::testing::TestParamInfo<fuzz::Mutation>& info) {
+      return fuzz::name(info.param);
     });
 
 /// The u32 length field holds bodies up to 2^32 - 1 bytes; one byte more

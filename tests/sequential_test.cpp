@@ -133,6 +133,17 @@ TEST(Sequential, ConvActivationFusionIsBitwiseInvisible) {
                            yi_on.numel() * sizeof(float)));
 }
 
+TEST(Sequential, InferMatchesEvalForwardBitwise) {
+  Rng rng(77);
+  Sequential m = tiny_cnn(rng);
+  Tensor x({4, 1, 6, 6});
+  fill_uniform(x, rng, 0.0f, 1.0f);
+  const Tensor eval_out = m.forward(x, nn::Mode::Eval);
+  const Tensor infer_out = m.forward(x, nn::Mode::Infer);
+  ASSERT_EQ(0, std::memcmp(eval_out.data(), infer_out.data(),
+                           eval_out.numel() * sizeof(float)));
+}
+
 TEST(Sequential, ZeroGradResetsAllLayers) {
   Rng rng(4);
   Sequential m = tiny_cnn(rng);

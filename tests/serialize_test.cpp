@@ -1,13 +1,18 @@
 // Tensor serialization round trips and failure modes: the v2 corruption
 // matrix (truncation at every byte, single-byte flips in every section),
-// v1 legacy compatibility, atomic writes, and injected write faults.
+// v1 legacy compatibility, atomic writes, injected write faults, and
+// seeded mutants of v2 streams and v2/v1 files, which must load or throw
+// std::runtime_error.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "fault/failpoint.hpp"
+#include "mutation_fuzz.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/serialize.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -21,9 +26,12 @@ class SerializeTest : public ::testing::Test {
     fault::reset();
     // Per-test dir: ctest runs each test in its own process, so a shared
     // path would let one test's TearDown remove_all another's files.
+    // Parameterized names ("Case/Param") stay one path component.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
     dir_ = std::filesystem::temp_directory_path() /
-           (std::string("adv_serialize_test_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+           ("adv_serialize_test_" + name);
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
@@ -297,6 +305,113 @@ TEST_F(SerializeTest, FailAfterSkipsInitialWrites) {
   EXPECT_EQ(load_tensors(dir_ / "ok2.bin")[0][0], 2.0f);
   EXPECT_FALSE(std::filesystem::exists(dir_ / "no.bin"));
 }
+
+// --- seeded mutation fuzzing ------------------------------------------
+
+fuzz::Bytes to_bytes(const std::string& s) { return {s.begin(), s.end()}; }
+
+/// A v1 file of `tensors`: header without checksums, then raw
+/// rank/dims/payload records.
+fuzz::Bytes legacy_v1(const std::vector<Tensor>& tensors) {
+  std::ostringstream os;
+  const auto put = [&os](const auto& v) {
+    os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(kTensorFileMagic);
+  put(kTensorFileVersionLegacy);
+  put(static_cast<std::uint64_t>(tensors.size()));
+  for (const Tensor& t : tensors) {
+    put(static_cast<std::uint64_t>(t.rank()));
+    for (std::size_t d : t.shape().dims()) put(static_cast<std::uint64_t>(d));
+    os.write(reinterpret_cast<const char*>(t.data()),
+             static_cast<std::streamsize>(t.numel() * sizeof(float)));
+  }
+  return to_bytes(os.str());
+}
+
+/// The tensor collections the cases above save, as fuzz seeds.
+std::vector<std::vector<Tensor>> seed_collections() {
+  Rng rng(11);
+  Tensor a({3, 4}), b({2, 2, 2}), c({5}), d({2, 1, 4, 4});
+  for (Tensor* t : {&a, &b, &c, &d}) fill_normal(*t, rng, 0.0f, 1.0f);
+  return {{a, b}, {a, c}, {Tensor({2, 3}, 0.25f)}, {d, c}, {}};
+}
+
+class SerializeFuzzTest : public SerializeTest,
+                          public ::testing::WithParamInterface<fuzz::Mutation> {
+ protected:
+  // Writes each mutant of `seeds` to a file and loads it: it must load or
+  // throw std::runtime_error, whatever its counts and dims claim.
+  void expect_files_load_or_throw(const std::vector<fuzz::Bytes>& seeds) {
+    const auto path = dir_ / "mutant.bin";
+    Rng rng(fuzz::kSeed);
+    for (std::size_t i = 0; i < fuzz::kMutants; ++i) {
+      const fuzz::Bytes mutant = fuzz::mutate(seeds, GetParam(), rng);
+      {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os.write(reinterpret_cast<const char*>(mutant.data()),
+                 static_cast<std::streamsize>(mutant.size()));
+      }
+      try {
+        load_tensors(path);
+      } catch (const std::runtime_error&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutant " << i << " (" << mutant.size()
+                      << " bytes) threw " << e.what();
+      }
+    }
+  }
+};
+
+TEST_P(SerializeFuzzTest, ReadTensorV2StreamMutantsReadOrThrow) {
+  std::vector<fuzz::Bytes> seeds;
+  for (const auto& tensors : seed_collections()) {
+    for (const Tensor& t : tensors) {
+      std::ostringstream os;
+      write_tensor(os, t);
+      seeds.push_back(to_bytes(os.str()));
+    }
+  }
+  Rng rng(fuzz::kSeed);
+  for (std::size_t i = 0; i < fuzz::kMutants; ++i) {
+    const fuzz::Bytes mutant = fuzz::mutate(seeds, GetParam(), rng);
+    std::istringstream is(std::string(mutant.begin(), mutant.end()));
+    try {
+      read_tensor(is);
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " (" << mutant.size()
+                    << " bytes) threw " << e.what();
+    }
+  }
+}
+
+TEST_P(SerializeFuzzTest, LoadV2FileMutantsLoadOrThrow) {
+  std::vector<fuzz::Bytes> seeds;
+  const auto path = dir_ / "seed.bin";
+  for (const auto& tensors : seed_collections()) {
+    save_tensors(path, tensors);
+    const std::vector<char> bytes = read_bytes(path);
+    seeds.emplace_back(bytes.begin(), bytes.end());
+  }
+  expect_files_load_or_throw(seeds);
+}
+
+// v1 has no checksum: only the structural guards stand between a mutated
+// count or dim and a huge allocation.
+TEST_P(SerializeFuzzTest, LoadV1FileMutantsLoadOrThrow) {
+  std::vector<fuzz::Bytes> seeds;
+  for (const auto& tensors : seed_collections()) {
+    seeds.push_back(legacy_v1(tensors));
+  }
+  expect_files_load_or_throw(seeds);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mutations, SerializeFuzzTest, ::testing::ValuesIn(fuzz::kAllMutations),
+    [](const ::testing::TestParamInfo<fuzz::Mutation>& info) {
+      return fuzz::name(info.param);
+    });
 
 }  // namespace
 }  // namespace adv

@@ -59,12 +59,9 @@ std::shared_ptr<nn::Sequential> threshold_classifier(float w = 10.0f) {
 /// Full pipeline: one real ReconstructionDetector (AE halves the pixel,
 /// so L1 score = 0.5|x|), a reformer on the same AE, and the threshold
 /// classifier. All stages are row-independent and hand-computable.
-std::shared_ptr<const MagNetPipeline> build_pipeline(
-    bool workspace_enabled = true) {
+std::shared_ptr<const MagNetPipeline> build_pipeline() {
   auto clf = threshold_classifier();
   auto ae = scaling_ae(0.5f);
-  clf->set_workspace_enabled(workspace_enabled);
-  ae->set_workspace_enabled(workspace_enabled);
   auto pipe = std::make_shared<MagNetPipeline>(clf);
   auto det = std::make_shared<magnet::ReconstructionDetector>(ae, 1);
   det->set_threshold(0.2f);  // fires when 0.5|x| > 0.2, i.e. x > 0.4
@@ -214,48 +211,42 @@ std::vector<RequestSpec> identity_workload() {
 }
 
 /// Batched responses for N concurrent requests must be bitwise identical
-/// to running each request alone — across batch sizes, flush deadlines
-/// and with the Workspace arena on and off.
+/// to running each request alone — across batch sizes and flush
+/// deadlines.
 TEST_F(ServeTest, BatchedResponsesMatchSerialBitwise) {
   const auto specs = identity_workload();
-  for (const bool workspace_on : {true, false}) {
-    auto pipe = build_pipeline(workspace_on);
-    // Serial baseline: one classify per request, no coalescing anywhere.
-    std::vector<DefenseOutcome> serial;
-    for (const auto& s : specs) {
-      serial.push_back(
-          pipe->classify(rows_tensor(s.rows, s.base), s.scheme));
-    }
-    for (const std::size_t max_rows : {std::size_t{1}, std::size_t{4},
-                                       std::size_t{8}}) {
-      for (const auto deadline :
-           {std::chrono::microseconds{0}, std::chrono::microseconds{2000}}) {
-        MicroBatcher batcher([pipe] { return pipe; },
-                             {max_rows, deadline});
-        std::vector<std::future<ServeResult>> futures(specs.size());
-        // 4 concurrent submitters, interleaved striding so coalesced
-        // batches mix requests from different threads.
-        std::vector<std::thread> threads;
-        for (std::size_t t = 0; t < 4; ++t) {
-          threads.emplace_back([&, t] {
-            for (std::size_t i = t; i < specs.size(); i += 4) {
-              futures[i] = batcher.submit(
-                  rows_tensor(specs[i].rows, specs[i].base),
-                  specs[i].scheme);
-            }
-          });
-        }
-        for (auto& th : threads) th.join();
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-          const ServeResult r = futures[i].get();
-          ASSERT_TRUE(r.ok) << r.error;
-          EXPECT_TRUE(outcomes_bitwise_equal(r.outcome, serial[i]))
-              << "request " << i << " max_rows=" << max_rows
-              << " deadline_us=" << deadline.count()
-              << " workspace=" << workspace_on;
-        }
-        EXPECT_EQ(batcher.pending(), 0u);
+  auto pipe = build_pipeline();
+  // Serial baseline: one classify per request, no coalescing anywhere.
+  std::vector<DefenseOutcome> serial;
+  for (const auto& s : specs) {
+    serial.push_back(pipe->classify(rows_tensor(s.rows, s.base), s.scheme));
+  }
+  for (const std::size_t max_rows : {std::size_t{1}, std::size_t{4},
+                                     std::size_t{8}}) {
+    for (const auto deadline :
+         {std::chrono::microseconds{0}, std::chrono::microseconds{2000}}) {
+      MicroBatcher batcher([pipe] { return pipe; }, {max_rows, deadline});
+      std::vector<std::future<ServeResult>> futures(specs.size());
+      // 4 concurrent submitters, interleaved striding so coalesced
+      // batches mix requests from different threads.
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+          for (std::size_t i = t; i < specs.size(); i += 4) {
+            futures[i] = batcher.submit(
+                rows_tensor(specs[i].rows, specs[i].base), specs[i].scheme);
+          }
+        });
       }
+      for (auto& th : threads) th.join();
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        const ServeResult r = futures[i].get();
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_TRUE(outcomes_bitwise_equal(r.outcome, serial[i]))
+            << "request " << i << " max_rows=" << max_rows
+            << " deadline_us=" << deadline.count();
+      }
+      EXPECT_EQ(batcher.pending(), 0u);
     }
   }
 }

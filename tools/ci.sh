@@ -10,8 +10,9 @@
 # exit), a ThreadSanitizer pass over the concurrency tests (its own build
 # tree, <build-dir>-tsan), and an AddressSanitizer + UBSan pass over the
 # parsers, the daemon, row-block passes, sliced attacks, the active-set
-# engine's gathered sub-batches, the thread pool and the GEMM and
-# direct-conv microkernels (<build-dir>-asan).
+# engine's gathered sub-batches, whole-model passes, training, concurrent
+# passes, the thread pool and the GEMM and direct-conv microkernels
+# (<build-dir>-asan).
 #
 # A vectorization stage fails unless GCC reports every loop marked
 # `// ci:vectorized` as vectorized: a loop that falls back to a branch
@@ -317,22 +318,25 @@ for t in concurrency_test thread_pool_test row_block_test \
 done
 
 echo "== address + undefined-behaviour sanitizer =="
-# The byte parsers (tensor files, and the serve wire protocol with its
-# corpus of truncation and byte-flip sweeps), the daemon, row-block
-# passes, sliced attacks, the active-set engine (every attack's gather
-# and scatter indexing), the thread pool, and the GEMM and direct-conv
-# microkernels (their tail tiles store fewer lanes than a vector holds;
-# a store past the row's end fails here), rebuilt with
-# -fsanitize=address,undefined. UB is fatal (-fno-sanitize-recover), and
-# leak detection is on.
+# The byte parsers (tensor files and the serve wire protocol, with their
+# truncation and byte-flip sweeps and seeded mutants), the daemon,
+# row-block passes, sliced attacks, the active-set engine (every attack's
+# gather and scatter indexing), whole-model passes, training and
+# concurrent passes (every intermediate a layer allocates is freed by its
+# owner: row-block parts, fused-activation tape copies, per-chunk conv
+# scratch), the thread pool, and the GEMM and direct-conv microkernels
+# (their tail tiles store fewer lanes than a vector holds; a store past
+# the row's end fails here), rebuilt with -fsanitize=address,undefined.
+# UB is fatal (-fno-sanitize-recover), and leak detection is on.
 sanitize_build asan \
   "-fsanitize=address,undefined -fno-sanitize-recover=undefined" \
   serialize_test protocol_test serve_test row_block_test thread_pool_test \
   oblivious_slice_test attack_engine_test gemm_test gemm_blocked_test \
-  nn_layers_test
+  nn_layers_test sequential_test trainer_test concurrency_test
 for t in serialize_test protocol_test serve_test row_block_test \
          thread_pool_test oblivious_slice_test attack_engine_test gemm_test \
-         gemm_blocked_test nn_layers_test; do
+         gemm_blocked_test nn_layers_test sequential_test trainer_test \
+         concurrency_test; do
   sanitize_run asan ASAN_OPTIONS=detect_leaks=1 "" "$t"
 done
 exit "$fail"
