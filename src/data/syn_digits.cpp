@@ -6,6 +6,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "tensor/thread_pool.hpp"
+
 namespace adv::data {
 namespace {
 
@@ -147,10 +149,16 @@ Dataset make_syn_digits(const SynDigitsConfig& cfg) {
   d.labels.resize(cfg.count);
   d.num_classes = 10;
   for (std::size_t i = 0; i < cfg.count; ++i) {
-    const int digit = static_cast<int>(i % 10);
-    d.labels[i] = digit;
-    d.images.set_rows(i, render_syn_digit(cfg, i, digit));
+    d.labels[i] = static_cast<int>(i % 10);
   }
+  // Every sample draws from its own sample_rng(seed, index), so rendering
+  // them in parallel gives bitwise the serial dataset at any pool size.
+  ThreadPool::global().parallel_for(
+      0, cfg.count, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) {
+          d.images.set_rows(i, render_syn_digit(cfg, i, d.labels[i]));
+        }
+      });
   return d;
 }
 

@@ -256,36 +256,49 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
   const std::size_t k2 = cfg_.in_channels * cfg_.kernel * cfg_.kernel;
   const std::size_t plane = oh * ow;
   const bool direct = uses_direct();
-  const bool want_params = !grads.empty();
   obs::ScopedTimer timer(observe_path(direct, /*forward=*/false));
   // col2im accumulates into the zero-filled input gradient; the direct
   // kernel overwrites it.
   Tensor grad_input(input.shape());
 
   ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
-  const std::size_t chunks = pool.max_chunks();
+  if (!grads.empty()) {
+    // Parameter gradients accumulate straight into the caller's slots, one
+    // sample after another in sample order, so their float summation
+    // order depends on nothing but the batch. The column buffer is rebuilt
+    // per sample (cheaper than caching it for wide AEs); weight gradients
+    // stay on im2col+GEMM, whose pixel-major strip reduction the direct
+    // layout cannot reproduce cheaply.
+    float* gw = grads[0]->data();
+    float* gb = grads[1]->data();
+    Tensor col({k2, plane});
+    for (std::size_t s = 0; s < n; ++s) {
+      const float* gout = grad_output.data() + s * cfg_.out_channels * plane;
+      for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
+        const float* p = gout + oc * plane;
+        double acc = 0.0;
+        for (std::size_t i = 0; i < plane; ++i) acc += p[i];
+        gb[oc] += static_cast<float>(acc);
+      }
+      // dW += gout [out_c, plane] * col^T [plane, k2] (B stored [k2, plane]).
+      im2col(input.data() + s * cfg_.in_channels * h * w, cfg_.in_channels, h,
+             w, cfg_.kernel, cfg_.stride, cfg_.padding, col.data());
+      gemm_a_bt_raw(gout, col.data(), gw, cfg_.out_channels, plane, k2,
+                    {.accumulate = true});
+    }
+  }
+
+  // The input gradient runs in parallel over samples, with scratch per
+  // chunk allocated before the parallel region: dcol on the im2col path,
+  // or the much smaller padded output-gradient copy on the direct path;
+  // both are fully overwritten before use.
   const std::size_t bpad = cfg_.kernel - 1 - cfg_.padding;  // direct only
   const std::size_t gpsz =
       direct ? conv::padded_size(cfg_.out_channels, oh, ow, bpad) : 0;
-  // Scratch per chunk, allocated before the parallel region. Parameter
-  // gradients (only when asked for) need zeroed dW/db parts, reduced in
-  // chunk order below, and a column buffer for the dW GEMM (weight
-  // gradients stay on im2col+GEMM, whose pixel-major strip reduction the
-  // direct layout cannot reproduce cheaply). The input gradient needs
-  // dcol on the im2col path, or the much smaller padded output-gradient
-  // copy on the direct path; both are fully overwritten before use.
-  std::vector<Tensor> dw_parts, db_parts, cols, dcols, gpads;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    if (want_params) {
-      dw_parts.push_back(Tensor(weight_.shape()));
-      db_parts.push_back(Tensor(bias_.shape()));
-      cols.push_back(Tensor({k2, plane}));
-    }
-    if (direct) {
-      gpads.push_back(Tensor({gpsz}));
-    } else {
-      dcols.push_back(Tensor({k2, plane}));
-    }
+  std::vector<Tensor> scratch;
+  scratch.reserve(pool.max_chunks());
+  for (std::size_t c = 0; c < pool.max_chunks(); ++c) {
+    scratch.push_back(direct ? Tensor({gpsz}) : Tensor({k2, plane}));
   }
   Tensor wpackb;
   if (direct) {
@@ -294,57 +307,26 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output, const TapeEntry& saved,
     conv::pack_weights_bwd(weight_.data(), cfg_.in_channels,
                            cfg_.out_channels, cfg_.kernel, wpackb.data());
   }
-
   pool.parallel_for_indexed(0, n, [&](std::size_t chunk, std::size_t b0,
                                       std::size_t b1) {
+    float* buf = scratch[chunk].data();
     for (std::size_t s = b0; s < b1; ++s) {
       const float* gout = grad_output.data() + s * cfg_.out_channels * plane;
-      if (want_params) {
-        // db
-        Tensor& db = db_parts[chunk];
-        for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
-          const float* p = gout + oc * plane;
-          double acc = 0.0;
-          for (std::size_t i = 0; i < plane; ++i) acc += p[i];
-          db[oc] += static_cast<float>(acc);
-        }
-        // Recompute the column buffer (cheaper than caching it for wide
-        // AEs), then dW += gout [out_c, plane] * col^T [plane, k2] (B
-        // stored [k2, plane]).
-        float* col = cols[chunk].data();
-        im2col(input.data() + s * cfg_.in_channels * h * w, cfg_.in_channels,
-               h, w, cfg_.kernel, cfg_.stride, cfg_.padding, col);
-        gemm_a_bt_raw(gout, col, dw_parts[chunk].data(), cfg_.out_channels,
-                      plane, k2, {.accumulate = true});
-      }
       float* gi = grad_input.data() + s * cfg_.in_channels * h * w;
       if (direct) {
-        float* gpad = gpads[chunk].data();
-        conv::pad_image(gout, cfg_.out_channels, oh, ow, bpad, gpad);
-        conv::direct_input_grad(gpad, wpackb.data(), cfg_.in_channels, h, w,
+        conv::pad_image(gout, cfg_.out_channels, oh, ow, bpad, buf);
+        conv::direct_input_grad(buf, wpackb.data(), cfg_.in_channels, h, w,
                                 cfg_.kernel, cfg_.padding,
                                 cfg_.out_channels, gi);
       } else {
-        float* dcol = dcols[chunk].data();
         // dcol = W^T [k2, out_c] * gout [out_c, plane] (A stored [out_c, k2])
-        gemm_at_b_raw(weight_.data(), gout, dcol, k2,
-                      cfg_.out_channels, plane,
+        gemm_at_b_raw(weight_.data(), gout, buf, k2, cfg_.out_channels, plane,
                       {.accumulate = false});
-        col2im(dcol, cfg_.in_channels, h, w, cfg_.kernel, cfg_.stride,
+        col2im(buf, cfg_.in_channels, h, w, cfg_.kernel, cfg_.stride,
                cfg_.padding, gi);
       }
     }
   });
-  if (want_params) {
-    float* gw = grads[0]->data();
-    float* gb = grads[1]->data();
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const float* pw = dw_parts[c].data();
-      const float* pb = db_parts[c].data();
-      for (std::size_t i = 0, m = weight_.numel(); i < m; ++i) gw[i] += pw[i];
-      for (std::size_t i = 0, m = bias_.numel(); i < m; ++i) gb[i] += pb[i];
-    }
-  }
   return grad_input;
 }
 

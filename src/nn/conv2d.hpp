@@ -16,10 +16,12 @@
 // per-shape "conv/<shape>/{direct,im2col}[_bwd]" timers and global
 // "conv/direct_hits" / "conv/im2col_fallback" counters.
 //
-// Forward / backward parallelize over batch samples (each sample is
-// independent); parameter gradients, when requested, are accumulated into
-// per-chunk scratch buffers and reduced in chunk order, keeping results
-// deterministic under any thread count.
+// Forward and the input gradient parallelize over batch samples (each
+// sample is independent). Parameter gradients, when requested, accumulate
+// straight into the caller's slots in sample order, on the calling
+// thread: no sum ever runs per pool chunk, so outputs and gradients are
+// bitwise the same at any pool size. (A training step already runs each
+// row block's backward on a pool chunk of its own; see nn/trainer.hpp.)
 #pragma once
 
 #include <atomic>

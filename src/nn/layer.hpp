@@ -6,11 +6,10 @@
 // EAD, FGSM, DeepFool) compute d(loss)/d(image).
 //
 // Call contract: a layer holds only parameters and configuration; what a
-// call produces lives in caller-owned objects (nn/tape.hpp), so concurrent
-// passes over one layer are safe. The one state a call advances is
-// Dropout's mask RNG, in Mode::Train.
+// call produces lives in caller-owned objects (nn/tape.hpp), and a call
+// advances no layer state, so concurrent passes over one layer are safe.
 //   * forward(x, mode, saved) records what backward needs into `saved`
-//     when non-null (a Train/Eval pass); with none, no backward may follow.
+//     when non-null (an Eval pass); with none, no backward may follow.
 //   * backward(g, saved, grads) treats `saved` as READ-ONLY: it may be
 //     called any number of times after one recording forward (DeepFool
 //     seeds one backward per class). Parameter gradients accumulate into
@@ -34,7 +33,7 @@ class Layer {
   virtual ~Layer() = default;
 
   /// Computes the layer output for `input` (leading dimension = batch).
-  /// Mode::Train toggles train-only behaviour (dropout).
+  /// Every row is computed independently of the others.
   Tensor forward(const Tensor& input, Mode mode,
                  TapeEntry* saved = nullptr) const {
     return forward_impl(input, mode, saved);

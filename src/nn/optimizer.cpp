@@ -23,26 +23,6 @@ void Optimizer::zero_grad() {
   for (Tensor* g : grads_) g->fill(0.0f);
 }
 
-Sgd::Sgd(std::vector<Tensor*> params, std::vector<Tensor*> grads, float lr,
-         float momentum)
-    : Optimizer(std::move(params), std::move(grads), lr),
-      momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (Tensor* p : params_) velocity_.emplace_back(p->shape());
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    float* p = params_[i]->data();
-    const float* g = grads_[i]->data();
-    float* v = velocity_[i].data();
-    for (std::size_t j = 0, n = params_[i]->numel(); j < n; ++j) {
-      v[j] = momentum_ * v[j] - lr_ * g[j];
-      p[j] += v[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor*> params, std::vector<Tensor*> grads, float lr,
            float beta1, float beta2, float eps)
     : Optimizer(std::move(params), std::move(grads), lr),

@@ -1,5 +1,5 @@
-// First-order optimizers: SGD with momentum and Adam (the paper's training
-// stack used Keras' Adam defaults).
+// First-order optimizers: Adam (the paper's training stack used Keras'
+// Adam defaults) behind a small base class the trainer drives.
 #pragma once
 
 #include <vector>
@@ -33,17 +33,6 @@ class Optimizer {
   std::vector<Tensor*> params_;
   std::vector<Tensor*> grads_;
   float lr_;
-};
-
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Tensor*> params, std::vector<Tensor*> grads, float lr,
-      float momentum = 0.0f);
-  void step() override;
-
- private:
-  float momentum_;
-  std::vector<Tensor> velocity_;
 };
 
 class Adam final : public Optimizer {

@@ -6,6 +6,7 @@
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "tensor/serialize.hpp"
+#include "tensor/tensor_ops.hpp"
 #include "tensor/thread_pool.hpp"
 
 namespace adv::nn {
@@ -54,19 +55,6 @@ const Sequential::LayerTimers* Sequential::obs_timers() const {
 
 namespace {
 
-// Stacks per-block results, in block order, into one [n, ...] tensor.
-Tensor stack_rows(const std::vector<Tensor>& parts, std::size_t n) {
-  std::vector<std::size_t> dims = parts.front().shape().dims();
-  dims[0] = n;
-  Tensor out{Shape(dims)};
-  std::size_t row = 0;
-  for (const Tensor& part : parts) {
-    out.set_rows(row, part);
-    row += part.dim(0);
-  }
-  return out;
-}
-
 // Block b of a pass split into `blocks` covers rows
 // [b * n / blocks, (b + 1) * n / blocks).
 std::size_t block_row(std::size_t b, std::size_t n, std::size_t blocks) {
@@ -84,13 +72,12 @@ Tensor Sequential::forward(const Tensor& input, Mode mode, Tape* tape) const {
         obs::MetricsRegistry::global().counter("model/forward_calls");
     calls.add(1);
   }
-  // Rows are independent outside Train (no dropout), so an Eval/Infer
-  // pass runs as row blocks, one per pool chunk; max_chunks() is 1 inside
-  // a pool task, where the pass stays whole.
+  // Rows are independent, so a pass runs as row blocks, one per pool
+  // chunk; max_chunks() is 1 inside a pool task, where the pass stays
+  // whole.
   ThreadPool& pool = ThreadPool::global();
   const std::size_t n = input.rank() == 0 ? 0 : input.dim(0);
-  const std::size_t blocks =
-      is_training(mode) ? 1 : std::min(n, pool.max_chunks());
+  const std::size_t blocks = std::min(n, pool.max_chunks());
   if (blocks <= 1) {
     if (tape) tape->blocks.clear();
     return forward_rows(input, mode, tape, timers);
@@ -108,7 +95,7 @@ Tensor Sequential::forward(const Tensor& input, Mode mode, Tape* tape) const {
                              timers);
     }
   });
-  return stack_rows(outs, n);
+  return stack_rows(outs);
 }
 
 Tensor Sequential::forward_rows(const Tensor& input, Mode mode, Tape* tape,
@@ -184,7 +171,7 @@ Tensor Sequential::backward(const Tensor& grad_output, const Tape& tape,
   } else {
     run(0, blocks);
   }
-  return stack_rows(outs, n);
+  return stack_rows(outs);
 }
 
 Tensor Sequential::backward_rows(const Tensor& grad_output, const Tape& tape,

@@ -5,16 +5,17 @@
 // touches is the caller's Tape (see nn/layer.hpp), and every layer call
 // allocates its own outputs, so concurrent passes may share one model.
 //
-// Row blocks: rows are independent outside Mode::Train, so an Eval or
-// Infer pass over N >= 2 rows, called outside a pool task while the
+// Row blocks: every layer computes each row independently of the others,
+// so a pass over N >= 2 rows, called outside a pool task while the
 // global ThreadPool has T > 1 threads, is cut into B = min(T, N)
 // contiguous row blocks [b*N/B, (b+1)*N/B). Each block runs the whole
 // layer stack on one pool chunk (its kernels inline, see
 // tensor/thread_pool.hpp) and records into its own sub-tape
-// (Tape::blocks); the outputs are stacked back in row order. Every layer
-// computes each row independently of the others, so the result is
-// bitwise what a row-by-row pass computes. A Train pass never splits, so
-// training and its weights do not depend on the split.
+// (Tape::blocks); the outputs are stacked back in row order, bitwise
+// what a row-by-row pass computes. Training does not use this split: a
+// training step cuts each batch into a fixed partition of its own that
+// does not depend on T and runs each block's passes inside one pool task,
+// where they stay whole (nn/trainer.hpp).
 #pragma once
 
 #include <filesystem>
@@ -57,7 +58,7 @@ class Sequential {
   Layer& layer(std::size_t i) { return *layers_.at(i); }
   const Layer& layer(std::size_t i) const { return *layers_.at(i); }
 
-  /// Forward pass over all layers. A Train/Eval pass records one entry
+  /// Forward pass over all layers. An Eval pass records one entry
   /// per layer into `tape` when given (or, when split into row blocks, one
   /// sub-tape per block), so backward() may follow; an Infer pass records
   /// nothing and leaves `tape` as it was. Counts one model/forward_calls

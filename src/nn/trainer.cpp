@@ -10,6 +10,7 @@
 #include "fault/failpoint.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/rng.hpp"
+#include "tensor/thread_pool.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace adv::nn {
@@ -100,38 +101,47 @@ Tensor gather_rows(const Tensor& images, const std::vector<std::size_t>& idx,
   return out;
 }
 
-}  // namespace
+// Blocks of a batch of n rows, and the first row of block b.
+std::size_t train_blocks(std::size_t n) { return std::min(kTrainBlocks, n); }
+std::size_t block_row(std::size_t b, std::size_t n) {
+  return b * n / train_blocks(n);
+}
 
-TrainStats fit_classifier(Sequential& model, const Tensor& images,
-                          const std::vector<int>& labels, Optimizer& opt,
-                          const TrainConfig& cfg) {
-  if (images.rank() == 0 || images.dim(0) != labels.size()) {
-    throw std::invalid_argument("fit_classifier: image/label count mismatch");
-  }
-  const std::size_t n = images.dim(0);
-  Rng rng(cfg.shuffle_seed);
-  SoftmaxCrossEntropy loss;
-  Tape tape;
+// One batch of a fit loop: the model input, an optional per-block edit of
+// its rows, and the loss, which scores the stacked output against the
+// (unedited) input and sets `grad` to d(loss)/d(output).
+struct Batch {
+  Tensor x;
+  BlockedPass::Prepare prepare;
+  std::function<float(const Tensor& x, const Tensor& out, Tensor& grad)> loss;
+};
+
+// The epoch loop both fit_* share: shuffle, one BlockedPass step per
+// batch, the divergence guard around it. `make_batch(idx, begin, end)`
+// builds the batch of shuffled rows idx[begin, end).
+TrainStats fit_batches(
+    Sequential& model, std::size_t n, Rng& rng, Optimizer& opt,
+    const TrainConfig& cfg, const char* epoch_format,
+    const std::function<Batch(const std::vector<std::size_t>&, std::size_t,
+                              std::size_t)>& make_batch) {
   TrainStats stats;
   DivergenceGuard guard(model, opt, stats);
+  BlockedPass pass(model);
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     const auto idx = shuffled_indices(n, rng);
     const std::size_t skipped_before = stats.skipped_batches;
     double epoch_loss = 0.0;
     std::size_t batches = 0;
     for (std::size_t b = 0; b < n; b += cfg.batch_size) {
-      const std::size_t e = std::min(n, b + cfg.batch_size);
-      Tensor x = gather_rows(images, idx, b, e);
-      std::vector<int> y(e - b);
-      for (std::size_t i = b; i < e; ++i) y[i - b] = labels[idx[i]];
-      const Tensor logits = model.forward(x, Mode::Train, &tape);
-      const float batch_loss = maybe_poison(loss.forward(logits, y));
+      const Batch batch = make_batch(idx, b, std::min(n, b + cfg.batch_size));
+      const Tensor out = pass.forward(batch.x, batch.prepare);
+      Tensor grad;
+      const float batch_loss = maybe_poison(batch.loss(batch.x, out, grad));
       if (!std::isfinite(batch_loss)) {
         guard.on_divergence("non-finite loss", epoch, b / cfg.batch_size);
         continue;
       }
-      opt.zero_grad();
-      model.backward(loss.backward(), tape, opt.gradients());
+      pass.backward(grad, opt.gradients());
       if (!guard.gradients_finite()) {
         guard.on_divergence("non-finite gradient", epoch, b / cfg.batch_size);
         continue;
@@ -145,11 +155,78 @@ TrainStats fit_classifier(Sequential& model, const Tensor& images,
                 : std::numeric_limits<float>::quiet_NaN());
     if (stats.skipped_batches == skipped_before) guard.refresh_snapshot();
     if (cfg.verbose) {
-      std::printf("  epoch %zu/%zu  loss %.4f\n", epoch + 1, cfg.epochs,
-                  stats.epoch_losses.back());
+      std::printf(epoch_format, epoch + 1, cfg.epochs,
+                  static_cast<double>(stats.epoch_losses.back()));
     }
   }
   return stats;
+}
+
+}  // namespace
+
+BlockedPass::BlockedPass(const Sequential& model)
+    : model_(model), tapes_(kTrainBlocks) {
+  for (std::size_t b = 0; b < kTrainBlocks; ++b) grads_.emplace_back(model);
+}
+
+Tensor BlockedPass::forward(const Tensor& x, const Prepare& prepare) {
+  const std::size_t n = x.dim(0);
+  std::vector<Tensor> outs(train_blocks(n));
+  // Each block runs inside one pool chunk, where its pass stays whole.
+  ThreadPool::global().parallel_for(
+      0, outs.size(), [&](std::size_t b0, std::size_t b1) {
+        for (std::size_t b = b0; b < b1; ++b) {
+          Tensor rows = x.slice_rows(block_row(b, n), block_row(b + 1, n));
+          if (prepare) prepare(b, rows);
+          outs[b] = model_.forward(rows, Mode::Eval, &tapes_[b]);
+        }
+      });
+  return stack_rows(outs);
+}
+
+void BlockedPass::backward(const Tensor& grad_output,
+                           const std::vector<Tensor*>& grads) {
+  const std::size_t n = grad_output.dim(0);
+  const std::size_t blocks = train_blocks(n);
+  ThreadPool::global().parallel_for(
+      0, blocks, [&](std::size_t b0, std::size_t b1) {
+        for (std::size_t b = b0; b < b1; ++b) {
+          grads_[b].zero();
+          model_.backward(
+              grad_output.slice_rows(block_row(b, n), block_row(b + 1, n)),
+              tapes_[b], grads_[b].pointers());
+        }
+      });
+  for (std::size_t i = 0; i < grads.size(); ++i) {
+    grads[i]->fill(0.0f);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      add_inplace(*grads[i], grads_[b][i]);
+    }
+  }
+}
+
+TrainStats fit_classifier(Sequential& model, const Tensor& images,
+                          const std::vector<int>& labels, Optimizer& opt,
+                          const TrainConfig& cfg) {
+  if (images.rank() == 0 || images.dim(0) != labels.size()) {
+    throw std::invalid_argument("fit_classifier: image/label count mismatch");
+  }
+  Rng rng(cfg.shuffle_seed);
+  SoftmaxCrossEntropy loss;
+  return fit_batches(
+      model, images.dim(0), rng, opt, cfg, "  epoch %zu/%zu  loss %.4f\n",
+      [&](const std::vector<std::size_t>& idx, std::size_t b, std::size_t e) {
+        std::vector<int> y(e - b);
+        for (std::size_t i = b; i < e; ++i) y[i - b] = labels[idx[i]];
+        return Batch{gather_rows(images, idx, b, e), {},
+                     [&loss, y = std::move(y)](const Tensor&,
+                                               const Tensor& logits,
+                                               Tensor& grad) {
+                       const float value = loss.forward(logits, y);
+                       grad = loss.backward();
+                       return value;
+                     }};
+      });
 }
 
 TrainStats fit_autoencoder(Sequential& model, const Tensor& images,
@@ -158,54 +235,35 @@ TrainStats fit_autoencoder(Sequential& model, const Tensor& images,
   if (images.rank() == 0) {
     throw std::invalid_argument("fit_autoencoder: empty dataset");
   }
-  const std::size_t n = images.dim(0);
   Rng rng(cfg.shuffle_seed);
   Rng noise_rng = rng.fork();
-  Tape tape;
-  TrainStats stats;
-  DivergenceGuard guard(model, opt, stats);
-  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    const auto idx = shuffled_indices(n, rng);
-    const std::size_t skipped_before = stats.skipped_batches;
-    double epoch_loss = 0.0;
-    std::size_t batches = 0;
-    for (std::size_t b = 0; b < n; b += cfg.batch_size) {
-      const std::size_t e = std::min(n, b + cfg.batch_size);
-      const Tensor target = gather_rows(images, idx, b, e);
-      Tensor x = target;
-      if (noise_std > 0.0f) {
-        for (float& v : x.values()) {
-          v = std::clamp(
-              v + static_cast<float>(noise_rng.normal(0.0, noise_std)), 0.0f,
-              1.0f);
+  return fit_batches(
+      model, images.dim(0), rng, opt, cfg,
+      "  epoch %zu/%zu  recon loss %.5f\n",
+      [&](const std::vector<std::size_t>& idx, std::size_t b, std::size_t e) {
+        Batch batch{gather_rows(images, idx, b, e), {},
+                    [&loss](const Tensor& target, const Tensor& recon,
+                            Tensor& grad) {
+                      const float value = loss.forward(recon, target);
+                      grad = loss.backward();
+                      return value;
+                    }};
+        if (noise_std > 0.0f) {
+          std::vector<Rng> rngs;
+          for (std::size_t k = 0; k < train_blocks(e - b); ++k) {
+            rngs.push_back(noise_rng.fork());
+          }
+          batch.prepare = [noise_std, rngs = std::move(rngs)](
+                              std::size_t block, Tensor& rows) mutable {
+            Rng& r = rngs[block];
+            for (float& v : rows.values()) {
+              v = std::clamp(v + static_cast<float>(r.normal(0.0, noise_std)),
+                             0.0f, 1.0f);
+            }
+          };
         }
-      }
-      const Tensor recon = model.forward(x, Mode::Train, &tape);
-      const float batch_loss = maybe_poison(loss.forward(recon, target));
-      if (!std::isfinite(batch_loss)) {
-        guard.on_divergence("non-finite loss", epoch, b / cfg.batch_size);
-        continue;
-      }
-      opt.zero_grad();
-      model.backward(loss.backward(), tape, opt.gradients());
-      if (!guard.gradients_finite()) {
-        guard.on_divergence("non-finite gradient", epoch, b / cfg.batch_size);
-        continue;
-      }
-      opt.step();
-      epoch_loss += batch_loss;
-      ++batches;
-    }
-    stats.epoch_losses.push_back(
-        batches ? static_cast<float>(epoch_loss / static_cast<double>(batches))
-                : std::numeric_limits<float>::quiet_NaN());
-    if (stats.skipped_batches == skipped_before) guard.refresh_snapshot();
-    if (cfg.verbose) {
-      std::printf("  epoch %zu/%zu  recon loss %.5f\n", epoch + 1, cfg.epochs,
-                  stats.epoch_losses.back());
-    }
-  }
-  return stats;
+        return batch;
+      });
 }
 
 Tensor predict(const Sequential& model, const Tensor& images,

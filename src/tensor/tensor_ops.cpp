@@ -85,6 +85,19 @@ Tensor scale(const Tensor& a, float s) {
   return out;
 }
 
+Tensor stack_rows(const std::vector<Tensor>& parts) {
+  std::vector<std::size_t> dims = parts.front().shape().dims();
+  dims[0] = 0;
+  for (const Tensor& part : parts) dims[0] += part.dim(0);
+  Tensor out{Shape(dims)};
+  std::size_t row = 0;
+  for (const Tensor& part : parts) {
+    out.set_rows(row, part);
+    row += part.dim(0);
+  }
+  return out;
+}
+
 float sum(const Tensor& a) {
   // Accumulate in double for stability over large tensors.
   double acc = 0.0;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -28,6 +29,9 @@ Tensor add(const Tensor& a, const Tensor& b);
 Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);
 Tensor scale(const Tensor& a, float s);
+/// Concatenates non-empty `parts` along the leading (row) dimension, in
+/// order; every part has the same trailing dims.
+Tensor stack_rows(const std::vector<Tensor>& parts);
 
 // --- reductions -------------------------------------------------------
 float sum(const Tensor& a);

@@ -1,6 +1,8 @@
 // Dataset and synthetic-generator tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -10,6 +12,7 @@
 #include "data/syn_digits.hpp"
 #include "data/syn_objects.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "tensor/thread_pool.hpp"
 
 namespace adv::data {
 namespace {
@@ -233,6 +236,65 @@ TEST(SynObjects, RejectsBadInputs) {
   EXPECT_THROW(render_syn_object(cfg, 0, 11), std::invalid_argument);
   EXPECT_THROW(make_syn_objects(SynObjectsConfig{.count = 0}),
                std::invalid_argument);
+}
+
+// --- parallel generation ---------------------------------------------------
+
+bool rows_equal(const Tensor& batch, std::size_t i, const Tensor& row) {
+  return batch.numel() / batch.dim(0) == row.numel() &&
+         std::memcmp(batch.data() + i * row.numel(), row.data(),
+                     row.numel() * sizeof(float)) == 0;
+}
+
+// Samples render in parallel over the global pool. A count that is not a
+// multiple of the pool size gives the pool uneven chunks; every row must
+// still be bitwise the lone per-sample render.
+std::size_t uneven_count() {
+  return 2 * ThreadPool::global().thread_count() + 1;
+}
+
+TEST(ParallelGeneration, SynDigitsEqualPerSampleRenders) {
+  SynDigitsConfig cfg;
+  cfg.count = uneven_count();
+  const Dataset d = make_syn_digits(cfg);
+  for (std::size_t i = 0; i < cfg.count; ++i) {
+    EXPECT_TRUE(rows_equal(d.images, i,
+                           render_syn_digit(cfg, i, static_cast<int>(i % 10))))
+        << "sample " << i;
+  }
+}
+
+TEST(ParallelGeneration, SynObjectsEqualPerSampleRenders) {
+  SynObjectsConfig cfg;
+  cfg.count = uneven_count();
+  const Dataset d = make_syn_objects(cfg);
+  for (std::size_t i = 0; i < cfg.count; ++i) {
+    EXPECT_TRUE(rows_equal(d.images, i,
+                           render_syn_object(cfg, i, static_cast<int>(i % 10))))
+        << "sample " << i;
+  }
+}
+
+// Fewer samples than pool threads: some threads get no chunk at all.
+TEST(ParallelGeneration, CountsBelowThePoolSizeEqualPerSampleRenders) {
+  const std::size_t threads = ThreadPool::global().thread_count();
+  for (const std::size_t count : {std::size_t{1}, std::max<std::size_t>(
+                                                      1, threads - 1)}) {
+    SynDigitsConfig dc;
+    dc.count = count;
+    const Dataset digits = make_syn_digits(dc);
+    SynObjectsConfig oc;
+    oc.count = count;
+    const Dataset objects = make_syn_objects(oc);
+    for (std::size_t i = 0; i < count; ++i) {
+      const int label = static_cast<int>(i % 10);
+      EXPECT_TRUE(rows_equal(digits.images, i, render_syn_digit(dc, i, label)))
+          << "digit sample " << i << " of " << count;
+      EXPECT_TRUE(
+          rows_equal(objects.images, i, render_syn_object(oc, i, label)))
+          << "object sample " << i << " of " << count;
+    }
+  }
 }
 
 // --- image io -------------------------------------------------------------

@@ -161,23 +161,6 @@ TEST(ReLUTest, GradientCheck) {
   check_gradients(relu, x, 22);
 }
 
-TEST(LeakyReLUTest, NegativeSlopeApplied) {
-  LeakyReLU lrelu(0.1f);
-  Tensor x = Tensor::from_data(Shape({2}), {-2.0f, 3.0f});
-  Tensor y = lrelu.forward(x, nn::Mode::Eval);
-  EXPECT_FLOAT_EQ(y[0], -0.2f);
-  EXPECT_FLOAT_EQ(y[1], 3.0f);
-}
-
-TEST(LeakyReLUTest, GradientCheck) {
-  LeakyReLU lrelu(0.2f);
-  Tensor x = random_input({3, 5}, 31);
-  for (float& v : x.values()) {
-    if (std::fabs(v) < 0.05f) v += 0.1f;
-  }
-  check_gradients(lrelu, x, 32);
-}
-
 TEST(ReLUTest, BackwardMatchesScalarReferenceBitwise) {
   ReLU relu;
   const auto [x, gin] = special_pairs();
@@ -188,35 +171,6 @@ TEST(ReLUTest, BackwardMatchesScalarReferenceBitwise) {
     want[i] = x[i] <= 0.0f ? 0.0f : gin[i];  // a NaN x passes gin through
   }
   expect_bitwise_equal(relu.backward(gin, saved), want, "ReLU backward");
-}
-
-TEST(LeakyReLUTest, BackwardMatchesScalarReferenceBitwise) {
-  const float slope = 0.2f;
-  LeakyReLU lrelu(slope);
-  const auto [x, gin] = special_pairs();
-  TapeEntry saved;
-  lrelu.forward(x, nn::Mode::Eval, &saved);
-  Tensor want(x.shape());
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    want[i] = x[i] < 0.0f ? gin[i] * slope : gin[i];
-  }
-  expect_bitwise_equal(lrelu.backward(gin, saved), want, "LeakyReLU backward");
-}
-
-TEST(LeakyReLUTest, ForwardMatchesScalarReferenceBitwise) {
-  // The forward blends x * slope and x as integer masks; every special
-  // value must come out as the plain ternary computes it, at every
-  // special slope too (NaN, ±0, ±inf and denormal products).
-  const Tensor x = special_pairs().first;
-  for (const float slope : special_values()) {
-    LeakyReLU lrelu(slope);
-    Tensor want(x.shape());
-    for (std::size_t i = 0; i < x.numel(); ++i) {
-      want[i] = x[i] < 0.0f ? x[i] * slope : x[i];
-    }
-    expect_bitwise_equal(lrelu.forward(x, nn::Mode::Eval), want,
-                         "LeakyReLU forward");
-  }
 }
 
 TEST(SigmoidTest, MapsToUnitInterval) {
@@ -737,37 +691,6 @@ TEST(FlattenTest, CollapsesTrailingDims) {
   EXPECT_EQ(y.shape(), Shape({2, 60}));
   Tensor dx = f.backward(Tensor({2, 60}, 1.0f), saved);
   EXPECT_EQ(dx.shape(), x.shape());
-}
-
-TEST(DropoutTest, EvalModeIsIdentity) {
-  Dropout d(0.5f, 7);
-  Tensor x = random_input({4, 8}, 97);
-  TapeEntry saved;
-  Tensor y = d.forward(x, Mode::Eval, &saved);
-  for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
-  Tensor g = random_input({4, 8}, 98);
-  Tensor dx = d.backward(g, saved);
-  for (std::size_t i = 0; i < g.numel(); ++i) EXPECT_FLOAT_EQ(dx[i], g[i]);
-}
-
-TEST(DropoutTest, TrainModeZerosAndRescales) {
-  Dropout d(0.5f, 7);
-  Tensor x({1, 1000}, 1.0f);
-  Tensor y = d.forward(x, Mode::Train);
-  std::size_t zeros = 0;
-  for (float v : y.values()) {
-    if (v == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(v, 2.0f);  // 1 / (1 - 0.5)
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 1000.0, 0.5, 0.07);
-}
-
-TEST(DropoutTest, InvalidRateThrows) {
-  EXPECT_THROW(Dropout(1.0f, 1), std::invalid_argument);
-  EXPECT_THROW(Dropout(-0.1f, 1), std::invalid_argument);
 }
 
 // --- softmax -------------------------------------------------------------

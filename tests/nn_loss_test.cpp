@@ -96,27 +96,9 @@ TEST(RegressionLoss, BackwardBeforeForwardThrows) {
 
 TEST(Optimizer, RejectsMismatchedParamsAndGrads) {
   Tensor p({2}), g({3});
-  EXPECT_THROW(Sgd({&p}, {&g}, 0.1f), std::invalid_argument);
+  EXPECT_THROW(Adam({&p}, {&g}, 0.1f), std::invalid_argument);
   Tensor g2({2});
-  EXPECT_NO_THROW(Sgd({&p}, {&g2}, 0.1f));
-}
-
-TEST(Sgd, PlainStepMovesAgainstGradient) {
-  Tensor p({2}, 1.0f);
-  Tensor g = Tensor::from_data(Shape({2}), {0.5f, -0.5f});
-  Sgd opt({&p}, {&g}, 0.1f);
-  opt.step();
-  EXPECT_FLOAT_EQ(p[0], 0.95f);
-  EXPECT_FLOAT_EQ(p[1], 1.05f);
-}
-
-TEST(Sgd, MomentumAccumulates) {
-  Tensor p({1}, 0.0f);
-  Tensor g({1}, 1.0f);
-  Sgd opt({&p}, {&g}, 0.1f, 0.9f);
-  opt.step();  // v = -0.1, p = -0.1
-  opt.step();  // v = -0.19, p = -0.29
-  EXPECT_NEAR(p[0], -0.29f, 1e-6f);
+  EXPECT_NO_THROW(Adam({&p}, {&g2}, 0.1f));
 }
 
 TEST(Adam, ConvergesOnQuadratic) {
@@ -146,7 +128,7 @@ TEST(Adam, FirstStepHasUnitScaleRegardlessOfGradientMagnitude) {
 TEST(Optimizer, ZeroGradClearsBuffers) {
   Tensor p({2}, 1.0f);
   Tensor g({2}, 5.0f);
-  Sgd opt({&p}, {&g}, 0.1f);
+  Adam opt({&p}, {&g}, 0.1f);
   opt.zero_grad();
   EXPECT_FLOAT_EQ(g[0], 0.0f);
   EXPECT_FLOAT_EQ(g[1], 0.0f);

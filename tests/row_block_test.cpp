@@ -190,14 +190,6 @@ TEST(RowBlocks, WeightGradientsFromSplitEvalTapeAreDeterministic) {
   }
 }
 
-TEST(RowBlocks, TrainPassesNeverSplit) {
-  const nn::Sequential model = classifier(core::DatasetId::Mnist, 28);
-  nn::Tape tape;
-  model.forward(images(5, 1, 28), Mode::Train, &tape);
-  EXPECT_TRUE(tape.blocks.empty());
-  EXPECT_EQ(tape.entries.size(), model.size());
-}
-
 // A pass issued from inside a pool task stays whole (its kernels run
 // inline) and still computes the split pass's result.
 TEST(RowBlocks, PassInsideAPoolTaskStaysWhole) {

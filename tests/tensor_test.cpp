@@ -132,6 +132,22 @@ TEST(TensorOps, AddSubMulScale) {
   EXPECT_FLOAT_EQ(c[3], 8.0f);
 }
 
+TEST(TensorOps, StackRowsConcatenatesPartsInOrder) {
+  const Tensor a = Tensor::from_data(Shape({2, 1, 2}), {1, 2, 3, 4});
+  const Tensor b = Tensor::from_data(Shape({1, 1, 2}), {5, 6});
+  const Tensor c = Tensor::from_data(Shape({3, 1, 2}), {7, 8, 9, 10, 11, 12});
+  const Tensor s = stack_rows({a, b, c});
+  EXPECT_EQ(s.shape(), Shape({6, 1, 2}));
+  for (std::size_t i = 0; i < s.numel(); ++i) {
+    EXPECT_FLOAT_EQ(s[i], static_cast<float>(i + 1));
+  }
+  const Tensor lone = stack_rows({b});
+  EXPECT_EQ(lone.shape(), b.shape());
+  EXPECT_FLOAT_EQ(lone[1], 6.0f);
+  const Tensor wide = Tensor::from_data(Shape({1, 1, 3}), {1, 2, 3});
+  EXPECT_THROW(stack_rows({a, wide}), std::invalid_argument);
+}
+
 TEST(TensorOps, ShapeMismatchThrows) {
   Tensor a({2, 2});
   Tensor b({4});

@@ -3,9 +3,11 @@
 # a short instrumented benchmark pass that must emit the metrics
 # artifacts (BENCH_gemm.json, BENCH_layers.json) and pass its A/B gates
 # (the binary's exit status), a thread-count identity gate
-# (REPRO_SCALE=smoke, ADV_THREADS=1 vs 3) proving that crafting oblivious
-# attacks as per-thread image slices reproduces the single-slice attack
-# artifacts and success counters bit for bit, the threat-model and
+# (REPRO_SCALE=smoke, ADV_THREADS=1 vs 3, each training its own models)
+# proving that training reproduces the trained models and that crafting
+# oblivious attacks as per-thread image slices reproduces the
+# single-slice attack artifacts and success counters bit for bit, the
+# threat-model and
 # serving benches (each holds its own gates: a FAIL: line and a nonzero
 # exit), a ThreadSanitizer pass over the concurrency tests (its own build
 # tree, <build-dir>-tsan), and an AddressSanitizer + UBSan pass over the
@@ -43,7 +45,7 @@ fail=0
 
 echo "== vectorization (// ci:vectorized loops) =="
 # The element-wise hot loops (the fused ISTA and sign steps every attack
-# iteration runs, ReLU backward, both LeakyReLU loops) are written as
+# iteration runs, ReLU backward) are written as
 # selects over values so GCC vectorizes them at the baseline ISA
 # (DESIGN.md §6). Each carries a `// ci:vectorized` marker on its `for`
 # line; the source is recompiled with its compile_commands.json command
@@ -117,36 +119,43 @@ for artifact in BENCH_gemm.json BENCH_layers.json BENCH_attack_engine.json \
   fi
 done
 
-echo "== thread-count attack identity (REPRO_SCALE=smoke, ADV_THREADS=1 vs 3) =="
-# Oblivious attacks craft as image slices, one per pool thread
-# (attacks::craft_oblivious_slices). Baseline: a smoke-scale table1 run at
-# ADV_THREADS=1 (one slice) trains the tiny models into a private cache
-# and writes the attack artifacts. The second run, at ADV_THREADS=3, cuts
-# the 16 attack images into uneven 5/5/6 slices; it shares the model
-# cache, with the attack artifacts moved aside so it recrafts them.
+echo "== thread-count identity (REPRO_SCALE=smoke, ADV_THREADS=1 vs 3) =="
+# Training runs each batch as fixed row blocks (nn::BlockedPass) and
+# oblivious attacks craft as image slices, one per pool thread
+# (attacks::craft_oblivious_slices); neither result depends on the pool
+# size. Baseline: a smoke-scale table1 run at ADV_THREADS=1 trains the
+# tiny models into a private cache and crafts the attack artifacts there.
+# The second run, at ADV_THREADS=3, trains its own models into a cache of
+# its own and cuts the 16 attack images into uneven 5/5/6 slices. The
+# later stages share the baseline cache.
 ident_cache="$repo_root/$build_dir/ident_ci/cache"
+t3_cache="$repo_root/$build_dir/ident_ci/cache3"
 t1_dir="$repo_root/$build_dir/ident_ci/threads1"
 t3_dir="$repo_root/$build_dir/ident_ci/threads3"
 table1="$repo_root/$build_dir/bench/table1_attack_comparison"
 rm -rf "$repo_root/$build_dir/ident_ci"
-mkdir -p "$ident_cache" "$t1_dir" "$t3_dir"
+mkdir -p "$ident_cache" "$t3_cache" "$t1_dir" "$t3_dir"
 
 (cd "$t1_dir" &&
  REPRO_SCALE=smoke REPRO_CACHE_DIR="$ident_cache" ADV_THREADS=1 \
    "$table1" > table1.out) || fail=1
 
-mkdir -p "$ident_cache/baseline"
-mv "$ident_cache"/atk_*.bin "$ident_cache/baseline/"
-
 (cd "$t3_dir" &&
- REPRO_SCALE=smoke REPRO_CACHE_DIR="$ident_cache" ADV_THREADS=3 \
+ REPRO_SCALE=smoke REPRO_CACHE_DIR="$t3_cache" ADV_THREADS=3 \
    "$table1" > table1.out) || fail=1
 
-# Gate 1: every attack artifact is bitwise identical across thread counts.
-for f in "$ident_cache/baseline"/atk_*.bin; do
+# Gate 1: both caches hold the same files, and every one (each trained
+# model and each atk_*.bin attack artifact) is bitwise identical.
+if diff <(cd "$ident_cache" && ls) <(cd "$t3_cache" && ls) > /dev/null; then
+  echo "ok: both model caches hold the same files"
+else
+  echo "FAIL: the ADV_THREADS=1 and ADV_THREADS=3 caches hold different files" >&2
+  fail=1
+fi
+for f in "$ident_cache"/*; do
   name="$(basename "$f")"
-  if cmp -s "$f" "$ident_cache/$name"; then
-    echo "ok: $name identical (3 slices vs 1)"
+  if cmp -s "$f" "$t3_cache/$name"; then
+    echo "ok: $name identical (3 threads vs 1)"
   else
     echo "FAIL: $name differs between ADV_THREADS=1 and ADV_THREADS=3" >&2
     fail=1
@@ -301,9 +310,11 @@ echo "== thread sanitizer (concurrency tests) =="
 # (start/stop under connecting clients, the watchdog's retired
 # executors), the failpoint registry, the thread pool and the obs
 # atomics, plus the rest of the serve and fault test binaries (the wire
-# protocol, tensor files and the trainer's checkpoints), rebuilt with
+# protocol, tensor files, the trainer's checkpoints and its row-blocked
+# steps: each block's passes on its own pool task), rebuilt with
 # -fsanitize=thread. The pool-heavy binaries run a second time at
-# ADV_THREADS=3, which cuts batches into uneven row blocks and slices.
+# ADV_THREADS=3, which cuts batches into uneven row blocks and slices
+# (and, for trainer_test, runs a step's four row blocks on three threads).
 sanitize_build tsan -fsanitize=thread \
   concurrency_test thread_pool_test obs_test serve_test row_block_test \
   oblivious_slice_test fault_test protocol_test serialize_test trainer_test
@@ -313,7 +324,7 @@ for t in concurrency_test thread_pool_test obs_test row_block_test \
   sanitize_run tsan TSAN_OPTIONS=halt_on_error=1 "" "$t"
 done
 for t in concurrency_test thread_pool_test row_block_test \
-         oblivious_slice_test; do
+         oblivious_slice_test trainer_test; do
   sanitize_run tsan TSAN_OPTIONS=halt_on_error=1 3 "$t"
 done
 
