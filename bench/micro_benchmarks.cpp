@@ -178,6 +178,26 @@ void BM_ReLUBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_ReLUBackward);
 
+// The paired ReLU + MaxPool2d backward the classifier blocks run (one
+// pass over the ReLU's entry), at the same CIFAR row-block shape.
+void BM_ReLUMaxPool2dBackward(benchmark::State& state) {
+  const nn::MaxPool2d pool(2);
+  Rng rng(7);
+  Tensor x({15, 16, 32, 32});
+  fill_normal(x, rng, 0.0f, 1.0f);
+  nn::TapeEntry relu_saved{x, {}};
+  Tensor g({15, 16, 16, 16});
+  fill_normal(g, rng, 0.0f, 1.0f);
+  for (auto _ : state) {
+    Tensor dx = pool.backward_through_relu(g, relu_saved);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.numel()));
+}
+BENCHMARK(BM_ReLUMaxPool2dBackward);
+
 nn::Sequential small_classifier(Rng& rng) {
   nn::Sequential m;
   m.emplace<nn::Conv2d>(nn::Conv2d::same(1, 16), rng);
@@ -385,7 +405,8 @@ bool write_conv_json(const char* path) {
     // clf_* cases are the attacked classifier's convs, reported for
     // information (identity-gated, but not speed-gated: their direct
     // path already runs near GEMM peak, so the headroom over im2col is
-    // structurally smaller).
+    // structurally smaller). The two first-layer shapes (1->16 @28 MNIST,
+    // 3->16 @32 CIFAR) report the row-tiled input gradient's speedup.
     bool magnet_same3x3;
   };
   const Case cases[] = {
@@ -394,6 +415,7 @@ bool write_conv_json(const char* path) {
       {"ae_out_3to1_28", nn::Conv2d::same(3, 1), 16, 28, true},
       {"ae_hidden_12to12_28", nn::Conv2d::same(12, 12), 16, 28, true},
       {"clf_1to16_28", nn::Conv2d::same(1, 16), 16, 28, false},
+      {"clf_3to16_32", nn::Conv2d::same(3, 16), 16, 32, false},
       {"clf_16to32_14", nn::Conv2d::same(16, 32), 8, 14, false},
   };
   constexpr int kReps = 7;

@@ -3,6 +3,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "tensor/max_pool.hpp"
+
 namespace adv::nn {
 namespace {
 
@@ -20,23 +22,6 @@ void require_poolable(const Tensor& input, std::size_t window,
                                 input.shape_string());
   }
 }
-
-// The running maximum of one MaxPool2d window and its offset in the
-// channel plane, updated with selects instead of a data-dependent branch
-// (see DESIGN.md §6). The strict > keeps the first maximum in (di, dj)
-// order, and a NaN never wins. A window nothing beats (all NaN or -inf)
-// yields -inf at the window's first element, so backward stays inside it.
-struct WindowMax {
-  explicit WindowMax(std::size_t first) : idx(first) {}
-  void take(const float* src, std::size_t at) {
-    const float v = src[at];
-    const bool gt = v > value;
-    value = gt ? v : value;
-    idx += (at - idx) * gt;
-  }
-  float value = -std::numeric_limits<float>::infinity();
-  std::size_t idx;
-};
 
 }  // namespace
 
@@ -97,46 +82,44 @@ Tensor AvgPool2d::backward_impl(const Tensor& grad_output,
 Tensor MaxPool2d::forward_impl(const Tensor& input, Mode /*mode*/,
                                TapeEntry* saved) const {
   require_poolable(input, window_, "MaxPool2d");
+  if (saved) saved->tensor = input;
   const std::size_t n = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = h / window_, ow = w / window_;
+  const float ninf = -std::numeric_limits<float>::infinity();
   Tensor out({n, c, oh, ow});
-  if (saved) {
-    saved->shape = input.shape();
-    saved->index.resize(out.numel());  // every slot is written below
-  }
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* src = input.data() + nc * h * w;
     float* dst = out.data() + nc * oh * ow;
-    std::size_t* amax = saved ? saved->index.data() + nc * oh * ow : nullptr;
     if (window_ == 2) {
-      // The paper's 2x2 pools: the four candidates unrolled, about twice
-      // as fast as the general loop below at window 2.
+      // The paper's 2x2 pools: one select chain over the four candidates
+      // in (di, dj) order, as the general loop below runs it.
       for (std::size_t i = 0; i < oh; ++i) {
-        for (std::size_t j = 0; j < ow; ++j) {
-          const std::size_t first = 2 * i * w + 2 * j;
-          WindowMax m(first);
-          m.take(src, first);
-          m.take(src, first + 1);
-          m.take(src, first + w);
-          m.take(src, first + w + 1);
-          dst[i * ow + j] = m.value;
-          if (amax) amax[i * ow + j] = nc * h * w + m.idx;
+        const float* a = src + 2 * i * w;
+        const float* b = a + w;
+        float* d = dst + i * ow;
+        for (std::size_t j = 0; j < ow; ++j) {  // ci:vectorized
+          const float a0 = a[2 * j], a1 = a[2 * j + 1];
+          const float b0 = b[2 * j], b1 = b[2 * j + 1];
+          float m = a0 > ninf ? a0 : ninf;
+          m = a1 > m ? a1 : m;
+          m = b0 > m ? b0 : m;
+          d[j] = b1 > m ? b1 : m;
         }
       }
       continue;
     }
     for (std::size_t i = 0; i < oh; ++i) {
       for (std::size_t j = 0; j < ow; ++j) {
-        const std::size_t first = i * window_ * w + j * window_;
-        WindowMax m(first);
+        const float* win = src + i * window_ * w + j * window_;
+        float m = ninf;
         for (std::size_t di = 0; di < window_; ++di) {
           for (std::size_t dj = 0; dj < window_; ++dj) {
-            m.take(src, first + di * w + dj);
+            const float v = win[di * w + dj];
+            m = v > m ? v : m;
           }
         }
-        dst[i * ow + j] = m.value;
-        if (amax) amax[i * ow + j] = nc * h * w + m.idx;
+        dst[i * ow + j] = m;
       }
     }
   }
@@ -146,17 +129,25 @@ Tensor MaxPool2d::forward_impl(const Tensor& input, Mode /*mode*/,
 Tensor MaxPool2d::backward_impl(const Tensor& grad_output,
                                 const TapeEntry& saved,
                                 GradSlots /*grads*/) const {
-  const std::vector<std::size_t>& argmax = saved.index;
-  if (grad_output.numel() != argmax.size()) {
+  return pool_backward(grad_output, saved.tensor, /*after_relu=*/false);
+}
+
+Tensor MaxPool2d::backward_through_relu(const Tensor& grad_output,
+                                        const TapeEntry& relu_saved) const {
+  return pool_backward(grad_output, relu_saved.tensor, /*after_relu=*/true);
+}
+
+Tensor MaxPool2d::pool_backward(const Tensor& grad_output, const Tensor& x,
+                                bool after_relu) const {
+  require_poolable(x, window_, "MaxPool2d::backward");
+  if (grad_output.shape() != Shape{x.dim(0), x.dim(1), x.dim(2) / window_,
+                                   x.dim(3) / window_}) {
     throw std::invalid_argument("MaxPool2d::backward: bad grad shape " +
                                 grad_output.shape_string());
   }
-  Tensor grad(saved.shape);
-  const float* g = grad_output.data();
-  float* dst = grad.data();
-  for (std::size_t i = 0, m = argmax.size(); i < m; ++i) {
-    dst[argmax[i]] += g[i];
-  }
+  Tensor grad(x.shape());
+  max_pool_backward(x.data(), grad_output.data(), x.dim(0) * x.dim(1),
+                    x.dim(2), x.dim(3), window_, after_relu, grad.data());
   return grad;
 }
 

@@ -5,6 +5,7 @@
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/pool.hpp"
 #include "tensor/serialize.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "tensor/thread_pool.hpp"
@@ -35,6 +36,11 @@ void Sequential::layers_changed() {
     } else if (dynamic_cast<const Sigmoid*>(next)) {
       fuse_[i] = conv::Epilogue::Sigmoid;
     }
+  }
+  relu_pool_.assign(layers_.size(), false);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    relu_pool_[i] = dynamic_cast<const MaxPool2d*>(layers_[i].get()) &&
+                    dynamic_cast<const ReLU*>(layers_[i - 1].get());
   }
   obs_ = std::make_unique<ObsTimers>();
 }
@@ -108,6 +114,8 @@ Tensor Sequential::forward_rows(const Tensor& input, Mode mode, Tape* tape,
   // conv applies the activation in its store epilogue and the pass writes
   // (a copy of) the result as the activation's tape entry. The
   // activation's own timer stays silent; the conv's covers the fused op.
+  // A MaxPool2d paired with the ReLU before it records nothing: backward
+  // reads the ReLU's entry.
   Tensor x;
   bool have_x = false;
   for (std::size_t i = 0; i < layers_.size();) {
@@ -119,7 +127,9 @@ Tensor Sequential::forward_rows(const Tensor& input, Mode mode, Tape* tape,
       obs::ScopedTimer t(timers ? timers[i].forward : nullptr);
       x = fused ? static_cast<const Conv2d&>(*layers_[i])
                       .forward_fused(in, epi, entry(i))
-                : layers_[i]->forward(in, mode, entry(i));
+                : layers_[i]->forward(
+                      in, mode,
+                      fusion_enabled_ && relu_pool_[i] ? nullptr : entry(i));
     }
     if (fused && tape) tape->entries[i + 1].tensor = x;
     have_x = true;
@@ -184,8 +194,16 @@ Tensor Sequential::backward_rows(const Tensor& grad_output, const Tape& tape,
         grads.empty() ? 0 : std::as_const(*layers_[i]).parameters().size();
     slot_end -= n;
     obs::ScopedTimer t(timers ? timers[i].backward : nullptr);
-    g = layers_[i]->backward(i + 1 == layers_.size() ? grad_output : g,
-                             tape.entries[i], grads.subspan(slot_end, n));
+    const Tensor& up = i + 1 == layers_.size() ? grad_output : g;
+    if (fusion_enabled_ && relu_pool_[i]) {
+      // One pass for the pool and the ReLU below it (neither has
+      // parameters); the pool's timer covers both.
+      g = static_cast<const MaxPool2d&>(*layers_[i])
+              .backward_through_relu(up, tape.entries[i - 1]);
+      --i;
+      continue;
+    }
+    g = layers_[i]->backward(up, tape.entries[i], grads.subspan(slot_end, n));
   }
   return g;
 }

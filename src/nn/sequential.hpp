@@ -5,6 +5,11 @@
 // touches is the caller's Tape (see nn/layer.hpp), and every layer call
 // allocates its own outputs, so concurrent passes may share one model.
 //
+// Peepholes: a Conv2d followed by a ReLU or Sigmoid runs as one conv
+// with the activation in its store epilogue, and a ReLU followed by a
+// MaxPool2d runs its backward as one pass over the ReLU's tape entry (the
+// pool records nothing). Both are bitwise invisible (set_fusion_enabled).
+//
 // Row blocks: every layer computes each row independently of the others,
 // so a pass over N >= 2 rows, called outside a pool task while the
 // global ThreadPool has T > 1 threads, is cut into B = min(T, N)
@@ -81,12 +86,14 @@ class Sequential {
   std::vector<const Tensor*> parameters() const;
   std::size_t parameter_count() const;
 
-  /// Toggles the Conv->ReLU/Sigmoid peephole (on by default): detected
-  /// pairs run as one Conv2d::forward_fused call with the activation
-  /// applied in the conv store epilogue, and the pass writes the
-  /// activation's tape entry from the fused output. Off restores one
-  /// forward call per layer — the A/B baseline; outputs and gradients are
-  /// bitwise identical either way.
+  /// Toggles the peepholes (on by default). A Conv->ReLU/Sigmoid pair
+  /// runs as one Conv2d::forward_fused call with the activation applied
+  /// in the conv store epilogue, and the pass writes the activation's
+  /// tape entry from the fused output. A ReLU->MaxPool2d pair runs its
+  /// backward as one MaxPool2d::backward_through_relu call over the
+  /// ReLU's entry, and the pool records nothing. Off restores one forward
+  /// and one backward call per layer — the A/B baseline; outputs and
+  /// gradients are bitwise identical either way.
   void set_fusion_enabled(bool on) { fusion_enabled_ = on; }
 
   /// Saves all parameter tensors in layer order.
@@ -125,6 +132,8 @@ class Sequential {
   // Fusion plan: fuse_[i] != None when layer i is a Conv2d whose
   // successor is the ReLU/Sigmoid the epilogue applies.
   std::vector<conv::Epilogue> fuse_;
+  // relu_pool_[i]: layer i is a MaxPool2d right after a ReLU.
+  std::vector<bool> relu_pool_;
   std::unique_ptr<ObsTimers> obs_;
   bool fusion_enabled_ = true;
 };

@@ -9,12 +9,13 @@
 
 namespace adv::nn {
 
-/// What one layer saved during a recording forward. A tensor, a shape and
-/// an index vector cover every layer kind (each documents what it fills).
+/// What one layer saved during a recording forward: a tensor or a shape
+/// covers every layer kind (each documents what it fills). An entry may
+/// stay empty: a MaxPool2d paired with the ReLU before it records
+/// nothing, its backward reading the ReLU's entry (nn/sequential.hpp).
 struct TapeEntry {
   Tensor tensor;
   Shape shape;
-  std::vector<std::size_t> index;
 };
 
 /// One entry per layer of the model whose forward recorded it; or, when

@@ -23,27 +23,54 @@ using gemm_blocking::NR;
 // backward caller passes strip = out_c so each strip is one whole kernel
 // tap, reproducing col2im's add-completed-taps-in-order bracketing.
 //
+// A tile's MR rows are G pixel rows of C = MR / G channels each. Every
+// forward tile has G = 1 (MR output channels of one pixel row); an input
+// gradient at in_c <= MR / 2 tiles G = MR / in_c pixel rows instead, so
+// no tile row is channel padding. Tile row i = g*C + ch reads the tap
+// row taps[p] + off + g*rows.tap_ld against weight wp[ch] (a panel holds
+// C weights per reduction index) and stores to c + ch*ldc + g*rows.out_ld.
+// A pixel row's tap vector is loaded once for its C channels. Rows with
+// ch >= mc or g >= rows.count are computed on a valid row's taps and
+// never stored, so no load leaves the padded image.
+//
 // Tail tiles always load full NR lanes (the padded image carries NR
 // floats of zeroed slack) and run the epilogue on whole vectors too; only
 // the store is cut to nr lanes, through a row-sized buffer.
+struct PixelRows {
+  std::size_t tap_ld;  // padded-image floats between two tap rows
+  std::size_t out_ld;  // output floats between two pixel rows
+  std::size_t count;   // valid pixel rows, 1..G
+};
+
 #if defined(__GNUC__) || defined(__clang__)
+template <std::size_t G>
 void conv_tile(std::size_t k2, std::size_t strip, const float* wpanel,
-               const float* const* taps, std::size_t off, float* c,
-               std::size_t ldc, std::size_t mr, std::size_t nr,
+               const float* const* taps, std::size_t off, PixelRows rows,
+               float* c, std::size_t ldc, std::size_t mc, std::size_t nr,
                const float* bias, Epilogue epi) {
+  constexpr std::size_t C = MR / G;
+  static_assert(C * G == MR, "a tile is G whole pixel rows");
+  std::size_t goff[G];
+  for (std::size_t g = 0; g < G; ++g) {
+    goff[g] = off + (g < rows.count ? g : 0) * rows.tap_ld;
+  }
   vf acc[MR][kRowVecs] = {};
   const float* wp = wpanel;
   for (std::size_t p0 = 0; p0 < k2; p0 += strip) {
     const std::size_t pe = std::min(p0 + strip, k2);
     vf s[MR][kRowVecs] = {};
-    for (std::size_t p = p0; p < pe; ++p, wp += MR) {
-      const float* src = taps[p] + off;
-      vf b[kRowVecs];
-      for (std::size_t v = 0; v < kRowVecs; ++v) {
-        b[v] = *reinterpret_cast<const vf*>(src + v * kLanes);
-      }
-      for (std::size_t i = 0; i < MR; ++i) {
-        for (std::size_t v = 0; v < kRowVecs; ++v) s[i][v] += wp[i] * b[v];
+    for (std::size_t p = p0; p < pe; ++p, wp += C) {
+      for (std::size_t g = 0; g < G; ++g) {
+        const float* src = taps[p] + goff[g];
+        vf b[kRowVecs];
+        for (std::size_t v = 0; v < kRowVecs; ++v) {
+          b[v] = *reinterpret_cast<const vf*>(src + v * kLanes);
+        }
+        for (std::size_t ch = 0; ch < C; ++ch) {
+          for (std::size_t v = 0; v < kRowVecs; ++v) {
+            s[g * C + ch][v] += wp[ch] * b[v];
+          }
+        }
       }
     }
     for (std::size_t i = 0; i < MR; ++i) {
@@ -55,13 +82,15 @@ void conv_tile(std::size_t k2, std::size_t strip, const float* wpanel,
   // Full-width rows store straight to C unless Sigmoid still has to run
   // on the stored lanes; other rows go through a row-sized buffer.
   const vf zero = {};
-  // A constant trip count keeps acc in registers (a loop to mr would
-  // index it at run time, from memory).
-  for (std::size_t i = 0; i < MR && i < mr; ++i) {
+  // A constant trip count keeps acc in registers (a loop to the valid
+  // row count would index it at run time, from memory).
+  for (std::size_t i = 0; i < MR; ++i) {
+    const std::size_t g = i / C, ch = i % C;
+    if (ch >= mc || g >= rows.count) continue;
     const auto store = [&](float* dst) {
       for (std::size_t v = 0; v < kRowVecs; ++v) {
         vf x = acc[i][v];
-        if (bias) x += bias[i];
+        if (bias) x += bias[ch];
         if (epi == Epilogue::ReLU) {
           // x > 0 ? x : 0 as a sign-exact mask (max() would keep -0.0,
           // the activation layer's ternary does not).
@@ -70,7 +99,7 @@ void conv_tile(std::size_t k2, std::size_t strip, const float* wpanel,
         *reinterpret_cast<vf*>(dst + v * kLanes) = x;
       }
     };
-    float* ci = c + i * ldc;
+    float* ci = c + ch * ldc + g * rows.out_ld;
     if (nr == NR && epi != Epilogue::Sigmoid) {
       store(ci);
     } else {
@@ -87,20 +116,29 @@ void conv_tile(std::size_t k2, std::size_t strip, const float* wpanel,
   }
 }
 #else
+template <std::size_t G>
 void conv_tile(std::size_t k2, std::size_t strip, const float* wpanel,
-               const float* const* taps, std::size_t off, float* c,
-               std::size_t ldc, std::size_t mr, std::size_t nr,
+               const float* const* taps, std::size_t off, PixelRows rows,
+               float* c, std::size_t ldc, std::size_t mc, std::size_t nr,
                const float* bias, Epilogue epi) {
+  constexpr std::size_t C = MR / G;
+  static_assert(C * G == MR, "a tile is G whole pixel rows");
+  std::size_t goff[G];
+  for (std::size_t g = 0; g < G; ++g) {
+    goff[g] = off + (g < rows.count ? g : 0) * rows.tap_ld;
+  }
   float acc[MR][NR];
   const float* wp = wpanel;
   for (std::size_t p0 = 0; p0 < k2; p0 += strip) {
     const std::size_t pe = std::min(p0 + strip, k2);
     float s[MR][NR] = {};
-    for (std::size_t p = p0; p < pe; ++p, wp += MR) {
-      const float* src = taps[p] + off;
-      for (std::size_t i = 0; i < MR; ++i) {
-        const float wi = wp[i];
-        for (std::size_t j = 0; j < NR; ++j) s[i][j] += wi * src[j];
+    for (std::size_t p = p0; p < pe; ++p, wp += C) {
+      for (std::size_t g = 0; g < G; ++g) {
+        const float* src = taps[p] + goff[g];
+        for (std::size_t ch = 0; ch < C; ++ch) {
+          const float wi = wp[ch];
+          for (std::size_t j = 0; j < NR; ++j) s[g * C + ch][j] += wi * src[j];
+        }
       }
     }
     for (std::size_t i = 0; i < MR; ++i) {
@@ -109,11 +147,13 @@ void conv_tile(std::size_t k2, std::size_t strip, const float* wpanel,
       }
     }
   }
-  for (std::size_t i = 0; i < mr; ++i) {
-    float* ci = c + i * ldc;
+  for (std::size_t i = 0; i < MR; ++i) {
+    const std::size_t g = i / C, ch = i % C;
+    if (ch >= mc || g >= rows.count) continue;
+    float* ci = c + ch * ldc + g * rows.out_ld;
     for (std::size_t j = 0; j < nr; ++j) {
       float v = acc[i][j];
-      if (bias) v += bias[i];
+      if (bias) v += bias[ch];
       if (epi == Epilogue::ReLU) {
         v = v > 0.0f ? v : 0.0f;
       } else if (epi == Epilogue::Sigmoid) {
@@ -180,14 +220,15 @@ void pack_weights_bwd(const float* weight, std::size_t in_c,
   const std::size_t kk = kernel * kernel;
   const std::size_t k2 = in_c * kk;    // forward reduction (weight row len)
   const std::size_t k2b = out_c * kk;  // backward reduction
-  for (std::size_t t = 0; t * MR < in_c; ++t) {
-    float* panel = out + t * (MR * k2b);
+  const std::size_t cs = MR / bwd_row_group(in_c);  // channels per panel
+  for (std::size_t t = 0; t * cs < in_c; ++t) {
+    float* panel = out + t * (cs * k2b);
     std::size_t p = 0;
     for (std::size_t tap = 0; tap < kk; ++tap) {
       for (std::size_t oc = 0; oc < out_c; ++oc, ++p) {
-        for (std::size_t i = 0; i < MR; ++i) {
-          const std::size_t ch = t * MR + i;
-          panel[p * MR + i] =
+        for (std::size_t i = 0; i < cs; ++i) {
+          const std::size_t ch = t * cs + i;
+          panel[p * cs + i] =
               ch < in_c ? weight[oc * k2 + ch * kk + tap] : 0.0f;
         }
       }
@@ -221,9 +262,9 @@ void direct_forward(const float* xpad, const float* wpack, const float* bias,
       const std::size_t nr = std::min(NR, ow - j0);
       for (std::size_t t = 0; t < out_c; t += MR) {
         const std::size_t mr = std::min(MR, out_c - t);
-        conv_tile(k2, KC, wpack + (t / MR) * (MR * k2), taps, roff + j0,
-                  out + t * plane + r * ow + j0, plane, mr, nr,
-                  bias ? bias + t : nullptr, epi);
+        conv_tile<1>(k2, KC, wpack + (t / MR) * (MR * k2), taps, roff + j0,
+                     PixelRows{0, 0, 1}, out + t * plane + r * ow + j0, plane,
+                     mr, nr, bias ? bias + t : nullptr, epi);
       }
     }
   }
@@ -253,15 +294,23 @@ void direct_input_grad(const float* gpad, const float* wpack,
       }
     }
   }
-  for (std::size_t r = 0; r < h; ++r) {
-    const std::size_t roff = r * gw;
+  // G pixel rows per tile (bwd_row_group), each of C channel slots; the
+  // panel of channel tile t holds C weights per reduction index.
+  const std::size_t G = bwd_row_group(in_c), C = MR / G;
+  static_assert(MR == 6, "row groups below are the divisors of MR");
+  const auto tile = G == 6   ? conv_tile<6>
+                    : G == 3 ? conv_tile<3>
+                    : G == 2 ? conv_tile<2>
+                             : conv_tile<1>;
+  for (std::size_t r = 0; r < h; r += G) {
+    const PixelRows rows{gw, w, std::min(G, h - r)};
     for (std::size_t j0 = 0; j0 < w; j0 += NR) {
       const std::size_t nr = std::min(NR, w - j0);
-      for (std::size_t t = 0; t < in_c; t += MR) {
-        const std::size_t mr = std::min(MR, in_c - t);
-        conv_tile(k2b, out_c, wpack + (t / MR) * (MR * k2b), taps,
-                  roff + j0, dx + t * plane + r * w + j0, plane, mr, nr,
-                  nullptr, Epilogue::None);
+      for (std::size_t t = 0; t < in_c; t += C) {
+        const std::size_t mc = std::min(C, in_c - t);
+        tile(k2b, out_c, wpack + (t / C) * (C * k2b), taps, r * gw + j0, rows,
+             dx + t * plane + r * w + j0, plane, mc, nr, nullptr,
+             Epilogue::None);
       }
     }
   }

@@ -7,7 +7,9 @@
 // copy and streams taps straight out of it with the same MR x NR register
 // tiling as the blocked GEMM microkernel (gemm.cpp) — output channels
 // (resp. input channels on the backward pass) on the MR axis, output
-// pixels of one row on the NR axis.
+// pixels of one row on the NR axis. An input gradient with few input
+// channels (in_c <= MR/2, a model's first conv) fills the MR axis with
+// MR/in_c pixel rows of all its channels instead of padding it.
 //
 // Bitwise-identity contract (the bar every perf PR in this repo clears):
 // for every output element the floating-point reduction runs in exactly
@@ -19,7 +21,8 @@
 // exact +0.0 terms, which cannot change an accumulator that started at
 // +0.0 (such a sum is never -0.0), so reading padded zeros where im2col
 // wrote zeros — or where col2im skipped an out-of-range tap — is
-// bitwise invisible. Tests assert the identity per shape and thread
+// bitwise invisible. Which tile row an element lands in changes no
+// operation on it, so pixel-row tiling is bitwise invisible too. Tests assert the identity per shape and thread
 // count; DESIGN.md section 16 has the full argument.
 #pragma once
 
@@ -80,17 +83,25 @@ inline std::size_t packed_fwd_size(std::size_t out_c, std::size_t k2) {
 void pack_weights_fwd(const float* weight, std::size_t out_c, std::size_t k2,
                       float* out);
 
-/// Floats needed by pack_weights_bwd: ceil(in_c/MR) panels of
-/// MR * (out_c*kernel*kernel).
+/// Pixel rows one input-gradient tile covers. The tile's MR rows hold
+/// input channels; when at least two pixel rows of all in_c channels fit
+/// (2*in_c <= MR) a tile takes G = MR / in_c consecutive pixel rows
+/// instead, so the first conv of a model (in_c = 1 or 3) pads no tile row.
+inline std::size_t bwd_row_group(std::size_t in_c) {
+  return 2 * in_c <= gemm_blocking::MR ? gemm_blocking::MR / in_c : 1;
+}
+
+/// Floats needed by pack_weights_bwd: ceil(in_c/C) panels of
+/// C * (out_c*kernel*kernel), C = MR / bwd_row_group(in_c) channel slots.
 inline std::size_t packed_bwd_size(std::size_t in_c, std::size_t out_c,
                                    std::size_t kernel) {
-  const std::size_t tiles =
-      (in_c + gemm_blocking::MR - 1) / gemm_blocking::MR;
-  return tiles * gemm_blocking::MR * (out_c * kernel * kernel);
+  const std::size_t cs = gemm_blocking::MR / bwd_row_group(in_c);
+  return (in_c + cs - 1) / cs * cs * (out_c * kernel * kernel);
 }
 
 /// Packs weight [out_c, in_c*k*k] for the input-gradient kernel: panel
-/// rows are INPUT channels, the reduction index runs tap-major /
+/// rows are INPUT channels, C = MR / bwd_row_group(in_c) of them per
+/// panel (zero-padded), and the reduction index runs tap-major /
 /// out-channel-minor (p = (ki*k + kj)*out_c + oc), matching col2im's
 /// tap-ascending accumulation order with each tap's out-channel sum
 /// completed first.

@@ -1,7 +1,8 @@
 // One NR-float row of a microkernel tile as whole vectors, shared by the
-// blocked GEMM (gemm.cpp) and the direct convolution (conv_micro.cpp).
+// blocked GEMM (gemm.cpp), the direct convolution (conv_micro.cpp) and
+// the MaxPool2d backward (max_pool.cpp, for its lane count).
 //
-// Private to those two files, which compile in one ISA regime (see
+// Private to those files, which compile in one ISA regime (see
 // src/tensor/CMakeLists.txt). The lane count follows the including
 // file's target ISA, so everything here has internal linkage: a copy
 // compiled for AVX-512 must never be linked into a baseline-ISA caller.

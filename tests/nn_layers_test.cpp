@@ -440,6 +440,12 @@ INSTANTIATE_TEST_SUITE_P(
         DirectIdCase{Conv2d::same(16, 32), Shape({2, 16, 14, 14}), true},
         DirectIdCase{Conv2d::same(3, 16), Shape({2, 3, 32, 32}), true},
         DirectIdCase{Conv2d::same(16, 32), Shape({2, 16, 16, 16}), true},
+        // Input gradients at in_c <= MR/2 tile MR/in_c pixel rows: in_c = 3
+        // at an odd height (the last tile holds one pixel row), in_c = 3
+        // with a 12-lane tail tile, in_c = 1 with fewer rows than one tile.
+        DirectIdCase{Conv2d::same(3, 16), Shape({2, 3, 7, 7}), true},
+        DirectIdCase{Conv2d::same(3, 16), Shape({2, 3, 6, 28}), true},
+        DirectIdCase{Conv2d::same(1, 16), Shape({2, 1, 4, 9}), true},
         // Wide row: exercises the full-NR vector store path (ow >= 16).
         DirectIdCase{Conv2d::same(1, 8), Shape({2, 1, 6, 20}), true},
         // in_c*k*k = 288 > KC: exercises the multi-strip accumulator.
@@ -561,8 +567,8 @@ void max_pool_reference(const Tensor& x, std::size_t k, Tensor& out,
   }
 }
 
-/// Forward output, recorded index and backward gradient of MaxPool2d(k)
-/// against max_pool_reference, bit for bit.
+/// Forward output and backward gradient of MaxPool2d(k) against
+/// max_pool_reference, bit for bit.
 void check_max_pool_bitwise(std::size_t k, const Tensor& x,
                             std::uint64_t seed) {
   MaxPool2d pool(k);
@@ -574,7 +580,6 @@ void check_max_pool_bitwise(std::size_t k, const Tensor& x,
   TapeEntry saved;
   expect_bitwise_equal(pool.forward(x, nn::Mode::Eval, &saved), want_out,
                        "recording forward");
-  EXPECT_EQ(saved.index, want_index);
 
   Tensor g(want_out.shape());
   Rng rng(seed);
@@ -647,13 +652,75 @@ TEST(MaxPool2dTest, UnbeatableWindowRoutesToItsFirstElement) {
       const Tensor y = pool.forward(x, nn::Mode::Eval, &saved);
       EXPECT_EQ(y[3], ninf);
       const std::size_t first = k * 2 * k + k;  // plane 1, column k
-      EXPECT_EQ(saved.index[3], first);
       Tensor g({1, 2, 1, 2}, 0.0f);
       g[3] = 7.0f;
       const Tensor dx = pool.backward(g, saved);
       EXPECT_EQ(dx[first], 7.0f);
       EXPECT_EQ(dx[k * 2 * k], 0.0f);  // plane 1's (0, 0), outside the window
     }
+  }
+}
+
+/// MaxPool2d::backward_through_relu against ReLU then MaxPool2d run as two
+/// layers, bit for bit, over both entries a ReLU can leave: its input x
+/// (a standalone ReLU) and its output relu(x) (a conv that fused it). The
+/// pool's part is the textbook scatter over max_pool_reference's index.
+void check_relu_pool_bitwise(std::size_t k, const Tensor& x,
+                             std::uint64_t seed) {
+  ReLU relu;
+  MaxPool2d pool(k);
+  TapeEntry pre;
+  const Tensor y = relu.forward(x, nn::Mode::Eval, &pre);
+  Tensor out;
+  std::vector<std::size_t> index;
+  max_pool_reference(y, k, out, index);
+  Tensor g(out.shape());
+  Rng rng(seed);
+  fill_uniform(g, rng, -1.0f, 1.0f);
+  for (std::size_t i = 0; i < g.numel(); i += 3) g[i] = -0.0f;
+  const TapeEntry post{y, {}};
+  Tensor dpool(y.shape(), 0.0f);
+  for (std::size_t i = 0; i < g.numel(); ++i) dpool[index[i]] += g[i];
+  expect_bitwise_equal(pool.backward_through_relu(g, pre),
+                       relu.backward(dpool, pre), "pre-activation entry");
+  expect_bitwise_equal(pool.backward_through_relu(g, post),
+                       relu.backward(dpool, post), "post-activation entry");
+}
+
+TEST(MaxPool2dTest, BackwardThroughReluMatchesTheTwoLayersBitwise) {
+  // Window 2 on the models' plane widths (windows per row: 16 and 8 on
+  // CIFAR, 14 and 7 on MNIST), so full vector chunks and padded row tails
+  // both run; window 3 on the scalar path.
+  for (const auto& [k, w] : {std::pair<std::size_t, std::size_t>{2, 32},
+                             {2, 16},
+                             {2, 28},
+                             {2, 14},
+                             {3, 6},
+                             {3, 9}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "window " << k << " width " << w
+                                        << " seed " << seed);
+      // tricky_pool_input's values (NaN, +-inf, +-0, ties, an all-NaN and
+      // an all -inf window), tiled across the width.
+      const Tensor base = tricky_pool_input(k, seed);
+      Tensor x({2, 2, 2 * k, w});
+      for (std::size_t i = 0; i < x.numel(); ++i) {
+        const std::size_t col = i % w, row = i / w;
+        x[i] = base[row * 3 * k + col % (3 * k)];
+      }
+      check_relu_pool_bitwise(k, x, seed + 300);
+    }
+  }
+}
+
+// The last window row ends exactly where its allocation does, so a vector
+// tail that loads or stores past a row fails under AddressSanitizer.
+TEST(MaxPool2dTest, BackwardStaysInsideTightAllocations) {
+  for (const Shape& shape : {Shape({1, 1, 2, 14}), Shape({1, 1, 2, 2})}) {
+    SCOPED_TRACE(shape.to_string());
+    const Tensor x = random_input(shape, 310);
+    check_max_pool_bitwise(2, x, 311);
+    check_relu_pool_bitwise(2, x, 312);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -129,6 +130,100 @@ TEST(Sequential, ConvActivationFusionIsBitwiseInvisible) {
   const Tensor yi_off = off.forward(x, Mode::Infer);
   ASSERT_EQ(0, std::memcmp(yi_on.data(), yi_off.data(),
                            yi_on.numel() * sizeof(float)));
+}
+
+// A model whose ReLUs each feed a MaxPool2d: two Conv->ReLU->MaxPool
+// blocks (4 channels each) and a Linear head, or, with conv = false, a
+// ReLU reading the input itself (its tape entry holds the pre-activation,
+// not a fused conv's output) and a MaxPool2d, flattened.
+Sequential relu_pool_model(std::size_t in_c, std::size_t side,
+                           std::size_t window, bool conv, bool fused) {
+  Rng rng(51);
+  Sequential m;
+  if (conv) {
+    std::size_t c = in_c;
+    for (int block = 0; block < 2; ++block) {
+      m.emplace<Conv2d>(Conv2d::same(c, 4), rng);
+      m.emplace<ReLU>();
+      m.emplace<MaxPool2d>(window);
+      c = 4;
+      side /= window;
+    }
+    m.emplace<Flatten>();
+    m.emplace<Linear>(c * side * side, 3, rng);
+  } else {
+    m.emplace<ReLU>();
+    m.emplace<MaxPool2d>(window);
+    m.emplace<Flatten>();
+  }
+  m.set_fusion_enabled(fused);
+  return m;
+}
+
+/// Uniform values with signed zeros, a constant positive block (tied
+/// window maxima, in the input and in the conv outputs over it) and a
+/// constant negative one (windows a ReLU zeroes whole); with `specials`,
+/// NaN and +-inf too.
+Tensor pool_pair_input(const Shape& shape, bool specials, std::uint64_t seed) {
+  Tensor x(shape);
+  Rng rng(seed);
+  fill_uniform(x, rng, -1.0f, 1.0f);
+  const std::size_t side = shape[2];
+  for (std::size_t r = 0; r < side / 2; ++r) {
+    for (std::size_t c = 0; c < side / 2; ++c) {
+      x.at(0, 0, r, c) = 0.5f;
+      x.at(0, 0, side / 2 + r, side / 2 + c) = -0.75f;
+    }
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    if (i % 7 == 0) x[i] = i % 14 == 0 ? 0.0f : -0.0f;
+    if (specials && i % 5 == 1) {
+      x[i] = i % 3 == 0 ? nan : (i % 3 == 1 ? inf : -inf);
+    }
+  }
+  return x;
+}
+
+TEST(Sequential, ReluMaxPoolPairIsBitwiseInvisible) {
+  // The ReLU->MaxPool2d peephole (one backward pass over the ReLU's tape
+  // entry; the pool records nothing) leaves forward outputs and input
+  // gradients bitwise unchanged, on the classifiers' plane widths (28,
+  // 14 and 7; 32, 16 and 8) at window 2 and on windows of 3. NaN and
+  // +-inf go only through the unfused ReLU: a conv that fuses a ReLU
+  // records max(x, 0), which keeps no NaN (DESIGN.md §16).
+  struct Case {
+    std::size_t in_c, side, window;
+    bool conv;
+  };
+  for (const Case& c : {Case{1, 28, 2, true}, Case{3, 32, 2, true},
+                        Case{1, 18, 3, true}, Case{2, 28, 2, false},
+                        Case{2, 14, 2, false}, Case{2, 32, 2, false},
+                        Case{2, 16, 2, false}, Case{2, 9, 3, false}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "in_c " << c.in_c << " side " << c.side << " window "
+                 << c.window << (c.conv ? " conv" : " relu first"));
+    Sequential on = relu_pool_model(c.in_c, c.side, c.window, c.conv, true);
+    Sequential off = relu_pool_model(c.in_c, c.side, c.window, c.conv, false);
+    const Tensor x =
+        pool_pair_input({3, c.in_c, c.side, c.side}, !c.conv, c.side);
+    Tape tape_on, tape_off;
+    const Tensor y_on = on.forward(x, Mode::Eval, &tape_on);
+    const Tensor y_off = off.forward(x, Mode::Eval, &tape_off);
+    ASSERT_EQ(y_on.shape(), y_off.shape());
+    ASSERT_EQ(0, std::memcmp(y_on.data(), y_off.data(),
+                             y_on.numel() * sizeof(float)));
+    Tensor seed(y_on.shape());
+    Rng rng(c.side + 1);
+    fill_uniform(seed, rng, -1.0f, 1.0f);
+    for (std::size_t i = 0; i < seed.numel(); i += 4) seed[i] = -0.0f;
+    const Tensor dx_on = on.backward(seed, tape_on);
+    const Tensor dx_off = off.backward(seed, tape_off);
+    ASSERT_EQ(dx_on.shape(), x.shape());
+    ASSERT_EQ(0, std::memcmp(dx_on.data(), dx_off.data(),
+                             dx_on.numel() * sizeof(float)));
+  }
 }
 
 TEST(Sequential, InferMatchesEvalForwardBitwise) {

@@ -13,8 +13,8 @@
 # tree, <build-dir>-tsan), and an AddressSanitizer + UBSan pass over the
 # parsers, the daemon, row-block passes, sliced attacks, the active-set
 # engine's gathered sub-batches, whole-model passes, training, concurrent
-# passes, the thread pool and the GEMM and direct-conv microkernels
-# (<build-dir>-asan).
+# passes, the thread pool and the GEMM, direct-conv and paired
+# ReLU + MaxPool2d kernels (<build-dir>-asan).
 #
 # A vectorization stage fails unless GCC reports every loop marked
 # `// ci:vectorized` as vectorized: a loop that falls back to a branch
@@ -45,7 +45,7 @@ fail=0
 
 echo "== vectorization (// ci:vectorized loops) =="
 # The element-wise hot loops (the fused ISTA and sign steps every attack
-# iteration runs, ReLU backward) are written as
+# iteration runs, ReLU backward, the 2x2 MaxPool2d forward) are written as
 # selects over values so GCC vectorizes them at the baseline ISA
 # (DESIGN.md §6). Each carries a `// ci:vectorized` marker on its `for`
 # line; the source is recompiled with its compile_commands.json command
@@ -62,7 +62,7 @@ sys.exit(subprocess.run(args + ["-fopt-info-vec-optimized"],
                         cwd=entry["directory"]).returncode)
 PY
 }
-for src in src/attacks/fused.cpp src/nn/activations.cpp; do
+for src in src/attacks/fused.cpp src/nn/activations.cpp src/nn/pool.cpp; do
   if ! report="$(vec_report "$src" 2>&1)"; then
     echo "FAIL: recompiling $src for its vectorization report" >&2
     echo "$report" >&2
@@ -335,9 +335,11 @@ echo "== address + undefined-behaviour sanitizer =="
 # gather and scatter indexing), whole-model passes, training and
 # concurrent passes (every intermediate a layer allocates is freed by its
 # owner: row-block parts, fused-activation tape copies, per-chunk conv
-# scratch), the thread pool, and the GEMM and direct-conv microkernels
-# (their tail tiles store fewer lanes than a vector holds; a store past
-# the row's end fails here), rebuilt with -fsanitize=address,undefined.
+# scratch), the thread pool, and the GEMM, direct-conv and paired
+# ReLU + MaxPool2d kernels (their tail tiles store fewer lanes than a
+# vector holds, and nn_layers_test pools rows that end where their
+# allocation does; a load or store past it fails here), rebuilt with
+# -fsanitize=address,undefined.
 # UB is fatal (-fno-sanitize-recover), and leak detection is on.
 sanitize_build asan \
   "-fsanitize=address,undefined -fno-sanitize-recover=undefined" \
